@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,10 @@ MONOGAMY_TOL = 1e-9
 MIXED_ID_TOL = 1e-12
 EXACT_TOL = 1e-15
 
+CONFIG_KEYS = (
+    "lattice", "rows", "cols", "boundary", "variant", "n", "tasks", "out", "tol", "seed",
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -79,8 +84,12 @@ class RunConfig:
         for task in self.tasks:
             if task not in TASK_NAMES:
                 raise ConfigError(f"unknown task {task!r}; choose from {', '.join(TASK_NAMES)}")
-        if self.tol <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
+        # the first existing path on the way to the output must be a directory
+        existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output path {existing} exists and is not a directory")
         if self.variant is Variant.CUSTOM:
             raise ConfigError("custom ensembles need explicit coverings; use the library API")
         if self.variant is Variant.GAS and self.lattice.kind is not Kind.COMPLETE_BIPARTITE:
@@ -201,7 +210,8 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
 def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
     state = ctx.state()
     digest = hashlib.sha256(states_mod.state_to_bytes(state)).hexdigest()
-    nrm = float(np.linalg.norm(state.amplitudes))
+    amps = state.amplitudes
+    nrm = float(np.sqrt(np.sum(amps * amps)))  # fixed order, unlike a BLAS norm
     checks.add(
         "assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}"
     )
@@ -682,7 +692,12 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key {key!r}; choose from {', '.join(CONFIG_KEYS)}"
+            )
+        out[key] = value.strip()
     return out
 
 

@@ -173,7 +173,9 @@ def assemble(
     for covering in ensemble.coverings:
         idx, vals = _covering_nonzeros(covering, bits, amps)
         np.add.at(psi, idx, covering.weight * vals)
-    nrm = float(np.linalg.norm(psi))
+    # fixed-order reduction: a BLAS norm sums in an order that follows the
+    # BLAS thread count, which would leak into the report bytes
+    nrm = float(np.sqrt(np.sum(psi * psi)))
     weight_scale = float(np.sum(np.abs(ensemble.weights)))
     if nrm <= 1e-12 * max(1.0, weight_scale):
         raise ValueError("ensemble sum cancels to the zero vector")
@@ -291,10 +293,13 @@ def state_to_bytes(state: StateVector) -> bytes:
 def state_from_bytes(blob: bytes) -> StateVector:
     if blob[:4] != _BIN_MAGIC:
         raise ValueError("not a state-vector blob")
+    if len(blob) < 16:
+        raise ValueError(f"truncated state-vector blob: {len(blob)} bytes, header needs 16")
     n, norm = struct.unpack("<Id", blob[4:16])
     amps = np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)
-    if amps.size != 2**n:
-        raise ValueError(f"expected {2**n} amplitudes, found {amps.size}")
+    # bound n before 2**n: a corrupt header may claim up to 2**32 - 1 qubits
+    if n >= 64 or amps.size != 2**n:
+        raise ValueError(f"expected 2**{n} amplitudes, found {amps.size}")
     return StateVector(n_qubits=n, amplitudes=amps, norm=norm)
 
 

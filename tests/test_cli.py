@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,12 +58,27 @@ class TestExitCodes:
         assert code == 2
 
     def test_nonpositive_tol_config_error(self, tmp_path):
-        code, _ = run_cli(
-            tmp_path,
-            "--lattice", "complete-bipartite", "--n", "2",
-            "--tasks", "enumerate", "--tol", "0",
+        # nan and inf would otherwise reach report.json as invalid JSON
+        for tol in ("0", "nan", "inf"):
+            code, _ = run_cli(
+                tmp_path,
+                "--lattice", "complete-bipartite", "--n", "2",
+                "--tasks", "enumerate", "--tol", tol,
+            )
+            assert code == 2, tol
+
+    def test_out_is_existing_file_config_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code = main(
+            [
+                "--lattice", "complete-bipartite", "--n", "2",
+                "--tasks", "enumerate", "--out", str(target),
+            ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a directory" in err
 
     def test_cap_exceeded_exits_three(self, tmp_path):
         code, _ = run_cli(
@@ -164,6 +183,35 @@ class TestDeterminism:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestBlasThreads:
+    def test_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # 4x4 is large enough that a BLAS norm splits its sum across threads
+        src = Path(__file__).resolve().parents[1] / "src"
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(
+                    p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+                ),
+            }
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "rvblab.cli",
+                    "--lattice", "square-grid", "--rows", "4", "--cols", "4",
+                    "--tasks", "assemble", "--out", str(out),
+                ],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestConfigFile:
     def test_file_supplies_values(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -196,6 +244,15 @@ class TestConfigFile:
         conf = tmp_path / "run.conf"
         conf.write_text("lattice complete-bipartite\n")
         assert main(["--config", str(conf), "--tasks", "enumerate"]) == 2
+
+    def test_unknown_key_config_error(self, tmp_path, capsys):
+        # a misspelt key must not fall back to the default boundary
+        conf = tmp_path / "run.conf"
+        conf.write_text("lattice = square-grid\nrows = 2\ncols = 2\nboundry = periodic\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(conf), "--tasks", "enumerate", "--out", str(out)]) == 2
+        assert "'boundry'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunConfig:

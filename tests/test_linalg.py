@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from conftest import jacobi_eigh_oracle
 
-from rvblab import eigvalsh_jacobi, jacobi_eigh, matrix_sqrt_psd, operator_norm
+from rvblab import (
+    eigvalsh_jacobi,
+    jacobi_eigh,
+    matrix_sqrt_psd,
+    operator_norm,
+    reduced_density_matrix,
+)
 
 
 def random_hermitian(n, seed, complex_entries=True):
@@ -81,6 +88,26 @@ class TestJacobiEigh:
     def test_eigvalsh_wrapper(self):
         a = random_hermitian(6, seed=42)
         assert np.max(np.abs(eigvalsh_jacobi(a) - np.linalg.eigvalsh(a))) < 1e-10
+
+
+class TestPinnedToJacobiOracle:
+    # the LAPACK seam is pinned to the Jacobi route it replaced
+    def test_all_pair_rdm_spectra_of_4x4_liquid(self, state44):
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        assert len(pairs) == 120
+        worst = 0.0
+        for pair in pairs:
+            rho = reduced_density_matrix(state44, pair).matrix
+            w_ref, _ = jacobi_eigh_oracle(rho)
+            worst = max(worst, float(np.max(np.abs(eigvalsh_jacobi(rho) - w_ref))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_random_hermitian_spectra(self, n):
+        a = random_hermitian(n, seed=200 + n)
+        w_ref, _ = jacobi_eigh_oracle(a)
+        w, _ = jacobi_eigh(a)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12
 
 
 class TestOperatorNorm:

@@ -232,6 +232,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             state_from_bytes(b"not a state blob")
 
+    @pytest.mark.parametrize("blob", [b"RVBS", b"RVBS\x01\x00"])
+    def test_bytes_reject_truncated_header(self, blob):
+        with pytest.raises(ValueError):
+            state_from_bytes(blob)
+
     def test_file_roundtrip(self, state22, tmp_path):
         path = tmp_path / "state.bin"
         save_state(state22, path)
