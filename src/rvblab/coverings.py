@@ -19,7 +19,7 @@ import enum
 import json
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .lattice import Kind, LatticeSpec, Sublattice, lattice_from_config, lattice
 
 # N! coverings: the default cap keeps gas enumeration under ~10^5 states.
 GAS_MAX_N = 8
+# Coverings x pairs held by one liquid enumeration (the 8x8 grid would
+# need 12,988,816 x 32).
+LIQUID_MAX_STORED_PAIRS = 1_000_000
 
 
 class Variant(enum.Enum):
@@ -165,39 +168,61 @@ def enumerate_gas(lattice: LatticeSpec, max_n: int = GAS_MAX_N) -> CoveringEnsem
 def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
     """All equal-weight nearest-neighbor coverings of a square grid.
 
-    Backtracks over the lowest-index unmatched site; output order is
-    deterministic (lexicographic in the sequence of matched bonds).
+    Backtracks over the lowest-index unmatched site with an explicit
+    stack; output order is deterministic (lexicographic in the sequence of
+    matched bonds).  Raises :class:`CapExceeded` once the coverings found
+    hold more than ``LIQUID_MAX_STORED_PAIRS`` pairs.
     """
     if lattice.kind is not Kind.SQUARE_GRID:
         raise ValueError("liquid enumeration is defined on square grids")
     n = lattice.site_count
+    max_coverings = LIQUID_MAX_STORED_PAIRS // (n // 2)
     adj = [lattice.neighbors(s) for s in range(n)]
+    is_a = [lattice.sublattice_of(s) is Sublattice.A for s in range(n)]
     matched = [False] * n
     bond_stack: list[tuple[int, int]] = []
     found: list[DimerCovering] = []
 
-    def extend() -> None:
-        site = next((s for s in range(n) if not matched[s]), None)
-        if site is None:
-            found.append(DimerCovering.from_pairs(lattice, _orient(bond_stack)))
-            return
-        matched[site] = True
-        for t in adj[site]:
-            if not matched[t]:
-                matched[t] = True
-                bond_stack.append((site, t))
-                extend()
-                bond_stack.pop()
-                matched[t] = False
-        matched[site] = False
+    def lowest_unmatched(start: int) -> int | None:
+        return next((s for s in range(start, n) if not matched[s]), None)
 
-    def _orient(bonds: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        return [
-            (s, t) if lattice.sublattice_of(s) is Sublattice.A else (t, s)
-            for s, t in bonds
-        ]
+    def covering(bonds: list[tuple[int, int]]) -> DimerCovering:
+        # nearest-neighbor bonds join A to B, so orienting them A-first and
+        # sorting gives what from_pairs would, without re-validating
+        pairs = sorted((s, t) if is_a[s] else (t, s) for s, t in bonds)
+        return DimerCovering(
+            a_sites=tuple(a for a, _ in pairs), b_partners=tuple(b for _, b in pairs)
+        )
 
-    extend()
+    # one frame per matched bond: the site and its untried neighbors;
+    # every site below a frame's site is matched while the frame is live
+    matched[0] = True
+    frames: list[tuple[int, Iterator[int]]] = [(0, iter(adj[0]))]
+    while frames:
+        site, options = frames[-1]
+        t = next((t for t in options if not matched[t]), None)
+        if t is None:
+            frames.pop()
+            matched[site] = False
+            if frames:
+                matched[bond_stack.pop()[1]] = False
+            continue
+        matched[t] = True
+        bond_stack.append((site, t))
+        nxt = lowest_unmatched(site + 1)
+        if nxt is not None:
+            matched[nxt] = True
+            frames.append((nxt, iter(adj[nxt])))
+            continue
+        if len(found) == max_coverings:
+            raise CapExceeded(
+                f"liquid enumeration capped at {LIQUID_MAX_STORED_PAIRS} stored pairs "
+                f"(coverings x pairs); {lattice.rows}x{lattice.cols} grid has more "
+                f"than {max_coverings} coverings of {n // 2} pairs"
+            )
+        found.append(covering(bond_stack))
+        bond_stack.pop()
+        matched[t] = False
     if not found:
         raise ValueError("lattice admits no nearest-neighbor perfect matching")
     return CoveringEnsemble(lattice=lattice, coverings=tuple(found), variant=Variant.LIQUID)

@@ -16,6 +16,22 @@ the same loop, and sign is +1 for opposite sublattices, -1 otherwise.
 Weights are exact powers of two, so numerator and denominator are exact
 integers; this route never touches the exponentially large state vector
 and serves as an independent check of the state-assembly pipeline.
+
+The sums run through one NumPy kernel, ``_row_loops``, that labels the
+loops of (k, l) for every l >= k at once.  A loop of (k, l) is the union
+of two orbits, of s and of p_k(s), under the permutation p_l o p_k, so
+``ceil(log2(sites / 2))`` pointer-doubling steps of ``m = min(m, m[f]);
+f = f[f]``, started from ``m = min(s, p_k(s))``, leave every site
+labelled by the smallest site of its loop; a loop's smallest site is the
+one site whose label is itself.  The summand is symmetric in (k, l), so
+only l >= k is summed and each off-diagonal weight counts twice.  The
+scan sums in float64.  Every weight is a power of two, and every
+partial sum is a multiple of the smallest weight 2**L_min and at most
+(covering pairs) * 2**(N - L_min) times it, below 2**53 for any ensemble
+within ``MAX_GRAPH_PAIRS`` on up to 74 sites.  The float sums are then
+the exact integers in any summation order, and each Werner parameter is
+the correctly rounded quotient of two of them.  ``loop_formula_p`` sums
+Python ints instead, which are exact at any size.
 """
 
 from __future__ import annotations
@@ -103,22 +119,28 @@ def build_transition_graph(
     )
 
 
-def _loop_labels(p_k: np.ndarray, p_l: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-site loop labels and loop count, without storing cycles."""
+def _partner_matrix(ensemble: CoveringEnsemble) -> np.ndarray:
+    """(coverings x sites) array: row k maps each site to its partner in k."""
+    n_sites = ensemble.lattice.site_count
+    return np.stack([c.partner_array(n_sites) for c in ensemble.coverings])
+
+
+def _row_loops(partners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loop labels and loop counts of (k, l) for every l >= k.
+
+    Row ``l - k`` of the labels gives each site the smallest site of its
+    loop in the transition graph of coverings k and l.
+    """
+    p_k = partners[k]
     n_sites = p_k.shape[0]
-    labels = np.full(n_sites, -1, dtype=np.int64)
-    count = 0
-    for start in range(n_sites):
-        if labels[start] >= 0:
-            continue
-        s = start
-        while labels[s] < 0:
-            labels[s] = count
-            t = p_k[s]
-            labels[t] = count
-            s = p_l[t]
-        count += 1
-    return labels, count
+    sites = np.arange(n_sites)
+    f = partners[k:, p_k]  # p_l o p_k, one row per l
+    m = np.broadcast_to(np.minimum(sites, p_k), f.shape)
+    # the orbits of p_l o p_k hold at most half the sites
+    for _ in range((n_sites // 2 - 1).bit_length()):
+        m = np.minimum(m, np.take_along_axis(m, f, axis=1))
+        f = np.take_along_axis(f, f, axis=1)
+    return m, np.count_nonzero(m == sites, axis=1)
 
 
 def _check_scannable(ensemble: CoveringEnsemble) -> None:
@@ -142,16 +164,19 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
         )
     lattice = ensemble.lattice
     n_sites = lattice.site_count
-    partners = [c.partner_array(n_sites) for c in ensemble.coverings]
-    numerator = np.zeros((n_sites, n_sites), dtype=np.float64)
+    partners = _partner_matrix(ensemble)
+    numerator = np.zeros(n_sites * n_sites, dtype=np.float64)
     denominator = 0.0
-    for p_k in partners:
-        for p_l in partners:
-            labels, count = _loop_labels(p_k, p_l)
-            weight = float(2**count)  # exact: small power of two
-            same = labels[:, None] == labels[None, :]
-            numerator += weight * same
-            denominator += weight
+    for k in range(n_cov):
+        labels, counts = _row_loops(partners, k)
+        # 2**L scaled by 2**-pairs, which leaves every quotient unchanged and
+        # keeps the weights finite; (k, l) and (l, k) for l > k count twice
+        weights = np.ldexp(1.0, counts - n_sites // 2)
+        weights[1:] *= 2.0
+        same = labels[:, :, None] == labels[:, None, :]
+        numerator += weights @ same.reshape(len(weights), -1)
+        denominator += weights.sum()
+    numerator = numerator.reshape(n_sites, n_sites)
     a_mask = np.array(
         [lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)]
     )
@@ -186,16 +211,15 @@ def loop_formula_p(
         dm = reduced_density_matrix(state, tuple(sorted((i, j))))
         return extract_werner_p(dm).p
 
-    partners = [c.partner_array(n_sites) for c in ensemble.coverings]
+    partners = _partner_matrix(ensemble)
     numerator = 0
     denominator = 0
-    for p_k in partners:
-        for p_l in partners:
-            labels, count = _loop_labels(p_k, p_l)
-            weight = 1 << count  # python int, exact
-            denominator += weight
-            if labels[i] == labels[j]:
-                numerator += weight
+    for k in range(n_cov):
+        labels, counts = _row_loops(partners, k)
+        # python ints, exact; (k, l) and (l, k) for l > k count twice
+        weights = [1 << (int(c) + (offset > 0)) for offset, c in enumerate(counts)]
+        denominator += sum(weights)
+        numerator += sum(w for w, same in zip(weights, labels[:, i] == labels[:, j]) if same)
     sign = (
         1.0
         if lattice.sublattice_of(i) is not lattice.sublattice_of(j)

@@ -4,7 +4,8 @@ The oracle helpers here deliberately reimplement counting and measure
 computations with different algorithms than the package (brute-force
 permutation filters, Ryser's permanent, the non-Hermitian concurrence
 route, correlation-function Werner extraction, cyclic Jacobi rotations
-for Hermitian spectra) so that agreement is evidence, not tautology.
+for Hermitian spectra, a site-by-site walk of every transition-graph
+loop) so that agreement is evidence, not tautology.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 
 from rvblab import (
     LatticeSpec,
+    Sublattice,
     assemble,
     enumerate_gas,
     enumerate_liquid,
@@ -255,3 +257,53 @@ def jacobi_eigh_oracle(a, tol=1e-13, max_sweeps=100):
     w = np.diag(m).real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+# ----------------------------------------------------------------------
+# oracle: loop sums
+
+
+def _loop_labels_oracle(p_k, p_l):
+    """Per-site loop labels and loop count, walking each loop site by site."""
+    n_sites = p_k.shape[0]
+    labels = np.full(n_sites, -1, dtype=np.int64)
+    count = 0
+    for start in range(n_sites):
+        if labels[start] >= 0:
+            continue
+        s = start
+        while labels[s] < 0:
+            labels[s] = count
+            t = p_k[s]
+            labels[t] = count
+            s = p_l[t]
+        count += 1
+    return labels, count
+
+
+def loop_formula_scan_oracle(ensemble):
+    """Loop-sum Werner matrix over every ordered covering pair, one at a time.
+
+    The route the vectorised kernel replaced: a Python double loop over
+    (k, l) that walks the loops of each transition graph and adds
+    2**L to float sums, which stay exact integers at these sizes.
+    """
+    lattice = ensemble.lattice
+    n_sites = lattice.site_count
+    partners = [c.partner_array(n_sites) for c in ensemble.coverings]
+    numerator = np.zeros((n_sites, n_sites), dtype=np.float64)
+    denominator = 0.0
+    for p_k in partners:
+        for p_l in partners:
+            labels, count = _loop_labels_oracle(p_k, p_l)
+            weight = float(2**count)
+            same = labels[:, None] == labels[None, :]
+            numerator += weight * same
+            denominator += weight
+    a_mask = np.array(
+        [lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)]
+    )
+    sign = np.where(a_mask[:, None] == a_mask[None, :], -1.0, 1.0)
+    p_matrix = sign * numerator / denominator
+    np.fill_diagonal(p_matrix, 0.0)
+    return p_matrix

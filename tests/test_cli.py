@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,22 @@ class TestExitCodes:
             "--lattice", "complete-bipartite", "--n", "9", "--tasks", "enumerate",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("rows,cols", [(2, 1200), (8, 8)])
+    def test_liquid_enumeration_cap_exits_three(self, tmp_path, capsys, rows, cols):
+        # 2x1200 is 1200 dimers deep and 8x8 has 12,988,816 coverings; both
+        # must stop at the stored-pair cap within seconds
+        start = time.perf_counter()
+        code, out = run_cli(
+            tmp_path,
+            "--lattice", "square-grid", "--rows", str(rows), "--cols", str(cols),
+            "--tasks", "enumerate",
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 30.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stored pairs" in err
+        assert not out.exists()
 
     def test_failed_check_exits_one(self, tmp_path):
         # reproduce-paper includes a reference EoF anchor that the closed

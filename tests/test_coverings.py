@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+import rvblab.coverings as coverings_mod
 
 from conftest import biadjacency, brute_force_matchings, ryser_permanent
 from rvblab import (
@@ -46,7 +50,7 @@ class TestDimerCovering:
 class TestLiquidEnumeration:
     @pytest.mark.parametrize(
         "rows,cols,expected",
-        [(2, 2, 2), (2, 3, 3), (2, 4, 5), (4, 4, 36)],
+        [(2, 2, 2), (2, 3, 3), (2, 4, 5), (4, 4, 36), (4, 6, 281)],
     )
     def test_open_grid_counts(self, rows, cols, expected):
         lat = LatticeSpec.square_grid(rows, cols)
@@ -90,6 +94,32 @@ class TestLiquidEnumeration:
     def test_gas_lattice_rejected(self):
         with pytest.raises(ValueError):
             enumerate_liquid(LatticeSpec.complete_bipartite(2))
+
+    @pytest.mark.parametrize(
+        "boundary,digest",
+        [
+            ("open", "498f94a2d649b7705d438655569cae3b69eca7dd363e15f15fd958cac4f5232c"),
+            ("periodic", "f9340c685b91a4ee12b7c4b87587bb84ad1123f4bea47eac6973083625e2dd7a"),
+        ],
+    )
+    def test_44_order_pinned(self, boundary, digest):
+        # ensemble_sha256 pins the covering order that every report follows
+        liquid = enumerate_liquid(LatticeSpec.square_grid(4, 4, boundary=boundary))
+        assert hashlib.sha256(ensemble_to_json(liquid).encode()).hexdigest() == digest
+
+    def test_long_chain_does_not_recurse(self):
+        # one stack frame per dimer would pass Python's recursion limit
+        liquid = enumerate_liquid(LatticeSpec.square_grid(1, 3000))
+        assert len(liquid) == 1
+        assert liquid.coverings[0].pairs == tuple((s, s + 1) for s in range(0, 3000, 2))
+
+    def test_stored_pair_cap(self, monkeypatch, grid44):
+        # 36 coverings x 8 pairs: exactly at the cap passes, one pair less raises
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 36 * 8)
+        assert len(enumerate_liquid(grid44)) == 36
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 36 * 8 - 1)
+        with pytest.raises(CapExceeded, match="stored pairs"):
+            enumerate_liquid(grid44)
 
 
 class TestGasEnumeration:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import loop_formula_scan_oracle
 from rvblab import (
     DimerCovering,
     LatticeSpec,
     assemble,
     build_transition_graph,
     custom_ensemble,
+    enumerate_gas,
     enumerate_liquid,
     extract_werner_p,
     inner,
@@ -135,6 +137,14 @@ class TestLoopFormula:
         dm = reduced_density_matrix(state44, (5, 6))
         assert p_direct == pytest.approx(extract_werner_p(dm).p, abs=1e-12)
 
+    def test_weights_stay_finite_past_1023_loops(self):
+        # 2**1024 overflows a float; the scan scales every weight by 2**-pairs
+        lattice = LatticeSpec.square_grid(1, 2048)
+        single = custom_ensemble(lattice, [[(s, s + 1) for s in range(0, 2048, 2)]])
+        p_matrix = loop_formula_scan(single)
+        assert p_matrix[0, 1] == 1.0 and p_matrix[2046, 2047] == 1.0
+        assert p_matrix[1, 2] == 0.0
+
     def test_same_site_rejected(self, liquid23):
         with pytest.raises(ValueError):
             loop_formula_p(liquid23, 2, 2)
@@ -160,6 +170,41 @@ class TestLoopFormula:
             for sl in states:
                 state_norm_sq += inner(sk, sl)
         assert total / 2.0**n_pairs == pytest.approx(state_norm_sq, abs=1e-10)
+
+
+class TestPinnedToLoopWalkOracle:
+    """The row kernel against the per-pair loop walk it replaced."""
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            LatticeSpec.square_grid(4, 4),
+            LatticeSpec.square_grid(4, 4, boundary="periodic"),
+            LatticeSpec.square_grid(2, 6),
+            LatticeSpec.square_grid(4, 6),
+        ],
+        ids=["open-4x4", "periodic-4x4", "open-2x6", "open-4x6"],
+    )
+    def test_scan_bytes_on_liquids(self, lattice):
+        liquid = enumerate_liquid(lattice)
+        got = loop_formula_scan(liquid)
+        assert got.tobytes() == loop_formula_scan_oracle(liquid).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scan_bytes_on_gas(self, n):
+        gas = enumerate_gas(LatticeSpec.complete_bipartite(n))
+        got = loop_formula_scan(gas)
+        assert got.tobytes() == loop_formula_scan_oracle(gas).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["liquid23", "liquid44"])
+    def test_pointwise_exact_on_every_pair(self, fixture, request):
+        ensemble = request.getfixturevalue(fixture)
+        expected = loop_formula_scan_oracle(ensemble)
+        n = ensemble.lattice.site_count
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert loop_formula_p(ensemble, i, j) == expected[i, j], (i, j)
 
 
 class TestSameSublatticeScan:
