@@ -146,17 +146,17 @@ class CoveringEnsemble:
         return bool(np.all(w == w[0]))
 
 
-def enumerate_gas(lattice: LatticeSpec, max_n: int = GAS_MAX_N) -> CoveringEnsemble:
+def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     """All ``N!`` equal-weight pairings of a complete bipartite lattice.
 
     Coverings are emitted in lexicographic order of the partner
-    permutation.  Raises :class:`CapExceeded` when ``N > max_n``.
+    permutation.  Raises :class:`CapExceeded` when ``N > GAS_MAX_N``.
     """
     if lattice.kind is not Kind.COMPLETE_BIPARTITE:
         raise ValueError("gas enumeration is defined on complete bipartite lattices")
     n = lattice.n_per_sublattice
-    if n > max_n:
-        raise CapExceeded(f"gas enumeration capped at N={max_n}; requested N={n}")
+    if n > GAS_MAX_N:
+        raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
     a = lattice.a_sites()
     covs = tuple(
         DimerCovering(a_sites=a, b_partners=perm)
@@ -171,11 +171,18 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
     Backtracks over the lowest-index unmatched site with an explicit
     stack; output order is deterministic (lexicographic in the sequence of
     matched bonds).  Raises :class:`CapExceeded` once the coverings found
-    hold more than ``LIQUID_MAX_STORED_PAIRS`` pairs.
+    hold more than ``LIQUID_MAX_STORED_PAIRS`` pairs, and before any search
+    when one covering alone would.
     """
     if lattice.kind is not Kind.SQUARE_GRID:
         raise ValueError("liquid enumeration is defined on square grids")
     n = lattice.site_count
+    if n // 2 > LIQUID_MAX_STORED_PAIRS:
+        raise CapExceeded(
+            f"liquid enumeration capped at {LIQUID_MAX_STORED_PAIRS} stored pairs "
+            f"(coverings x pairs); one covering of the {lattice.rows}x{lattice.cols} "
+            f"grid has {n // 2}"
+        )
     max_coverings = LIQUID_MAX_STORED_PAIRS // (n // 2)
     adj = [lattice.neighbors(s) for s in range(n)]
     is_a = [lattice.sublattice_of(s) is Sublattice.A for s in range(n)]

@@ -63,11 +63,11 @@ def _check_two_qubit(dm: DensityMatrix) -> None:
         raise ValueError(f"expected a two-qubit density matrix, got shape {dm.matrix.shape}")
 
 
-def werner_state(p: float, sites: tuple[int, int] = (0, 1)) -> DensityMatrix:
-    """rho_W(p) on a pair of sites."""
+def werner_state(p: float) -> DensityMatrix:
+    """rho_W(p) on sites (0, 1)."""
     p = _check_p(p)
     mat = p * np.outer(SINGLET_VEC, SINGLET_VEC) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(sites=tuple(sites), matrix=mat.astype(np.complex128))
+    return DensityMatrix(sites=(0, 1), matrix=mat.astype(np.complex128))
 
 
 @dataclass(frozen=True)

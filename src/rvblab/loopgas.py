@@ -52,13 +52,10 @@ MAX_GRAPH_PAIRS = 100_000
 class TransitionGraph:
     """Loop decomposition of one ordered pair of coverings.
 
-    ``covering_pair`` holds the ensemble indices when built by a scan,
-    or (-1, -1) for graphs built directly from two coverings.  Loops are
-    site cycles, each listed from its smallest site, ordered by that
-    site; a loop of length 2 is degenerate.
+    Loops are site cycles, each listed from its smallest site, ordered by
+    that site; a loop of length 2 is degenerate.
     """
 
-    covering_pair: tuple[int, int]
     loops: tuple[tuple[int, ...], ...]
     degenerate_count: int
     nondegenerate_count: int
@@ -80,15 +77,9 @@ class TransitionGraph:
         return j in home
 
 
-def build_transition_graph(
-    c_k: DimerCovering,
-    c_l: DimerCovering,
-    indices: tuple[int, int] = (-1, -1),
-) -> TransitionGraph:
+def build_transition_graph(c_k: DimerCovering, c_l: DimerCovering) -> TransitionGraph:
     """Superimpose two coverings of the same sites into loops."""
-    if c_k.a_sites != c_l.a_sites:
-        raise ValueError("coverings pair different site sets")
-    if set(c_k.b_partners) != set(c_l.b_partners):
+    if c_k.a_sites != c_l.a_sites or set(c_k.b_partners) != set(c_l.b_partners):
         raise ValueError("coverings pair different site sets")
     n_sites = 2 * c_k.n_pairs
     p_k = c_k.partner_array(n_sites)
@@ -112,7 +103,6 @@ def build_transition_graph(
             degenerate += 1
         loops.append(tuple(cycle))
     return TransitionGraph(
-        covering_pair=tuple(int(x) for x in indices),
         loops=tuple(loops),
         degenerate_count=degenerate,
         nondegenerate_count=len(loops) - degenerate,

@@ -19,17 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .states import StateVector
+from .states import StateVector, _subset_block
 
 ENTANGLED_PURITY_TOL = 1e-9
 CERTIFICATE_MAX_QUBITS = 12
 AUDIT_MAX_SUBSETS = 20_000
-DEFAULT_SEED = 2004
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,9 @@ class BipartitionVerdict:
 
 @dataclass(frozen=True)
 class AuditResult:
-    """Verdicts for a family of subsets; ``sampled`` marks a partial scan."""
+    """Verdicts for every subset of an exhaustive audit."""
 
     verdicts: tuple[BipartitionVerdict, ...]
-    sampled: bool
 
     @property
     def all_entangled(self) -> bool:
@@ -56,19 +54,9 @@ class AuditResult:
 
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     """Descending Schmidt spectrum (reduced eigenvalues) of a site subset."""
-    subset = tuple(int(s) for s in subset)
-    n = state.n_qubits
-    if list(subset) != sorted(set(subset)):
-        raise ValueError("subset must be strictly ascending and distinct")
-    if any(not 0 <= s < n for s in subset):
-        raise ValueError(f"subset {subset} out of range for {n} qubits")
-    if not 0 < len(subset) < n:
+    block = _subset_block(state, subset)
+    if not 0 < len(subset) < state.n_qubits:
         raise ValueError("subset must be a proper nonempty subset")
-    k = len(subset)
-    tensor = state.amplitudes.reshape((2,) * n)
-    kept_axes = [n - 1 - s for s in reversed(subset)]
-    rest = [ax for ax in range(n) if ax not in set(kept_axes)]
-    block = np.transpose(tensor, kept_axes + rest).reshape(2**k, -1)
     if block.shape[0] <= block.shape[1]:
         gram = block @ block.T
     else:
@@ -91,80 +79,34 @@ def bipartition_verdict(state: StateVector, subset: Sequence[int]) -> Bipartitio
     )
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """rank-th (0-based) k-combination of range(n) in lexicographic order."""
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            block = math.comb(n - x - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
-def _iter_subsets(
-    n: int, sizes: Iterable[int], max_subsets: int, seed: int
-) -> tuple[list[tuple[int, ...]], bool]:
-    sizes = sorted(set(int(k) for k in sizes))
-    if any(not 0 < k < n for k in sizes):
-        raise ValueError(f"subset sizes must be proper, got {sizes} for {n} sites")
+def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
+    """Verdicts for every subset of ``sizes``; checks the cap before any spectrum."""
+    n = state.n_qubits
     total = sum(math.comb(n, k) for k in sizes)
-    if total <= max_subsets:
-        out: list[tuple[int, ...]] = []
-        for k in sizes:
-            out.extend(combinations(range(n), k))
-        return out, False
-    # deterministic sample: seeded ranks, unranked to combinations
-    rng = np.random.default_rng(seed)
-    quota = max(1, max_subsets // len(sizes))
-    out = []
-    for k in sizes:
-        count = math.comb(n, k)
-        if count <= quota:
-            out.extend(combinations(range(n), k))
-            continue
-        ranks = np.sort(rng.choice(count, size=quota, replace=False))
-        out.extend(_unrank_combination(int(r), n, k) for r in ranks)
-    return out, True
+    if total > AUDIT_MAX_SUBSETS:
+        raise CapExceeded(
+            f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
+        )
+    subsets = (s for k in sizes for s in combinations(range(n), k))
+    return AuditResult(verdicts=tuple(bipartition_verdict(state, s) for s in subsets))
 
 
-def odd_subset_audit(
-    state: StateVector,
-    max_size: int = 5,
-    max_subsets: int = AUDIT_MAX_SUBSETS,
-    seed: int = DEFAULT_SEED,
-) -> AuditResult:
-    """Verdicts for all odd-size subsets up to ``max_size``.
+def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
+    """Verdicts for every odd-size proper subset up to ``max_size``.
 
     Odd subsets of a singlet superposition are always mixed (a dimer
     must cross the cut), so every verdict should come back entangled.
+    Raises :class:`CapExceeded` above ``AUDIT_MAX_SUBSETS`` subsets.
     """
-    n = state.n_qubits
-    sizes = [k for k in range(1, min(max_size, n - 1) + 1, 2)]
-    subsets, sampled = _iter_subsets(n, sizes, max_subsets, seed)
-    verdicts = tuple(bipartition_verdict(state, s) for s in subsets)
-    return AuditResult(verdicts=verdicts, sampled=sampled)
+    return _audit(state, range(1, min(max_size, state.n_qubits - 1) + 1, 2))
 
 
-def even_subset_audit(
-    state: StateVector,
-    max_size: int = 4,
-    max_subsets: int = AUDIT_MAX_SUBSETS,
-    seed: int = DEFAULT_SEED,
-) -> AuditResult:
-    """Verdicts for even-size proper subsets up to ``max_size``."""
-    n = state.n_qubits
-    sizes = [k for k in range(2, min(max_size, n - 1) + 1, 2)]
+def even_subset_audit(state: StateVector, max_size: int = 4) -> AuditResult:
+    """Verdicts for every even-size proper subset up to ``max_size``; same cap."""
+    sizes = range(2, min(max_size, state.n_qubits - 1) + 1, 2)
     if not sizes:
         raise ValueError("no even proper subset sizes available")
-    subsets, sampled = _iter_subsets(n, sizes, max_subsets, seed)
-    verdicts = tuple(bipartition_verdict(state, s) for s in subsets)
-    return AuditResult(verdicts=verdicts, sampled=sampled)
+    return _audit(state, sizes)
 
 
 @dataclass(frozen=True)

@@ -90,22 +90,17 @@ class DensityMatrix:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    def validate(
-        self,
-        hermiticity_tol: float = 1e-12,
-        trace_tol: float = 1e-12,
-        psd_tol: float = 1e-10,
-    ) -> None:
-        """Raise ValueError unless Hermitian, unit-trace, and PSD within tolerance."""
+    def validate(self) -> None:
+        """Raise ValueError unless Hermitian and unit-trace to 1e-12 and PSD to 1e-10."""
         m = self.matrix
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > hermiticity_tol:
+        if herm > 1e-12:
             raise ValueError(f"matrix is not Hermitian; deviation {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"trace is {tr}, expected 1")
         w_min = float(eigvalsh_jacobi((m + m.conj().T) / 2.0)[0])
-        if w_min < -psd_tol:
+        if w_min < -1e-10:
             raise ValueError(f"matrix has negative eigenvalue {w_min:.3e}")
 
 
@@ -125,14 +120,11 @@ def _covering_columns(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, signs * SQRT_HALF**n_pairs
 
 
-def _covering_nonzeros(
-    covering: DimerCovering, bits: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(basis indices, amplitudes) of one covering's 2**N nonzero entries."""
+def _covering_indices(covering: DimerCovering, bits: np.ndarray) -> np.ndarray:
+    """Basis indices of one covering's 2**N nonzero entries, in pattern order."""
     pow_a = np.asarray(covering.a_sites, dtype=np.int64)
     pow_b = np.asarray(covering.b_partners, dtype=np.int64)
-    idx = bits @ (1 << pow_a) + (1 - bits) @ (1 << pow_b)
-    return idx, amps
+    return bits @ (1 << pow_a) + (1 - bits) @ (1 << pow_b)
 
 
 def singlet_product(covering: DimerCovering) -> StateVector:
@@ -147,32 +139,28 @@ def singlet_product(covering: DimerCovering) -> StateVector:
     if top >= n_qubits:
         raise ValueError(f"site index {top} exceeds qubit count {n_qubits}")
     bits, amps = _covering_columns(covering.n_pairs)
-    idx, vals = _covering_nonzeros(covering, bits, amps)
     psi = np.zeros(2**n_qubits)
-    psi[idx] = vals
+    psi[_covering_indices(covering, bits)] = amps
     return StateVector(n_qubits=n_qubits, amplitudes=psi, norm=1.0)
 
 
-def assemble(
-    ensemble: CoveringEnsemble, max_qubits: int = ASSEMBLY_MAX_QUBITS
-) -> StateVector:
+def assemble(ensemble: CoveringEnsemble) -> StateVector:
     """Weighted superposition of an ensemble's covering products.
 
     Deterministic: coverings are accumulated in ensemble order.  Raises
-    :class:`CapExceeded` above ``max_qubits`` sites and ValueError when
-    the weighted sum cancels to zero norm.
+    :class:`CapExceeded` above ``ASSEMBLY_MAX_QUBITS`` sites and ValueError
+    when the weighted sum cancels to zero norm.
     """
     n_qubits = ensemble.lattice.site_count
-    if n_qubits > max_qubits:
+    if n_qubits > ASSEMBLY_MAX_QUBITS:
         raise CapExceeded(
-            f"state assembly capped at {max_qubits} qubits; lattice has {n_qubits}"
+            f"state assembly capped at {ASSEMBLY_MAX_QUBITS} qubits; lattice has {n_qubits}"
         )
     n_pairs = ensemble.lattice.sublattice_size
     bits, amps = _covering_columns(n_pairs)
     psi = np.zeros(2**n_qubits)
     for covering in ensemble.coverings:
-        idx, vals = _covering_nonzeros(covering, bits, amps)
-        np.add.at(psi, idx, covering.weight * vals)
+        np.add.at(psi, _covering_indices(covering, bits), covering.weight * amps)
     # fixed-order reduction: a BLAS norm sums in an order that follows the
     # BLAS thread count, which would leak into the report bytes
     nrm = float(np.sqrt(np.sum(psi * psi)))
@@ -193,31 +181,36 @@ def inner(left: StateVector, right: StateVector) -> float:
 # reductions
 
 
-def reduced_density_matrix(
-    state: StateVector, sites: Sequence[int], max_sites: int = RDM_MAX_SITES
-) -> DensityMatrix:
-    """Trace out everything but ``sites`` (strictly ascending).
-
-    Cost is one reshape/transpose of the state tensor plus a Gram product,
-    ``O(2**n * 2**len(sites))``.
-    """
+def _subset_block(state: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention."""
     sites = tuple(int(s) for s in sites)
     n = state.n_qubits
     if list(sites) != sorted(set(sites)):
         raise ValueError("sites must be strictly ascending and distinct")
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} out of range for {n} qubits")
-    if len(sites) > max_sites:
-        raise CapExceeded(
-            f"reduced density matrices capped at {max_sites} sites; "
-            f"requested {len(sites)}"
-        )
     # tensor axis j holds site n-1-j; kept axes ordered so reduced qubit t
     # (bit t of the row index) is sites[t]
     tensor = state.amplitudes.reshape((2,) * n)
     kept_axes = [n - 1 - s for s in reversed(sites)]
     rest = [ax for ax in range(n) if ax not in set(kept_axes)]
-    block = np.transpose(tensor, kept_axes + rest).reshape(2 ** len(sites), -1)
+    return np.transpose(tensor, kept_axes + rest).reshape(2 ** len(sites), -1)
+
+
+def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityMatrix:
+    """Trace out everything but ``sites`` (strictly ascending).
+
+    Cost is one reshape/transpose of the state tensor plus a Gram product,
+    ``O(2**n * 2**len(sites))``.  Raises :class:`CapExceeded` above
+    ``RDM_MAX_SITES`` sites.
+    """
+    sites = tuple(int(s) for s in sites)
+    block = _subset_block(state, sites)
+    if len(sites) > RDM_MAX_SITES:
+        raise CapExceeded(
+            f"reduced density matrices capped at {RDM_MAX_SITES} sites; "
+            f"requested {len(sites)}"
+        )
     rho = (block @ block.conj().T).astype(np.complex128)
     return DensityMatrix(sites=sites, matrix=rho)
 

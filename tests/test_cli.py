@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rvblab import loopgas
 from rvblab.cli import RunConfig, build_config, emit_plot_data, main
 
 
@@ -103,6 +104,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "stored pairs" in err
         assert not out.exists()
+
+    def test_loop_cf_checks_assembly_cap_before_scan(self, tmp_path, monkeypatch, capsys):
+        # the 4x6 grid (24 qubits) is within the loop-sum cap but not the
+        # state-vector oracle's, so the task must stop before scanning
+        def no_scan(ensemble):
+            raise AssertionError("loop scan ran before the assembly cap check")
+
+        monkeypatch.setattr(loopgas, "loop_formula_scan", no_scan)
+        code, out = run_cli(
+            tmp_path,
+            "--lattice", "square-grid", "--rows", "4", "--cols", "6", "--tasks", "loop-cf",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "16 qubits" in err
 
     def test_failed_check_exits_one(self, tmp_path):
         # reproduce-paper includes a reference EoF anchor that the closed
@@ -256,6 +272,13 @@ class TestConfigFile:
     def test_missing_file_config_error(self, tmp_path):
         code = main(["--config", str(tmp_path / "absent.conf"), "--tasks", "enumerate"])
         assert code == 2
+
+    def test_undecodable_file_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"lattice = complete-bipartite\nn = \xff\n")
+        assert main(["--config", str(conf), "--tasks", "enumerate"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot be read" in err
 
     def test_malformed_line_config_error(self, tmp_path):
         conf = tmp_path / "run.conf"

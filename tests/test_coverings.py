@@ -121,6 +121,16 @@ class TestLiquidEnumeration:
         with pytest.raises(CapExceeded, match="stored pairs"):
             enumerate_liquid(grid44)
 
+    def test_one_covering_over_cap_rejected_before_search(self, monkeypatch, grid44):
+        # 8 pairs per covering against a cap of 7: no adjacency list is built
+        def no_neighbors(self, site):
+            raise AssertionError("neighbors listed before the cap check")
+
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 7)
+        monkeypatch.setattr(LatticeSpec, "neighbors", no_neighbors)
+        with pytest.raises(CapExceeded, match="stored pairs"):
+            enumerate_liquid(grid44)
+
 
 class TestGasEnumeration:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 6), (4, 24), (6, 720)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import entropy_bits_oracle
+from rvblab import multipartite
 from rvblab import (
     CapExceeded,
     DimerCovering,
@@ -85,7 +86,6 @@ class TestAudits:
     def test_odd_audit_all_entangled(self, state23):
         result = odd_subset_audit(state23, max_size=5)
         assert result.all_entangled
-        assert not result.sampled
         sizes = {len(v.subset) for v in result.verdicts}
         assert sizes == {1, 3, 5}
         expected = sum(math.comb(6, k) for k in (1, 3, 5))
@@ -103,17 +103,14 @@ class TestAudits:
         for v in result.verdicts:
             assert v.purity < 1.0 - 1e-6
 
-    def test_sampling_is_deterministic(self, state44):
-        first = odd_subset_audit(state44, max_size=5, max_subsets=200, seed=11)
-        second = odd_subset_audit(state44, max_size=5, max_subsets=200, seed=11)
-        assert first.sampled and second.sampled
-        assert [v.subset for v in first.verdicts] == [v.subset for v in second.verdicts]
-        assert len(first.verdicts) <= 200
+    def test_over_cap_raises_before_any_spectrum(self, state44, monkeypatch):
+        # C(16,1) + C(16,3) + ... + C(16,9) = 27,824 odd subsets > 20,000
+        def no_spectrum(*args):
+            raise AssertionError("spectrum computed before the cap check")
 
-    def test_sampling_seed_changes_selection(self, state44):
-        a = odd_subset_audit(state44, max_size=5, max_subsets=200, seed=1)
-        b = odd_subset_audit(state44, max_size=5, max_subsets=200, seed=2)
-        assert [v.subset for v in a.verdicts] != [v.subset for v in b.verdicts]
+        monkeypatch.setattr(multipartite, "subset_spectrum", no_spectrum)
+        with pytest.raises(CapExceeded, match="20000 subsets; requested 27824"):
+            odd_subset_audit(state44, max_size=9)
 
     def test_subsets_are_valid(self, state23):
         result = odd_subset_audit(state23, max_size=3)
