@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -704,8 +705,14 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # one stderr line from main instead of a usage block and SystemExit(2)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rvblab",
         description="Exact dimer-covering superpositions on small lattices: "
         "enumeration, reduced density matrices, entanglement scans, reports.",
@@ -796,12 +803,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = build_config(args)
+        config = build_config(_build_parser().parse_args(argv))
     except ConfigError as exc:
-        print(f"rvblab: configuration error: {exc}", file=sys.stderr)
+        # a flag value may hold a line break; the error stays one line
+        message = " ".join(str(exc).splitlines())
+        print(f"rvblab: configuration error: {message}", file=sys.stderr)
         return 2
     return run(config)
 

@@ -172,16 +172,21 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
     stack; output order is deterministic (lexicographic in the sequence of
     matched bonds).  Raises :class:`CapExceeded` once the coverings found
     hold more than ``LIQUID_MAX_STORED_PAIRS`` pairs, and before any search
-    when one covering alone would.
+    when the smallest possible covering set would: one covering on a 1xL
+    chain, at least two on any grid with two or more rows and columns.
     """
     if lattice.kind is not Kind.SQUARE_GRID:
         raise ValueError("liquid enumeration is defined on square grids")
     n = lattice.site_count
-    if n // 2 > LIQUID_MAX_STORED_PAIRS:
+    # with even rows (even cols likewise) and two or more columns, stacked
+    # vertical dimers are one covering; turning one 2x2 square of them
+    # horizontal gives a second
+    min_pairs = (1 if min(lattice.rows, lattice.cols) == 1 else 2) * (n // 2)
+    if min_pairs > LIQUID_MAX_STORED_PAIRS:
         raise CapExceeded(
             f"liquid enumeration capped at {LIQUID_MAX_STORED_PAIRS} stored pairs "
-            f"(coverings x pairs); one covering of the {lattice.rows}x{lattice.cols} "
-            f"grid has {n // 2}"
+            f"(coverings x pairs); the {lattice.rows}x{lattice.cols} grid needs "
+            f"at least {min_pairs}"
         )
     max_coverings = LIQUID_MAX_STORED_PAIRS // (n // 2)
     adj = [lattice.neighbors(s) for s in range(n)]

@@ -3,11 +3,19 @@
 For a pure global state, a subset is entangled with the rest exactly when
 its reduced state is mixed, so subset purity/entropy scans certify
 entanglement structure directly.  Spectra are computed on the Schmidt
-route: reshape the amplitude tensor so the subset indexes rows, then take
-the Gram matrix of the smaller side.  This keeps exhaustive scans over
-thousands of subsets fast; the density-matrix module covers the same
-quantities one subset at a time through its own eigensolver, and the
-tests pin the two routes against each other.
+route: arrange the amplitudes as a matrix whose rows are the subset's
+spin configurations and whose columns are the rest's, then take the Gram
+matrix of the smaller side.
+
+Every state assembled from singlet coverings lies in one S^z sector: each
+nonzero basis state has the same number D of down spins.  The matrix then
+splits into one block per subset magnetisation d, of shape
+C(k, d) x C(n - k, D - d), and only the nonzero support is scattered into
+those blocks.  The support is found once per state and kept on it.  A
+state with no single sector (only hand-built states lack one) takes the
+dense route: one transpose of the full amplitude tensor.  The tests pin
+the block route to the dense one and to the density-matrix module, which
+covers the same quantities one subset at a time.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
@@ -18,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .states import StateVector, _subset_block
+from .states import StateVector, _check_sites, _SectorSupport, _subset_block
 
 ENTANGLED_PURITY_TOL = 1e-9
 CERTIFICATE_MAX_QUBITS = 12
@@ -53,17 +62,102 @@ class AuditResult:
 
 
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
-    """Descending Schmidt spectrum (reduced eigenvalues) of a site subset."""
-    block = _subset_block(state, subset)
-    if not 0 < len(subset) < state.n_qubits:
+    """Descending Schmidt spectrum (reduced eigenvalues) of a site subset.
+
+    The subset must be strictly ascending, proper and nonempty; it is
+    checked before any block is built.  The result has length
+    ``min(2**k, 2**(n-k))``.
+    """
+    sites = _check_sites(state, subset)
+    if not 0 < len(sites) < state.n_qubits:
         raise ValueError("subset must be a proper nonempty subset")
+    support = state._support
+    if support is None:
+        return _dense_spectrum(state, sites)
+    return _sector_spectrum(support, state.n_qubits, sites)
+
+
+def _dense_spectrum(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
+    block = _subset_block(state, sites)
     if block.shape[0] <= block.shape[1]:
         gram = block @ block.T
     else:
         gram = block.T @ block
     w = np.linalg.eigvalsh(gram)
-    w = np.clip(w, 0.0, None)[::-1]
-    return w
+    return np.clip(w, 0.0, None)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _code_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Popcount and rank of every code below ``2**width``.
+
+    A code's rank counts the smaller codes with the same popcount, so it
+    is the same at every width and one table serves rows and columns.
+    """
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(width):
+        popcount = np.concatenate([popcount, popcount + 1])
+    rank = np.empty(popcount.size, dtype=np.int32)
+    for d in range(width + 1):
+        members = popcount == d
+        rank[members] = np.arange(np.count_nonzero(members), dtype=np.int32)
+    # cached and shared by every caller
+    popcount.setflags(write=False)
+    rank.setflags(write=False)
+    return popcount, rank
+
+
+@lru_cache(maxsize=None)
+def _sector_layout(n: int, k: int, down: int) -> tuple[tuple, np.ndarray, int]:
+    """Sector blocks of a k-site subset in one flat buffer.
+
+    Block d holds the rows with d subset spins down and the columns with
+    ``down - d`` rest spins down, row-major at its own start.  Returns the
+    nonempty blocks as (start, rows, cols), each row code's offset into the
+    buffer, and the buffer size.
+    """
+    popcount, rank = _code_tables(n - 1)
+    shapes = [
+        (math.comb(k, d), math.comb(n - k, down - d) if d <= down else 0)
+        for d in range(k + 1)
+    ]
+    starts = np.cumsum([0] + [r * c for r, c in shapes])
+    n_cols = np.array([c for _, c in shapes], dtype=np.int64)
+    d = popcount[: 2**k].astype(np.int64)
+    row_offset = starts[d] + rank[: 2**k] * n_cols[d]
+    row_offset.setflags(write=False)
+    blocks = tuple(
+        (int(start), r, c) for (r, c), start in zip(shapes, starts) if r * c
+    )
+    return blocks, row_offset, int(starts[-1])
+
+
+def _sector_spectrum(
+    support: _SectorSupport, n: int, sites: tuple[int, ...]
+) -> np.ndarray:
+    """Schmidt spectrum from one Gram block per subset magnetisation."""
+    k = len(sites)
+    # weight 2**t on subset site t and 2**(k + j) on rest site j: one product
+    # gives each nonzero entry its row code (low k bits) and column code
+    chosen = set(sites)
+    order = list(sites) + [s for s in range(n) if s not in chosen]
+    weights = np.empty(n)
+    weights[order] = np.exp2(np.arange(n))
+    code = (support.bits @ weights).astype(np.int64)
+    blocks, row_offset, size = _sector_layout(n, k, support.down)
+    rank = _code_tables(n - 1)[1]
+    flat = np.zeros(size)
+    flat[row_offset[code & ((1 << k) - 1)] + rank[code >> k]] = support.amplitudes
+    pieces = []
+    for start, r, c in blocks:
+        block = flat[start : start + r * c].reshape(r, c)
+        gram = block @ block.T if r <= c else block.T @ block
+        # a 1x1 Gram matrix is its own eigenvalue
+        pieces.append(gram.ravel() if gram.size == 1 else np.linalg.eigvalsh(gram))
+    w = np.sort(np.clip(np.concatenate(pieces), 0.0, None))[::-1]
+    spectrum = np.zeros(min(2**k, 2 ** (n - k)))
+    spectrum[: w.size] = w
+    return spectrum
 
 
 def bipartition_verdict(state: StateVector, subset: Sequence[int]) -> BipartitionVerdict:

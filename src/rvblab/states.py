@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +68,42 @@ class StateVector:
         nrm = float(np.linalg.norm(self.amplitudes))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
+
+    @cached_property
+    def _support(self) -> "_SectorSupport | None":
+        # built on first use and kept: amplitudes are never modified in place
+        return _sector_support(self)
+
+
+@dataclass(frozen=True)
+class _SectorSupport:
+    """Nonzero entries of a state lying in one S^z sector.
+
+    Every nonzero basis index has exactly ``down`` spins down.  ``bits``
+    is float64 of shape (nonzeros, n_qubits); column ``s`` holds bit ``s``
+    of each index, so a product with a weight vector recodes the indices.
+    """
+
+    bits: np.ndarray
+    amplitudes: np.ndarray
+    down: int
+
+
+def _sector_support(state: StateVector) -> _SectorSupport | None:
+    """The state's nonzero support, or None when it spans several sectors."""
+    idx = np.flatnonzero(state.amplitudes)
+    n = state.n_qubits
+    # bits one column at a time: no (nonzeros, n_qubits) int64 temporary,
+    # and no bit matrix at all for a state that spans several sectors
+    down = np.zeros(idx.size, dtype=np.int64)
+    for s in range(n):
+        down += (idx >> s) & 1
+    if down.min() != down.max():
+        return None
+    bits = np.empty((idx.size, n))
+    for s in range(n):
+        bits[:, s] = (idx >> s) & 1
+    return _SectorSupport(bits=bits, amplitudes=state.amplitudes[idx], down=int(down[0]))
 
 
 @dataclass(frozen=True)
@@ -181,14 +217,21 @@ def inner(left: StateVector, right: StateVector) -> float:
 # reductions
 
 
-def _subset_block(state: StateVector, sites: Sequence[int]) -> np.ndarray:
-    """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention."""
+def _check_sites(state: StateVector, sites: Sequence[int]) -> tuple[int, ...]:
+    """``sites`` as ints; ValueError unless strictly ascending and in range."""
     sites = tuple(int(s) for s in sites)
     n = state.n_qubits
     if list(sites) != sorted(set(sites)):
         raise ValueError("sites must be strictly ascending and distinct")
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} out of range for {n} qubits")
+    return sites
+
+
+def _subset_block(state: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention."""
+    sites = _check_sites(state, sites)
+    n = state.n_qubits
     # tensor axis j holds site n-1-j; kept axes ordered so reduced qubit t
     # (bit t of the row index) is sites[t]
     tensor = state.amplitudes.reshape((2,) * n)
@@ -204,13 +247,13 @@ def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityM
     ``O(2**n * 2**len(sites))``.  Raises :class:`CapExceeded` above
     ``RDM_MAX_SITES`` sites.
     """
-    sites = tuple(int(s) for s in sites)
-    block = _subset_block(state, sites)
+    sites = _check_sites(state, sites)
     if len(sites) > RDM_MAX_SITES:
         raise CapExceeded(
             f"reduced density matrices capped at {RDM_MAX_SITES} sites; "
             f"requested {len(sites)}"
         )
+    block = _subset_block(state, sites)
     rho = (block @ block.conj().T).astype(np.complex128)
     return DensityMatrix(sites=sites, matrix=rho)
 

@@ -1,24 +1,29 @@
-"""Shared fixtures and independent test-side oracles.
+"""Shared fixtures, hypothesis strategies and independent test-side oracles.
 
 The oracle helpers here deliberately reimplement counting and measure
 computations with different algorithms than the package (brute-force
 permutation filters, Ryser's permanent, the non-Hermitian concurrence
 route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
-loop) so that agreement is evidence, not tautology.
+loop, dense Gram matrices for subset spectra) so that agreement is
+evidence, not tautology.
 """
 
 import itertools
 import math
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from rvblab import (
     LatticeSpec,
     Sublattice,
     assemble,
+    custom_ensemble,
     enumerate_gas,
     enumerate_liquid,
 )
@@ -113,6 +118,63 @@ def gas_state3(gas3):
 
 
 # ----------------------------------------------------------------------
+# strategies: random equal-weight ensembles
+#
+# Subsets of the enumerated coverings of small grids (2x2 up to 4x4,
+# open, and the periodic 4x4) and of small gases.  Any equal-weight
+# superposition of singlet coverings is a total singlet.
+
+GRIDS = [
+    (2, 2, "open"),
+    (2, 3, "open"),
+    (2, 4, "open"),
+    (3, 4, "open"),
+    (4, 3, "open"),
+    (4, 4, "open"),
+    (4, 4, "periodic"),
+]
+GAS_N = [1, 2, 3, 4]
+MAX_SUBSET = 24
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@lru_cache(maxsize=None)
+def _source(kind, params):
+    if kind == "grid":
+        rows, cols, boundary = params
+        return enumerate_liquid(LatticeSpec.square_grid(rows, cols, boundary=boundary))
+    return enumerate_gas(LatticeSpec.complete_bipartite(params))
+
+
+@st.composite
+def equal_weight_ensembles(draw):
+    kind = draw(st.sampled_from(["grid", "gas"]))
+    params = draw(st.sampled_from(GRIDS if kind == "grid" else GAS_N))
+    source = _source(kind, params)
+    picks = draw(
+        st.lists(
+            st.integers(0, len(source) - 1),
+            min_size=1,
+            max_size=min(MAX_SUBSET, len(source)),
+            unique=True,
+        )
+    )
+    weight = draw(st.sampled_from([1.0, 0.5, 3.0]))
+    return custom_ensemble(
+        source.lattice,
+        [source.coverings[k].pairs for k in picks],
+        weights=[weight] * len(picks),
+    )
+
+
+# ----------------------------------------------------------------------
 # oracle: matchings and counting
 
 
@@ -200,6 +262,35 @@ def binary_entropy_oracle(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+# ----------------------------------------------------------------------
+# oracle: subset spectra
+
+
+def subset_spectrum_oracle(state, subset):
+    """Descending Schmidt spectrum on the dense Gram route.
+
+    The route the sector blocks replaced: transpose the whole amplitude
+    tensor so the subset's qubits index rows (bit t of a row is site
+    ``subset[t]``), then diagonalise the Gram matrix of the smaller side.
+    States with no single S^z sector still take this route in the package,
+    so there the two must agree bit for bit.
+    """
+    n = state.n_qubits
+    tensor = state.amplitudes.reshape((2,) * n)
+    # tensor axis j holds site n-1-j
+    kept = [n - 1 - s for s in reversed(subset)]
+    rest = [ax for ax in range(n) if ax not in kept]
+    block = np.transpose(tensor, kept + rest).reshape(2 ** len(subset), -1)
+    gram = block @ block.T if block.shape[0] <= block.shape[1] else block.T @ block
+    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+
+
+def purity_entropy_oracle(spectrum):
+    """Purity and entropy in bits of a reduced spectrum, with 0 log 0 = 0."""
+    positive = spectrum[spectrum > 0.0]
+    return float(np.sum(spectrum**2)), float(-np.sum(positive * np.log2(positive)))
 
 
 # ----------------------------------------------------------------------

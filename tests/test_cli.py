@@ -69,6 +69,22 @@ class TestExitCodes:
             )
             assert code == 2, tol
 
+    @pytest.mark.parametrize(
+        "bad",
+        [("--rows", "abc"), ("--boundary", "twisted"), ("--bogus",), ("--cols",)],
+    )
+    def test_bad_flag_one_line_exit_two(self, tmp_path, capsys, bad):
+        # argparse would print a usage block and raise SystemExit(2)
+        code, out = run_cli(
+            tmp_path,
+            "--lattice", "square-grid", "--rows", "2", "--cols", "2",
+            "--tasks", "enumerate", *bad,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("rvblab: configuration error:")
+        assert not out.exists()
+
     def test_out_is_existing_file_config_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("")

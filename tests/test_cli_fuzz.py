@@ -1,13 +1,16 @@
-"""Property test: no config file makes the CLI raise or print a traceback.
+"""Property tests: no config file or flag list makes the CLI raise or print a traceback.
 
 Config files are drawn from the documented keys with valid, junk and
 small numeric values (grids up to 3x3 and gases up to N = 4, so every run
-is quick), plus files of raw bytes.  Whatever the file says, ``main``
-returns one of the documented exit codes, and every nonzero exit prints
-exactly one line to stderr.  Examples are derandomized, so every run draws
-the same ones.
+is quick), plus files of raw bytes.  Flag lists are drawn the same way,
+with out-of-range values (grids too large to enumerate are rejected before
+any search) and unknown flags.  Whatever the input says, ``main`` returns
+one of the documented exit codes, and every nonzero exit prints exactly
+one line to stderr.  Examples are derandomized, so every run draws the
+same ones.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,20 +42,81 @@ KEY_VALUE_FILE = st.tuples(
 ).map(lambda docs: "".join(f"{k} = {v}\n" for k, v in {**docs[0], **docs[1]}.items()).encode())
 
 
-@settings(
+FUZZ_SETTINGS = settings(
     max_examples=200,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+def _assert_clean_exit(code, err, drawn):
+    assert code in (0, 1, 2, 3), (drawn, code)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (drawn, err)
+
+
+@FUZZ_SETTINGS
 @given(blob=KEY_VALUE_FILE | st.binary(max_size=48))
 def test_any_config_file_exits_cleanly(tmp_path, capsys, blob):
     conf = tmp_path / "fuzz.conf"
     conf.write_bytes(blob)
     capsys.readouterr()
     code = main(["--config", str(conf), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2, 3), (blob, code)
-    if code:
-        assert err.count("\n") == 1 and err.endswith("\n"), (blob, err)
+    _assert_clean_exit(code, capsys.readouterr().err, blob)
+
+
+# Flag values: the config file's valid values, junk text (line breaks
+# included), and values out of range.  Every huge size makes an odd site
+# count or more than 2 * 10**6 sites, which is rejected before any search.
+ARG_JUNK = st.text(max_size=8)
+HUGE = st.sampled_from(["2000002", "10000001", str(10**30)])
+FLAG_VALUES = {
+    "--lattice": VALID["lattice"],
+    "--rows": VALID["rows"].map(str) | HUGE,
+    "--cols": VALID["cols"].map(str) | HUGE,
+    "--boundary": VALID["boundary"],
+    "--variant": VALID["variant"],
+    "--n": VALID["n"].map(str) | HUGE,
+    "--tol": VALID["tol"],
+    "--tasks": st.lists(st.sampled_from(TASK_NAMES), min_size=1, max_size=3),
+}
+FLAG_REQUIRED = ("--lattice", "--rows", "--cols", "--n", "--tasks")
+UNKNOWN_FLAG = st.sampled_from(["--bogus", "--seeds", "-x", "--", "--tasks=", "-r"])
+
+
+def _argv(drawn):
+    flags, spoilt, extra = drawn
+    if spoilt is not None:
+        flags = {**flags, spoilt[0]: spoilt[1]}
+    argv = []
+    for flag, value in flags.items():
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    return argv + extra
+
+
+FLAG_ARGV = st.tuples(
+    st.fixed_dictionaries(
+        {k: FLAG_VALUES[k] for k in FLAG_REQUIRED},
+        optional={k: v for k, v in FLAG_VALUES.items() if k not in FLAG_REQUIRED},
+    ),
+    # at most one flag gets a junk value or no value at all
+    st.none() | st.tuples(st.sampled_from(sorted(FLAG_VALUES)), ARG_JUNK | st.just([])),
+    st.lists(UNKNOWN_FLAG | ARG_JUNK, max_size=1),
+).map(_argv)
+
+
+@FUZZ_SETTINGS
+@given(argv=FLAG_ARGV)
+def test_any_flag_list_exits_cleanly(tmp_path, capsys, argv):
+    capsys.readouterr()
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    _assert_clean_exit(code, capsys.readouterr().err, argv)
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rvblab")

@@ -131,6 +131,26 @@ class TestLiquidEnumeration:
         with pytest.raises(CapExceeded, match="stored pairs"):
             enumerate_liquid(grid44)
 
+    def test_two_coverings_over_cap_rejected_before_search(self, monkeypatch, grid44):
+        # one covering of 8 pairs sits exactly at a cap of 8, but a 4x4 grid
+        # has a second one, so no adjacency list is built
+        def no_neighbors(self, site):
+            raise AssertionError("neighbors listed before the cap check")
+
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 8)
+        monkeypatch.setattr(LatticeSpec, "neighbors", no_neighbors)
+        with pytest.raises(CapExceeded, match="needs at least 16"):
+            enumerate_liquid(grid44)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 16), (16, 1)])
+    def test_chain_with_one_covering_at_cap_passes(self, monkeypatch, rows, cols):
+        # a 1xL chain has exactly one covering, so its bound stays n // 2
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 8)
+        assert len(enumerate_liquid(LatticeSpec.square_grid(rows, cols))) == 1
+        monkeypatch.setattr(coverings_mod, "LIQUID_MAX_STORED_PAIRS", 7)
+        with pytest.raises(CapExceeded, match="needs at least 8"):
+            enumerate_liquid(LatticeSpec.square_grid(rows, cols))
+
 
 class TestGasEnumeration:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 6), (4, 24), (6, 720)])

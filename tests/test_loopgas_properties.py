@@ -1,80 +1,25 @@
 """Property tests: the loop-sum route on random equal-weight ensembles.
 
-Ensembles are drawn as subsets of the enumerated coverings of small grids
-(2x2 up to 4x4, open, and the periodic 4x4) and of small gases.  Any
-equal-weight superposition of singlet coverings is a total singlet, so
-every two-site reduced density matrix is of Werner form and the loop sum
-must reproduce its p.  Examples are derandomized, so every run draws the
-same ones.
+Ensembles are drawn by the shared strategy in ``conftest``: subsets of
+the enumerated coverings of small grids (2x2 up to 4x4, open, and the
+periodic 4x4) and of small gases.  Any equal-weight superposition of
+singlet coverings is a total singlet, so every two-site reduced density
+matrix is of Werner form and the loop sum must reproduce its p.  Examples
+are derandomized, so every run draws the same ones.
 """
 
-from functools import lru_cache
-
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_formula_scan_oracle
+from conftest import PROPERTY_SETTINGS, equal_weight_ensembles, loop_formula_scan_oracle
 from rvblab import (
-    LatticeSpec,
     assemble,
-    custom_ensemble,
-    enumerate_gas,
-    enumerate_liquid,
     extract_werner_p,
     loop_formula_p,
     loop_formula_scan,
     reduced_density_matrix,
 )
-
-GRIDS = [
-    (2, 2, "open"),
-    (2, 3, "open"),
-    (2, 4, "open"),
-    (3, 4, "open"),
-    (4, 3, "open"),
-    (4, 4, "open"),
-    (4, 4, "periodic"),
-]
-GAS_N = [1, 2, 3, 4]
-MAX_SUBSET = 24
-
-PROPERTY_SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-@lru_cache(maxsize=None)
-def _source(kind, params):
-    if kind == "grid":
-        rows, cols, boundary = params
-        return enumerate_liquid(LatticeSpec.square_grid(rows, cols, boundary=boundary))
-    return enumerate_gas(LatticeSpec.complete_bipartite(params))
-
-
-@st.composite
-def equal_weight_ensembles(draw):
-    kind = draw(st.sampled_from(["grid", "gas"]))
-    params = draw(st.sampled_from(GRIDS if kind == "grid" else GAS_N))
-    source = _source(kind, params)
-    picks = draw(
-        st.lists(
-            st.integers(0, len(source) - 1),
-            min_size=1,
-            max_size=min(MAX_SUBSET, len(source)),
-            unique=True,
-        )
-    )
-    weight = draw(st.sampled_from([1.0, 0.5, 3.0]))
-    return custom_ensemble(
-        source.lattice,
-        [source.coverings[k].pairs for k in picks],
-        weights=[weight] * len(picks),
-    )
 
 
 @PROPERTY_SETTINGS

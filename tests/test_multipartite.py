@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import entropy_bits_oracle
-from rvblab import multipartite
+from conftest import (
+    PROPERTY_SETTINGS,
+    entropy_bits_oracle,
+    equal_weight_ensembles,
+    purity_entropy_oracle,
+    subset_spectrum_oracle,
+)
+from rvblab import multipartite, states
 from rvblab import (
     CapExceeded,
     DimerCovering,
@@ -63,6 +71,125 @@ class TestSubsetSpectrum:
     def test_unsorted_rejected(self, state22):
         with pytest.raises(ValueError):
             subset_spectrum(state22, (2, 0))
+
+
+def _ghz(n):
+    amps = np.zeros(2**n)
+    amps[0] = amps[-1] = math.sqrt(0.5)
+    return StateVector(n_qubits=n, amplitudes=amps)
+
+
+def _random_state(n, seed):
+    amps = np.random.default_rng(seed).standard_normal(2**n)
+    return StateVector(n_qubits=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+def _proper_subsets(n):
+    return [s for k in range(1, n) for s in itertools.combinations(range(n), k)]
+
+
+def _assert_matches_oracle(state, subset, spectrum, verdict=None):
+    ref = subset_spectrum_oracle(state, subset)
+    assert spectrum.shape == ref.shape, subset
+    assert np.max(np.abs(spectrum - ref)) <= 1e-12, subset
+    if verdict is not None:
+        purity, entropy = purity_entropy_oracle(ref)
+        assert abs(verdict.purity - purity) <= 1e-12, subset
+        assert abs(verdict.entropy_bits - entropy) <= 1e-12, subset
+
+
+class TestSectorBlocks:
+    """The sector-block route, pinned to the dense Gram route it replaced."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_every_audit_subset_of_the_44_grids(self, boundary, monkeypatch):
+        lattice = LatticeSpec.square_grid(4, 4, boundary=boundary)
+        state = assemble(enumerate_liquid(lattice))
+        seen = {}
+
+        def recording(st_, subset):
+            seen[tuple(subset)] = spectrum = subset_spectrum(st_, subset)
+            return spectrum
+
+        # the audits reach subset_spectrum through the module global
+        monkeypatch.setattr(multipartite, "subset_spectrum", recording)
+        verdicts = (
+            odd_subset_audit(state, max_size=5).verdicts
+            + even_subset_audit(state, max_size=4).verdicts
+        )
+        assert len(verdicts) == len(seen) == 6884
+        for v in verdicts:
+            _assert_matches_oracle(state, v.subset, seen[v.subset], v)
+
+    @pytest.mark.parametrize("fixture", ["state23", "state24", "gas_state3"])
+    def test_every_subset_of_small_states(self, fixture, request):
+        state = request.getfixturevalue(fixture)
+        assert state._support is not None
+        for subset in _proper_subsets(state.n_qubits):
+            spectrum = subset_spectrum(state, subset)
+            _assert_matches_oracle(state, subset, spectrum, bipartition_verdict(state, subset))
+
+    def test_w_state_is_one_sector(self):
+        amps = np.zeros(8)
+        amps[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
+        state = StateVector(n_qubits=3, amplitudes=amps)
+        assert state._support.down == 1
+        for subset in _proper_subsets(3):
+            _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
+
+    @pytest.mark.parametrize("state", [_ghz(5), _random_state(6, seed=2004)], ids=["ghz", "random"])
+    def test_states_with_no_sector_take_the_dense_route_exactly(self, state, monkeypatch):
+        def no_sector(*args):
+            raise AssertionError("sector blocks built for a state with no sector")
+
+        monkeypatch.setattr(multipartite, "_sector_spectrum", no_sector)
+        assert state._support is None
+        for subset in _proper_subsets(state.n_qubits):
+            got = subset_spectrum(state, subset)
+            assert got.tobytes() == subset_spectrum_oracle(state, subset).tobytes(), subset
+
+    def test_support_is_built_once_per_state(self, liquid23, monkeypatch):
+        calls = []
+        build = states._sector_support
+
+        def counting(state):
+            calls.append(state)
+            return build(state)
+
+        monkeypatch.setattr(states, "_sector_support", counting)
+        state = assemble(liquid23)  # a fresh state: nothing cached yet
+        odd_subset_audit(state, max_size=5)
+        even_subset_audit(state, max_size=4)
+        genuine_multipartite_certificate(state)
+        assert len(calls) == 1 and calls[0] is state
+
+    @pytest.mark.parametrize("subset", [(0, 1, 2, 3), (), (2, 0), (0, 4)])
+    @pytest.mark.parametrize("route", ["sector", "dense"])
+    def test_subset_checked_before_any_block(self, route, subset, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("block built before the subset check")
+
+        for name in ("_subset_block", "_sector_spectrum", "_dense_spectrum"):
+            monkeypatch.setattr(multipartite, name, no_block)
+        monkeypatch.setattr(states, "_sector_support", no_block)
+        cov = DimerCovering(a_sites=(0, 2), b_partners=(1, 3))
+        state = singlet_product(cov) if route == "sector" else _ghz(4)
+        with pytest.raises(ValueError):
+            subset_spectrum(state, subset)
+
+    @PROPERTY_SETTINGS
+    @given(equal_weight_ensembles(), st.data())
+    def test_random_ensembles_match_the_dense_route(self, ensemble, data):
+        state = assemble(ensemble)
+        n = state.n_qubits
+        assert state._support.down == n // 2
+        for _ in range(3):
+            subset = data.draw(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)
+                .map(sorted)
+                .map(tuple)
+            )
+            _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
 
 
 class TestBipartitionVerdict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import entropy_bits_oracle
+from rvblab import states as states_mod
 from rvblab import (
     CapExceeded,
     DensityMatrix,
@@ -140,6 +141,14 @@ class TestReducedDensityMatrix:
             reduced_density_matrix(state23, (3, 0))
 
     def test_site_cap(self, state44):
+        with pytest.raises(CapExceeded):
+            reduced_density_matrix(state44, tuple(range(9)))
+
+    def test_site_cap_checked_before_the_block(self, state44, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("block built before the site cap check")
+
+        monkeypatch.setattr(states_mod, "_subset_block", no_block)
         with pytest.raises(CapExceeded):
             reduced_density_matrix(state44, tuple(range(9)))
 
