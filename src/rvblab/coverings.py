@@ -52,10 +52,12 @@ class DimerCovering:
             raise ValueError("a_sites and b_partners must have equal length")
         if not self.a_sites:
             raise ValueError("covering must contain at least one pair")
+        # a matching pairs 2n different sites; with them distinct, an
+        # ascending a_sites is strictly ascending
+        if len({*self.a_sites, *self.b_partners}) != 2 * len(self.a_sites):
+            raise ValueError("covering sites must be distinct: each site lies in one pair")
         if list(self.a_sites) != sorted(self.a_sites):
             raise ValueError("a_sites must be strictly ascending")
-        if len(set(self.b_partners)) != len(self.b_partners):
-            raise ValueError("b_partners must be distinct")
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:

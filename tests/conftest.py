@@ -5,8 +5,8 @@ computations with different algorithms than the package (brute-force
 permutation filters, Ryser's permanent, the non-Hermitian concurrence
 route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
-loop, dense Gram matrices for subset spectra) so that agreement is
-evidence, not tautology.
+loop, dense Gram matrices for subset spectra, one scatter per covering
+for state assembly) so that agreement is evidence, not tautology.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from rvblab import (
     LatticeSpec,
+    StateVector,
     Sublattice,
     assemble,
     custom_ensemble,
@@ -231,6 +232,45 @@ def bfs_distances(lattice, start):
                 dist[nxt] = dist[site] + 1
                 queue.append(nxt)
     return dist
+
+
+# ----------------------------------------------------------------------
+# oracle: state assembly
+
+
+def covering_terms_oracle(covering):
+    """One covering's 2**N basis indices and singlet amplitudes, by two matmuls.
+
+    Pattern ``u`` sets bit ``k`` when the A member of pair ``k`` is down,
+    with amplitude ``(-1)**popcount(u) * 2**(-N/2)``.
+    """
+    n_pairs = covering.n_pairs
+    u = np.arange(2**n_pairs, dtype=np.int64)
+    bits = (u[:, None] >> np.arange(n_pairs, dtype=np.int64)) & 1
+    signs = 1.0 - 2.0 * (np.sum(bits, axis=1) & 1)
+    pow_a = np.asarray(covering.a_sites, dtype=np.int64)
+    pow_b = np.asarray(covering.b_partners, dtype=np.int64)
+    idx = bits @ (1 << pow_a) + (1 - bits) @ (1 << pow_b)
+    return idx, signs * (1.0 / np.sqrt(2.0)) ** n_pairs
+
+
+def assemble_oracle(ensemble):
+    """Weighted covering sum, one covering at a time.
+
+    The route the chunked scatter kernel replaced: per covering, the
+    indices of :func:`covering_terms_oracle` and one ``np.add.at`` of its
+    weighted amplitudes, in ensemble order; then the same fixed-order norm
+    and zero-norm check as the package.
+    """
+    n_qubits = ensemble.lattice.site_count
+    psi = np.zeros(2**n_qubits)
+    for covering in ensemble.coverings:
+        idx, amps = covering_terms_oracle(covering)
+        np.add.at(psi, idx, covering.weight * amps)
+    nrm = float(np.sqrt(np.sum(psi * psi)))
+    if nrm <= 1e-12 * max(1.0, float(np.sum(np.abs(ensemble.weights)))):
+        raise ValueError("ensemble sum cancels to the zero vector")
+    return StateVector(n_qubits=n_qubits, amplitudes=psi / nrm, norm=nrm)
 
 
 # ----------------------------------------------------------------------

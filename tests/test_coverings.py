@@ -38,6 +38,15 @@ class TestDimerCovering:
         with pytest.raises(ValueError):
             DimerCovering(a_sites=(0, 2), b_partners=(1, 1))
 
+    def test_a_sites_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            DimerCovering(a_sites=(0, 0), b_partners=(1, 2))
+
+    def test_site_on_both_sides_rejected(self):
+        for a_sites, b_partners in [((0, 1), (1, 2)), ((0, 2), (3, 0)), ((0,), (0,))]:
+            with pytest.raises(ValueError, match="distinct"):
+                DimerCovering(a_sites=a_sites, b_partners=b_partners)
+
     def test_from_pairs_orientation_enforced(self, grid22):
         with pytest.raises(ValueError, match="A-first"):
             DimerCovering.from_pairs(grid22, ((1, 0), (2, 3)))

@@ -1,19 +1,32 @@
+import dataclasses
+import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import entropy_bits_oracle
+from conftest import (
+    PROPERTY_SETTINGS,
+    assemble_oracle,
+    covering_terms_oracle,
+    entropy_bits_oracle,
+    equal_weight_ensembles,
+)
 from rvblab import states as states_mod
 from rvblab import (
     CapExceeded,
+    CoveringEnsemble,
     DensityMatrix,
     DimerCovering,
     LatticeSpec,
     StateVector,
+    Variant,
     assemble,
     check_rotational_invariance,
     custom_ensemble,
+    enumerate_gas,
     enumerate_liquid,
     inner,
     load_state,
@@ -75,6 +88,29 @@ class TestSingletProduct:
         pops = np.array([bin(i).count("1") for i in nz])
         assert np.all(pops == 8)
 
+    def test_pinned_to_covering_oracle(self, liquid44, gas3):
+        for covering in liquid44.coverings + gas3.coverings:
+            idx, amps = covering_terms_oracle(covering)
+            want = np.zeros(2 ** (2 * covering.n_pairs))
+            want[idx] = amps
+            assert singlet_product(covering).amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a_sites, b_partners", [((0, 2), (1, 4)), ((-1, 2), (1, 3)), ((0, 2), (-3, 1))]
+    )
+    def test_site_out_of_range(self, a_sites, b_partners):
+        with pytest.raises(ValueError, match="out of range"):
+            singlet_product(DimerCovering(a_sites=a_sites, b_partners=b_partners))
+
+    def test_cap_checked_before_the_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("index array built before the qubit cap check")
+
+        monkeypatch.setattr(states_mod, "_chunk_indices", no_kernel)
+        cov = DimerCovering(a_sites=tuple(range(9)), b_partners=tuple(range(9, 18)))
+        with pytest.raises(CapExceeded):
+            singlet_product(cov)
+
 
 class TestAssemble:
     def test_two_covering_overlap(self, gas2):
@@ -117,8 +153,110 @@ class TestAssemble:
         with pytest.raises(CapExceeded):
             assemble(enumerate_liquid(lat))
 
+    def test_qubit_cap_checked_before_the_kernel(self, monkeypatch):
+        ensemble = enumerate_liquid(LatticeSpec.square_grid(4, 6))
+
+        def no_kernel(*args):
+            raise AssertionError("index array built before the qubit cap check")
+
+        monkeypatch.setattr(states_mod, "_chunk_indices", no_kernel)
+        with pytest.raises(CapExceeded):
+            assemble(ensemble)
+
     def test_inner_of_state_with_itself(self, state23):
         assert inner(state23, state23) == pytest.approx(1.0, abs=1e-13)
+
+
+def _assert_pinned_to_oracle(ensemble):
+    got = assemble(ensemble)
+    want = assemble_oracle(ensemble)
+    assert states_mod.state_to_bytes(got) == states_mod.state_to_bytes(want)
+    assert got.norm == want.norm
+
+
+def _reweighted(ensemble, weights):
+    coverings = tuple(
+        dataclasses.replace(c, weight=float(w)) for c, w in zip(ensemble.coverings, weights)
+    )
+    return CoveringEnsemble(lattice=ensemble.lattice, coverings=coverings, variant=Variant.CUSTOM)
+
+
+@pytest.fixture(scope="module")
+def gas8():
+    return enumerate_gas(LatticeSpec.complete_bipartite(8))
+
+
+@pytest.fixture(scope="module")
+def gas7():
+    return enumerate_gas(LatticeSpec.complete_bipartite(7))
+
+
+class TestPinnedToAssemblyOracle:
+    """The chunked scatter adds the same terms in the same order as one
+    ``np.add.at`` per covering, so state bytes and raw norm match exactly."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gas(self, n):
+        _assert_pinned_to_oracle(enumerate_gas(LatticeSpec.complete_bipartite(n)))
+
+    def test_gas8(self, gas8):
+        _assert_pinned_to_oracle(gas8)
+
+    @pytest.mark.parametrize(
+        "rows, cols, boundary", [(4, 4, "open"), (4, 4, "periodic"), (2, 6, "open")]
+    )
+    def test_liquid(self, rows, cols, boundary):
+        lattice = LatticeSpec.square_grid(rows, cols, boundary=boundary)
+        _assert_pinned_to_oracle(enumerate_liquid(lattice))
+
+    @PROPERTY_SETTINGS
+    @given(ensemble=equal_weight_ensembles())
+    def test_equal_weight_ensembles(self, ensemble):
+        _assert_pinned_to_oracle(ensemble)
+
+    def test_unequal_weights(self, liquid44, gas3):
+        rng = np.random.default_rng(7)
+        for source in (liquid44, gas3):
+            _assert_pinned_to_oracle(_reweighted(source, rng.normal(size=len(source))))
+        # weights of mixed sign and magnitude on one gas, with exact repeats
+        _assert_pinned_to_oracle(_reweighted(gas3, [3.0, -0.5, 1e-3, 1.0, -1.0, 2.0**-40]))
+
+    def test_cancelling_weights_raise(self, liquid44):
+        cov = liquid44.coverings[5]
+        opposed = CoveringEnsemble(
+            lattice=liquid44.lattice,
+            coverings=tuple(
+                dataclasses.replace(cov, weight=w) for w in (2.0, -1.0, 0.5, -1.5)
+            ),
+            variant=Variant.CUSTOM,
+        )
+        for route in (assemble, assemble_oracle):
+            with pytest.raises(ValueError, match="zero"):
+                route(opposed)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, gas7, offset):
+        count = states_mod.ASSEMBLY_CHUNK + offset
+        rng = np.random.default_rng(count)
+        part = _reweighted(gas7, rng.normal(size=count))
+        assert len(part) == count
+        _assert_pinned_to_oracle(part)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_small_chunks(self, liquid44, monkeypatch, chunk):
+        monkeypatch.setattr(states_mod, "ASSEMBLY_CHUNK", chunk)
+        _assert_pinned_to_oracle(liquid44)
+
+
+class TestGasDigest:
+    def test_gas8_norm_and_sha256_pinned(self, gas8):
+        # the benchmark's gas reference pins raw_norm 7559.999999999999 to
+        # 1e-12; this run gives the value below, 9.1e-13 from it, so a
+        # last-bit change in assembly must show here first
+        state = assemble(gas8)
+        assert repr(state.norm) == "7559.999999999998"
+        digest = hashlib.sha256(states_mod.state_to_bytes(state)).hexdigest()
+        assert digest == "d8b2e75e5a7070edfe370248d587afcc02ab6e3a7d78f8cf08555823eb184d38"
 
 
 class TestReducedDensityMatrix:
@@ -228,6 +366,34 @@ class TestRotationalInvariance:
         up[0, 0] = 1.0
         dm = DensityMatrix(sites=(0, 1), matrix=up)
         assert check_rotational_invariance(dm) > 0.5
+
+    def test_cached_generators_give_identical_results(self, state44, state23):
+        # the generators built afresh with np.kron on every call
+        def uncached(dm):
+            m = dm.n_sites
+            worst = 0.0
+            for pauli in (states_mod.PAULI_X, states_mod.PAULI_Y, states_mod.PAULI_Z):
+                total = sum(
+                    reduce(np.kron, [pauli if t == s else np.eye(2) for t in range(m - 1, -1, -1)])
+                    for s in range(m)
+                )
+                worst = max(worst, states_mod.operator_norm(dm.matrix @ total - total @ dm.matrix))
+            return worst
+
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        dms = [reduced_density_matrix(state44, pair) for pair in pairs]
+        for sites in [(0,), (1, 3, 4), (0, 1, 2, 5)]:
+            dms.append(reduced_density_matrix(state23, sites))
+        for dm in dms:
+            assert check_rotational_invariance(dm) == uncached(dm)
+
+    def test_generators_cached_and_read_only(self):
+        first = states_mod._spin_generators(3)
+        assert states_mod._spin_generators(3) is first
+        for total in first:
+            assert total.shape == (8, 8)
+            with pytest.raises(ValueError):
+                total[0, 0] = 1.0
 
 
 class TestSerialization:
