@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -123,6 +124,12 @@ class CoveringEnsemble:
         n = self.coverings[0].n_pairs
         if any(c.n_pairs != n for c in self.coverings):
             raise ValueError("coverings must all cover the same lattice")
+        if n != self.lattice.sublattice_size:
+            raise ValueError(
+                f"covering n_pairs {n} differs from the lattice's sublattice "
+                f"size {self.lattice.sublattice_size}"
+            )
+        self._check_sites_on_lattice()
         if self.variant in (Variant.GAS, Variant.LIQUID):
             w0 = self.coverings[0].weight
             if any(c.weight != w0 for c in self.coverings):
@@ -134,6 +141,26 @@ class CoveringEnsemble:
                         raise ValueError(
                             f"liquid covering contains non-nearest-neighbor pair ({a}, {b})"
                         )
+
+    def _check_sites_on_lattice(self) -> None:
+        """ValueError unless every covering site lies in ``[0, site_count)``.
+
+        One C-level pass over all sites instead of a Python loop per
+        covering (the gas has 40,320); A-site tuples shared by many
+        coverings are checked once.
+        """
+        on_lattice = frozenset(range(self.lattice.site_count))
+        a_tuples = set(map(attrgetter("a_sites"), self.coverings))
+        b_tuples = map(attrgetter("b_partners"), self.coverings)
+        if on_lattice.issuperset(chain.from_iterable(chain(a_tuples, b_tuples))):
+            return
+        bad = next(
+            s
+            for c in self.coverings
+            for s in (*c.a_sites, *c.b_partners)
+            if s not in on_lattice
+        )
+        raise ValueError(f"covering site {bad} out of range [0, {self.lattice.site_count})")
 
     def __len__(self) -> int:
         return len(self.coverings)
@@ -267,7 +294,8 @@ def ensemble_to_json(ensemble: CoveringEnsemble) -> str:
         "schema": 1,
         "lattice": lattice_to_config(ensemble.lattice),
         "variant": ensemble.variant.value,
-        "coverings": [[list(p) for p in c.pairs] for c in ensemble.coverings],
+        # JSON writes tuples as arrays: the same text as nested lists
+        "coverings": [c.pairs for c in ensemble.coverings],
         "weights": [c.weight for c in ensemble.coverings],
     }
     return json.dumps(doc, sort_keys=True)

@@ -17,6 +17,17 @@ dense route: one transpose of the full amplitude tensor.  The tests pin
 the block route to the dense one and to the density-matrix module, which
 covers the same quantities one subset at a time.
 
+Every singlet superposition is also symmetric under flipping all spins:
+the flip maps it to (-1)**(n/2) times itself.  The flip takes subset
+magnetisation d to k - d and the rest's D - d to D - (k - d), so block
+k - d is block d with its rows and columns permuted and a common sign,
+and the two have one spectrum.  Whether a state is flip-symmetric is
+decided once, exactly, when its support is built: the reversed support
+must be the complemented one and the reversed amplitudes must equal the
+amplitudes times +1 or -1 with no tolerance.  A symmetric state
+diagonalises only the blocks with 2 d <= k and counts each one below the
+middle twice; any other state diagonalises every block.
+
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
 (subsets containing site 0, so each unordered cut appears once).
@@ -113,8 +124,8 @@ def _sector_layout(n: int, k: int, down: int) -> tuple[tuple, np.ndarray, int]:
 
     Block d holds the rows with d subset spins down and the columns with
     ``down - d`` rest spins down, row-major at its own start.  Returns the
-    nonempty blocks as (start, rows, cols), each row code's offset into the
-    buffer, and the buffer size.
+    nonempty blocks as (d, start, rows, cols), each row code's offset into
+    the buffer, and the buffer size.
     """
     popcount, rank = _code_tables(n - 1)
     shapes = [
@@ -127,7 +138,9 @@ def _sector_layout(n: int, k: int, down: int) -> tuple[tuple, np.ndarray, int]:
     row_offset = starts[d] + rank[: 2**k] * n_cols[d]
     row_offset.setflags(write=False)
     blocks = tuple(
-        (int(start), r, c) for (r, c), start in zip(shapes, starts) if r * c
+        (d, int(start), r, c)
+        for d, ((r, c), start) in enumerate(zip(shapes, starts))
+        if r * c
     )
     return blocks, row_offset, int(starts[-1])
 
@@ -135,7 +148,13 @@ def _sector_layout(n: int, k: int, down: int) -> tuple[tuple, np.ndarray, int]:
 def _sector_spectrum(
     support: _SectorSupport, n: int, sites: tuple[int, ...]
 ) -> np.ndarray:
-    """Schmidt spectrum from one Gram block per subset magnetisation."""
+    """Schmidt spectrum from one Gram block per subset magnetisation.
+
+    For a flip-symmetric support, block ``k - d`` is block d with rows and
+    columns permuted and every entry times the flip sign, so only blocks
+    with ``2 d <= k`` are diagonalised and each spectrum below the middle
+    is counted twice.
+    """
     k = len(sites)
     # weight 2**t on subset site t and 2**(k + j) on rest site j: one product
     # gives each nonzero entry its row code (low k bits) and column code
@@ -148,12 +167,18 @@ def _sector_spectrum(
     rank = _code_tables(n - 1)[1]
     flat = np.zeros(size)
     flat[row_offset[code & ((1 << k) - 1)] + rank[code >> k]] = support.amplitudes
+    mirrored = support.flip is not None
     pieces = []
-    for start, r, c in blocks:
+    for d, start, r, c in blocks:
+        if mirrored and 2 * d > k:
+            continue
         block = flat[start : start + r * c].reshape(r, c)
         gram = block @ block.T if r <= c else block.T @ block
         # a 1x1 Gram matrix is its own eigenvalue
-        pieces.append(gram.ravel() if gram.size == 1 else np.linalg.eigvalsh(gram))
+        w = gram.ravel() if gram.size == 1 else np.linalg.eigvalsh(gram)
+        pieces.append(w)
+        if mirrored and 2 * d < k:
+            pieces.append(w)
     w = np.sort(np.clip(np.concatenate(pieces), 0.0, None))[::-1]
     spectrum = np.zeros(min(2**k, 2 ** (n - k)))
     spectrum[: w.size] = w

@@ -93,11 +93,15 @@ class _SectorSupport:
     Every nonzero basis index has exactly ``down`` spins down.  ``bits``
     is float64 of shape (nonzeros, n_qubits); column ``s`` holds bit ``s``
     of each index, so a product with a weight vector recodes the indices.
+    ``flip`` is the sign ``f`` when flipping every spin maps the state to
+    ``f`` times itself, exactly, and None otherwise.  Every singlet
+    superposition has ``flip == (-1)**(n_qubits // 2)``.
     """
 
     bits: np.ndarray
     amplitudes: np.ndarray
     down: int
+    flip: int | None
 
 
 def _sector_support(state: StateVector) -> _SectorSupport | None:
@@ -114,7 +118,28 @@ def _sector_support(state: StateVector) -> _SectorSupport | None:
     bits = np.empty((idx.size, n))
     for s in range(n):
         bits[:, s] = (idx >> s) & 1
-    return _SectorSupport(bits=bits, amplitudes=state.amplitudes[idx], down=int(down[0]))
+    amps = state.amplitudes[idx]
+    return _SectorSupport(
+        bits=bits, amplitudes=amps, down=int(down[0]), flip=_flip_sign(n, idx, amps)
+    )
+
+
+def _flip_sign(n: int, idx: np.ndarray, amps: np.ndarray) -> int | None:
+    """Sign under flipping every spin, from the ascending support alone.
+
+    The flip maps index ``i`` to ``2**n - 1 - i``, which reverses the
+    order, so the state is flip-symmetric exactly when the reversed
+    support is the complemented one and the reversed amplitudes are
+    ``+amps`` or ``-amps`` everywhere.
+    """
+    if not np.array_equal(idx[::-1], (2**n - 1) - idx):
+        return None
+    mirrored = amps[::-1]
+    if np.array_equal(mirrored, amps):
+        return 1
+    if np.array_equal(mirrored, -amps):
+        return -1
+    return None
 
 
 @dataclass(frozen=True)

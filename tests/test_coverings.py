@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rvblab import (
     enumerate_gas,
     enumerate_liquid,
 )
+from rvblab.lattice import lattice_to_config
 
 
 class TestDimerCovering:
@@ -220,6 +222,30 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError):
             CoveringEnsemble(lattice=grid22, coverings=(), variant=Variant.LIQUID)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize(
+        "n, covering, message",
+        [
+            # site -1 would shift to bit 0 and build a state of no matching
+            (1, DimerCovering(a_sites=(-1,), b_partners=(1,)), "site -1 out of range"),
+            (1, DimerCovering(a_sites=(0,), b_partners=(5,)), "site 5 out of range"),
+            # one pair on a four-site lattice once failed inside NumPy
+            (2, DimerCovering(a_sites=(0,), b_partners=(2,)), "n_pairs 1 differs"),
+        ],
+    )
+    def test_coverings_checked_against_the_lattice(self, n, covering, message, variant):
+        lat = LatticeSpec.complete_bipartite(n)
+        with pytest.raises(ValueError, match=message) as info:
+            CoveringEnsemble(lattice=lat, coverings=(covering,), variant=variant)
+        assert "\n" not in str(info.value)
+
+    def test_bad_site_found_past_good_coverings(self):
+        lat = LatticeSpec.complete_bipartite(2)
+        good = enumerate_gas(lat).coverings
+        bad = DimerCovering(a_sites=(0, 1), b_partners=(2, 4))
+        with pytest.raises(ValueError, match=r"site 4 out of range \[0, 4\)"):
+            CoveringEnsemble(lattice=lat, coverings=good + (bad,), variant=Variant.GAS)
+
 
 class TestSerialization:
     def test_roundtrip_liquid(self, liquid23):
@@ -237,3 +263,24 @@ class TestSerialization:
 
     def test_json_stable_bytes(self, gas3):
         assert ensemble_to_json(gas3) == ensemble_to_json(gas3)
+
+    @pytest.mark.parametrize(
+        "enumerate_, lattice",
+        [(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in range(1, 9)]
+        + [
+            (enumerate_liquid, LatticeSpec.square_grid(4, 4, boundary=b))
+            for b in ("open", "periodic")
+        ],
+        ids=[f"gas{n}" for n in range(1, 9)] + ["open44", "periodic44"],
+    )
+    def test_json_text_equals_the_nested_list_document(self, enumerate_, lattice):
+        # ensemble_sha256 digests this text; it was written from nested lists
+        ens = enumerate_(lattice)
+        nested = {
+            "schema": 1,
+            "lattice": lattice_to_config(lattice),
+            "variant": ens.variant.value,
+            "coverings": [[list(p) for p in c.pairs] for c in ens.coverings],
+            "weights": [c.weight for c in ens.coverings],
+        }
+        assert ensemble_to_json(ens) == json.dumps(nested, sort_keys=True)

@@ -22,6 +22,7 @@ from rvblab import (
     assemble,
     bipartition_verdict,
     custom_ensemble,
+    enumerate_gas,
     enumerate_liquid,
     even_subset_audit,
     genuine_multipartite_certificate,
@@ -30,6 +31,16 @@ from rvblab import (
     singlet_product,
     subset_spectrum,
 )
+
+
+@pytest.fixture(scope="module")
+def gas_state4():
+    return assemble(enumerate_gas(LatticeSpec.complete_bipartite(4)))
+
+
+@pytest.fixture(scope="module")
+def state26():
+    return assemble(enumerate_liquid(LatticeSpec.square_grid(2, 6)))
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +116,7 @@ class TestSectorBlocks:
     def test_every_audit_subset_of_the_44_grids(self, boundary, monkeypatch):
         lattice = LatticeSpec.square_grid(4, 4, boundary=boundary)
         state = assemble(enumerate_liquid(lattice))
+        assert state._support.flip == 1  # the mirrored-block route
         seen = {}
 
         def recording(st_, subset):
@@ -121,10 +133,13 @@ class TestSectorBlocks:
         for v in verdicts:
             _assert_matches_oracle(state, v.subset, seen[v.subset], v)
 
-    @pytest.mark.parametrize("fixture", ["state23", "state24", "gas_state3"])
+    # a singlet superposition flips to (-1)**(n/2) times itself
+    FLIP_SIGNS = {"state23": -1, "gas_state3": -1, "state24": 1, "gas_state4": 1, "state26": 1}
+
+    @pytest.mark.parametrize("fixture", list(FLIP_SIGNS))
     def test_every_subset_of_small_states(self, fixture, request):
         state = request.getfixturevalue(fixture)
-        assert state._support is not None
+        assert state._support.flip == self.FLIP_SIGNS[fixture]
         for subset in _proper_subsets(state.n_qubits):
             spectrum = subset_spectrum(state, subset)
             _assert_matches_oracle(state, subset, spectrum, bipartition_verdict(state, subset))
@@ -183,6 +198,9 @@ class TestSectorBlocks:
         state = assemble(ensemble)
         n = state.n_qubits
         assert state._support.down == n // 2
+        # assembly sums each amplitude and its flipped partner with the
+        # same terms in the same order, so the symmetry is exact
+        assert state._support.flip == (-1) ** (n // 2)
         for _ in range(3):
             subset = data.draw(
                 st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)
@@ -190,6 +208,92 @@ class TestSectorBlocks:
                 .map(tuple)
             )
             _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
+
+
+def _random_sz0_state(n, seed):
+    """Random amplitudes on every basis state with n/2 spins down, and none elsewhere."""
+    down = np.array([bin(i).count("1") for i in range(2**n)])
+    amps = np.where(down == n // 2, np.random.default_rng(seed).standard_normal(2**n), 0.0)
+    return StateVector(n_qubits=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+def _eigvalsh_calls(monkeypatch):
+    """Count the kernel's eigvalsh calls; it calls NumPy directly."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(multipartite.np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _blocks_over_1x1(n, subset, down, half):
+    blocks = multipartite._sector_layout(n, len(subset), down)[0]
+    return sum(
+        min(r, c) > 1 for d, _, r, c in blocks if not (half and 2 * d > len(subset))
+    )
+
+
+class TestFlipPairing:
+    """Mirrored S^z blocks: decided exactly once per state, then halved."""
+
+    def test_random_sector_state_records_no_flip_and_takes_every_block(self, monkeypatch):
+        state = _random_sz0_state(6, seed=2004)
+        assert state._support.down == 3
+        assert state._support.flip is None
+        calls = _eigvalsh_calls(monkeypatch)
+        for subset in _proper_subsets(6):
+            before = len(calls)
+            spectrum = subset_spectrum(state, subset)
+            assert len(calls) - before == _blocks_over_1x1(6, subset, 3, half=False)
+            _assert_matches_oracle(state, subset, spectrum, bipartition_verdict(state, subset))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_symmetrised_state_records_its_sign_and_halves(self, sign, monkeypatch):
+        raw = _random_sz0_state(6, seed=7)
+        # flipping every spin moves amplitude i to 2**n - 1 - i
+        amps = raw.amplitudes + sign * raw.amplitudes[::-1]
+        state = StateVector(n_qubits=6, amplitudes=amps / np.linalg.norm(amps))
+        assert state._support.flip == sign
+        calls = _eigvalsh_calls(monkeypatch)
+        for subset in _proper_subsets(6):
+            before = len(calls)
+            spectrum = subset_spectrum(state, subset)
+            assert len(calls) - before == _blocks_over_1x1(6, subset, 3, half=True)
+            _assert_matches_oracle(state, subset, spectrum, bipartition_verdict(state, subset))
+
+    @pytest.mark.parametrize("fixture", ["state23", "state24"])
+    def test_one_ulp_breaks_the_symmetry(self, fixture, request):
+        state = request.getfixturevalue(fixture)
+        amps = state.amplitudes.copy()
+        index = int(np.flatnonzero(amps)[0])
+        amps[index] = np.nextafter(amps[index], np.inf)
+        nudged = StateVector(n_qubits=state.n_qubits, amplitudes=amps)
+        assert state._support.flip is not None
+        assert nudged._support.flip is None
+        for subset in _proper_subsets(nudged.n_qubits):
+            spectrum = subset_spectrum(nudged, subset)
+            _assert_matches_oracle(nudged, subset, spectrum, bipartition_verdict(nudged, subset))
+
+    def test_support_not_closed_under_the_flip(self):
+        # a sector state whose support misses the flip of one of its indices
+        amps = np.zeros(16)
+        amps[[0b0011, 0b0101, 0b1010]] = 1.0 / math.sqrt(3.0)
+        state = StateVector(n_qubits=4, amplitudes=amps)
+        assert state._support.down == 2
+        assert state._support.flip is None
+        for subset in _proper_subsets(4):
+            _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
+
+    def test_audit_halves_the_eigensolves(self, state44, monkeypatch):
+        calls = _eigvalsh_calls(monkeypatch)
+        odd_subset_audit(state44, max_size=5)
+        even_subset_audit(state44, max_size=4)
+        # 24,172 with every block diagonalised
+        assert len(calls) == 13_056
 
 
 class TestBipartitionVerdict:
