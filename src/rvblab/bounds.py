@@ -104,62 +104,47 @@ def equidistant_class_min_p(
     coincides with every member, which is the translationally invariant
     case the bounds were stated for.  Returns None for an empty class.
     """
-    own = lattice.sublattice_of(anchor)
-    values = [
-        _pair_p(state, anchor, t)
-        for t in range(lattice.site_count)
-        if t != anchor
-        and lattice.sublattice_of(t) is not own
-        and lattice.distance(anchor, t) == r
-    ]
+    values = [_pair_p(state, anchor, t) for t in lattice.equidistant_class(anchor, r)]
     return min(values) if values else None
 
 
 def compare(state: StateVector, lattice: LatticeSpec) -> list[BoundReport]:
     """Evaluate every applicable bound against measured values.
 
-    Grid lattices: the NN bounds take the class minimum over the
-    designated interior site's neighbors, and each odd distance r from
-    that site feeds the equidistant bounds the same way (see
-    :func:`equidistant_class_min_p`).  Complete-bipartite lattices: the
-    class minimum over all partners of sublattice-A site 0 feeds the gas
-    bounds with parameter N (permutation symmetry makes all cross pairs
-    identical, which the test suite asserts separately).
+    The anchor is the first site of :func:`interior_nn_bond`.  Each odd
+    distance r from it feeds its class minimum (see
+    :func:`equidistant_class_min_p`) to one pair of bounds whose parameter
+    is the class size.  On grids r = 1 feeds the NN bounds and larger r
+    the equidistant bounds.  On complete-bipartite lattices the one class
+    is all N partners of site 0, and it feeds the gas bounds
+    (permutation symmetry makes all cross pairs identical, which the test
+    suite asserts separately).
     """
     if lattice.site_count != state.n_qubits:
         raise ValueError("state and lattice disagree on site count")
-    reports: list[BoundReport] = []
     if lattice.kind is Kind.COMPLETE_BIPARTITE:
-        n = lattice.n_per_sublattice
-        measured = equidistant_class_min_p(state, lattice, 0, 1)
-        reports.append(_report(BoundKind.GAS_MONOGAMY, n, gas_monogamy_bound(n), measured))
-        reports.append(
-            _report(BoundKind.GAS_TELECLONING, n, telecloning_bound(n), measured)
+        nn_bounds = (
+            (BoundKind.GAS_MONOGAMY, gas_monogamy_bound),
+            (BoundKind.GAS_TELECLONING, telecloning_bound),
         )
-        return reports
-
+    else:
+        nn_bounds = (
+            (BoundKind.MONOGAMY_NN, monogamy_bound),
+            (BoundKind.TELECLONING_NN, telecloning_bound),
+        )
+    far_bounds = (
+        (BoundKind.MONOGAMY_EQUIDISTANT, monogamy_bound),
+        (BoundKind.TELECLONING_EQUIDISTANT, telecloning_bound),
+    )
     anchor, _ = interior_nn_bond(lattice)
-    nn_count = len(lattice.neighbors(anchor))
-    nn_min = equidistant_class_min_p(state, lattice, anchor, 1)
-    reports.append(
-        _report(BoundKind.MONOGAMY_NN, nn_count, monogamy_bound(nn_count), nn_min)
-    )
-    reports.append(
-        _report(BoundKind.TELECLONING_NN, nn_count, telecloning_bound(nn_count), nn_min)
-    )
-    for r in range(3, lattice.max_distance() + 1, 2):
+    reports: list[BoundReport] = []
+    for r in range(1, lattice.max_distance() + 1, 2):
         count = lattice.equidistant_count(anchor, r)
         if count == 0:
             continue
         class_min = equidistant_class_min_p(state, lattice, anchor, r)
-        reports.append(
-            _report(BoundKind.MONOGAMY_EQUIDISTANT, count, monogamy_bound(count), class_min)
-        )
-        reports.append(
-            _report(
-                BoundKind.TELECLONING_EQUIDISTANT, count, telecloning_bound(count), class_min
-            )
-        )
+        for kind, bound in nn_bounds if r == 1 else far_bounds:
+            reports.append(_report(kind, count, bound(count), class_min))
     return reports
 
 

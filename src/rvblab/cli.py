@@ -36,7 +36,9 @@ from .coverings import (
     ensemble_to_json,
 )
 from .errors import CapExceeded
-from .lattice import Boundary, Kind, LatticeSpec, interior_nn_bond, lattice_to_config
+from .lattice import (
+    Boundary, Kind, LatticeSpec, interior_nn_bond, lattice_from_config, lattice_to_config,
+)
 
 TASK_NAMES = (
     "enumerate",
@@ -75,7 +77,7 @@ class RunConfig:
     lattice: LatticeSpec
     variant: Variant
     tasks: tuple[str, ...]
-    out: Path
+    out: Path = Path("rvblab-out")
     tol: float = 5e-4
     seed: int = 2004
 
@@ -167,10 +169,7 @@ def _pair_records(ctx: _Context) -> list[dict]:
 def _distance_profile(ctx: _Context) -> list[dict]:
     state = ctx.state()
     lattice = ctx.config.lattice
-    if lattice.kind is Kind.COMPLETE_BIPARTITE:
-        anchor = 0
-    else:
-        anchor, _ = interior_nn_bond(lattice)
+    anchor, _ = interior_nn_bond(lattice)
     rows = []
     for r in range(1, lattice.max_distance() + 1, 2):
         count = lattice.equidistant_count(anchor, r)
@@ -226,7 +225,6 @@ def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
 
 def _task_rdm(ctx: _Context, checks: _Checks) -> dict:
     state = ctx.state()
-    lattice = ctx.config.lattice
     dev = 0.0
     for s in range(state.n_qubits):
         rho = states_mod.reduced_density_matrix(state, (s,))
@@ -236,10 +234,7 @@ def _task_rdm(ctx: _Context, checks: _Checks) -> dict:
         dev <= MIXED_ID_TOL,
         f"max deviation from I/2 = {dev:.3e}",
     )
-    if lattice.kind is Kind.COMPLETE_BIPARTITE:
-        bond = (0, lattice.n_per_sublattice)
-    else:
-        bond = interior_nn_bond(lattice)
+    bond = interior_nn_bond(ctx.config.lattice)
     dm = states_mod.reduced_density_matrix(state, bond)
     matrix = [[[_round(z.real), _round(z.imag)] for z in row] for row in dm.matrix]
     return {
@@ -701,6 +696,10 @@ def _parse_config_file(path: Path) -> dict[str, str]:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; choose from {', '.join(CONFIG_KEYS)}"
             )
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        if not value.strip():
+            raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
         out[key] = value.strip()
     return out
 
@@ -741,70 +740,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse flags; a ``--config`` file's values become the flags' defaults.
+
+    The second parse runs every file value through its flag's ``type``,
+    and a flag given on the command line still wins.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        file_values = _parse_config_file(args.config)
+        parser.set_defaults(**_parse_config_file(args.config))
+        args = parser.parse_args(argv)
+    return args
 
-    def pick(flag: object, key: str) -> object:
-        return flag if flag is not None else file_values.get(key)
 
-    kind = pick(args.lattice, "lattice")
-    if kind is None:
-        raise ConfigError("missing lattice kind (--lattice or lattice= in config)")
-    boundary = pick(args.boundary, "boundary") or "open"
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Turn parsed flags into a RunConfig; ``None`` fields take the defaults."""
     try:
-        if str(kind) == "square-grid":
-            rows = pick(args.rows, "rows")
-            cols = pick(args.cols, "cols")
-            if rows is None or cols is None:
-                raise ConfigError("square-grid lattice needs --rows and --cols")
-            lattice = LatticeSpec.square_grid(
-                int(rows), int(cols), boundary=Boundary(str(boundary))
-            )
-        elif str(kind) == "complete-bipartite":
-            n = pick(args.n, "n")
-            if n is None:
-                raise ConfigError("complete-bipartite lattice needs --n")
-            lattice = LatticeSpec.complete_bipartite(int(n))
-        else:
-            raise ConfigError(f"unknown lattice kind {kind!r}")
+        lattice = lattice_from_config(vars(args))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    variant_name = pick(args.variant, "variant")
+    variant_name = args.variant
     if variant_name is None:
         variant_name = "gas" if lattice.kind is Kind.COMPLETE_BIPARTITE else "liquid"
     try:
-        variant = Variant(str(variant_name))
+        variant = Variant(variant_name)
     except ValueError as exc:
         raise ConfigError(f"unknown variant {variant_name!r}") from exc
 
-    if args.tasks is not None:
-        tasks = tuple(args.tasks)
-    else:
-        raw = file_values.get("tasks", "")
-        tasks = tuple(t for t in raw.replace(",", " ").split() if t)
-
-    out = pick(args.out, "out") or "rvblab-out"
-    tol = pick(args.tol, "tol")
-    seed = pick(args.seed, "seed")
-    try:
-        return RunConfig(
-            lattice=lattice,
-            variant=variant,
-            tasks=tasks,
-            out=Path(out),
-            tol=5e-4 if tol is None else float(tol),
-            seed=2004 if seed is None else int(seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tasks = args.tasks or ()
+    if isinstance(tasks, str):  # a config file's "tasks = a, b c"
+        tasks = tasks.replace(",", " ").split()
+    given = {k: getattr(args, k) for k in ("out", "tol", "seed") if getattr(args, k) is not None}
+    return RunConfig(lattice=lattice, variant=variant, tasks=tuple(tasks), **given)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = build_config(_build_parser().parse_args(argv))
+        config = build_config(_parse_args(argv))
     except ConfigError as exc:
         # a flag value may hold a line break; the error stays one line
         message = " ".join(str(exc).splitlines())

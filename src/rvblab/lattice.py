@@ -183,18 +183,20 @@ class LatticeSpec:
             dc = min(dc, self.cols - dc)
         return dr + dc
 
-    def equidistant_count(self, site: int, r: int) -> int:
-        """Number of opposite-sublattice sites at graph distance ``r``."""
+    def equidistant_class(self, site: int, r: int) -> tuple[int, ...]:
+        """Opposite-sublattice sites at graph distance ``r``, ascending."""
         if r <= 0:
             raise ValueError("distance r must be positive")
         own = self.sublattice_of(site)
-        return sum(
-            1
+        return tuple(
+            t
             for t in range(self.site_count)
-            if t != site
-            and self.sublattice_of(t) is not own
-            and self.distance(site, t) == r
+            if t != site and self.sublattice_of(t) is not own and self.distance(site, t) == r
         )
+
+    def equidistant_count(self, site: int, r: int) -> int:
+        """Number of opposite-sublattice sites at graph distance ``r``."""
+        return len(self.equidistant_class(site, r))
 
     def max_distance(self) -> int:
         """Largest pairwise graph distance on this lattice."""
@@ -211,7 +213,9 @@ def interior_nn_bond(lattice: LatticeSpec) -> tuple[int, int]:
     Bonds are ranked by the smaller coordination number of their two
     endpoints (higher is better), then lexicographically.  On an open 4x4
     grid this selects ((1,1), (1,2)); on periodic grids every bond ties
-    and the lexicographically first wins.
+    and the lexicographically first wins.  On a complete bipartite
+    lattice every bond ties too, so the gas gets ``(0, n)``: site 0 and
+    the first site of sublattice B.
     """
     bonds = lattice.nn_bonds()
     if not bonds:
@@ -224,22 +228,42 @@ def interior_nn_bond(lattice: LatticeSpec) -> tuple[int, int]:
     return min(bonds, key=rank)
 
 
+def _config_size(cfg: Mapping[str, object], key: str) -> int:
+    value = cfg[key]
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"lattice {key} must be an integer, got {value!r}")
+
+
 def lattice_from_config(cfg: Mapping[str, object]) -> LatticeSpec:
     """Build a LatticeSpec from a flat mapping of config keys.
 
-    Recognized keys: ``kind`` (or ``lattice``), ``rows``, ``cols``,
-    ``boundary``, ``n`` (or ``n_per_sublattice``).  Values may be strings.
+    Reads what :func:`lattice_to_config` writes: ``kind`` (or the CLI's
+    ``lattice``), then ``rows``, ``cols`` and ``boundary`` (default open)
+    for a grid or ``n`` for a complete bipartite lattice; other keys are
+    ignored and ``None`` means absent.  Sizes may be ints or decimal
+    strings.  Every bad input raises a one-line ``ValueError``.
     """
-    raw_kind = str(cfg.get("kind", cfg.get("lattice", ""))).strip().lower()
-    if raw_kind in ("square-grid", "square", "grid"):
-        boundary = Boundary(str(cfg.get("boundary", "open")).strip().lower())
+    kind = cfg.get("kind", cfg.get("lattice"))
+    if kind == Kind.SQUARE_GRID.value:
+        if cfg.get("rows") is None or cfg.get("cols") is None:
+            raise ValueError("square-grid lattice needs rows and cols")
+        boundary = cfg.get("boundary")
         return LatticeSpec.square_grid(
-            rows=int(cfg["rows"]), cols=int(cfg["cols"]), boundary=boundary
+            _config_size(cfg, "rows"),
+            _config_size(cfg, "cols"),
+            boundary=Boundary.OPEN if boundary is None else boundary,
         )
-    if raw_kind in ("complete-bipartite", "complete", "bipartite"):
-        n = int(cfg.get("n", cfg.get("n_per_sublattice", 0)))
-        return LatticeSpec.complete_bipartite(n)
-    raise ValueError(f"unknown lattice kind {raw_kind!r}")
+    if kind == Kind.COMPLETE_BIPARTITE.value:
+        if cfg.get("n") is None:
+            raise ValueError("complete-bipartite lattice needs n")
+        return LatticeSpec.complete_bipartite(_config_size(cfg, "n"))
+    if kind is None:
+        raise ValueError("missing lattice kind")
+    raise ValueError(f"unknown lattice kind {kind!r}")
 
 
 def lattice_to_config(lattice: LatticeSpec) -> dict[str, object]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rvblab import loopgas
-from rvblab.cli import RunConfig, build_config, emit_plot_data, main
+from rvblab.cli import CONFIG_KEYS, RunConfig, build_config, emit_plot_data, main
 
 
 def run_cli(tmp_path, *args):
@@ -309,6 +309,65 @@ class TestConfigFile:
         assert main(["--config", str(conf), "--tasks", "enumerate", "--out", str(out)]) == 2
         assert "'boundry'" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_duplicate_key_config_error(self, tmp_path, capsys):
+        # the second value used to win silently
+        conf = tmp_path / "run.conf"
+        conf.write_text("lattice = complete-bipartite\nn = 2\nn = 3\ntasks = enumerate\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{conf}:3: duplicate key 'n'" in err
+        assert not out.exists()
+
+    def test_empty_value_config_error(self, tmp_path, capsys):
+        # an empty out would otherwise write into the working directory
+        conf = tmp_path / "run.conf"
+        conf.write_text("lattice = complete-bipartite\nn = 2\ntasks = enumerate\nout =\n")
+        assert main(["--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{conf}:4: key 'out' has no value" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("rows", "abc"), ("tol", "x"), ("seed", "1.5"), ("boundary", "twisted"),
+         ("lattice", "grid")],
+    )
+    def test_bad_file_value_one_line_exit_two(self, tmp_path, capsys, key, value):
+        values = {"lattice": "square-grid", "rows": "2", "cols": "2", "tasks": "enumerate"}
+        values[key] = value
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "out"
+        assert main(["--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("rvblab: configuration error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_file_value_equals_flag(self, tmp_path, key):
+        # each key read from a file goes through the same parser as its flag
+        if key == "n":
+            run = {"lattice": ["complete-bipartite"], "n": ["2"], "variant": ["gas"]}
+        else:
+            run = {
+                "lattice": ["square-grid"], "rows": ["2"], "cols": ["4"],
+                "boundary": ["periodic"], "variant": ["liquid"],
+            }
+        run.update(tasks=["enumerate", "bounds"], tol=["1e-3"], seed=["7"])
+
+        def flags(values):
+            return [arg for k, v in values.items() for arg in (f"--{k}", *v)]
+
+        by_flag = tmp_path / "flags"
+        assert main(flags({**run, "out": [str(by_flag)]})) == 0
+        by_file = tmp_path / "file"
+        run["out"] = [str(by_file)]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {' '.join(run.pop(key))}\n")
+        assert main(["--config", str(conf), *flags(run)]) == 0
+        assert (by_file / "report.json").read_bytes() == (by_flag / "report.json").read_bytes()
 
 
 class TestRunConfig:

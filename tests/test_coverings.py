@@ -261,6 +261,24 @@ class TestSerialization:
         back = ensemble_from_json(ensemble_to_json(ens))
         assert np.array_equal(back.weights, ens.weights)
 
+    def test_lattice_without_rows_rejected(self, liquid23):
+        doc = json.loads(ensemble_to_json(liquid23))
+        del doc["lattice"]["rows"]
+        with pytest.raises(ValueError, match="needs rows and cols") as info:
+            ensemble_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "key,value", [("rows", 2.9), ("cols", "3.0"), ("n", True), ("n", 3.0)]
+    )
+    def test_lattice_non_integral_size_rejected(self, liquid23, gas3, key, value):
+        # int() would truncate 2.9 to a 2x3 grid and read true as N = 1
+        doc = json.loads(ensemble_to_json(gas3 if key == "n" else liquid23))
+        doc["lattice"][key] = value
+        with pytest.raises(ValueError, match=f"lattice {key} must be an integer") as info:
+            ensemble_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
+
     def test_json_stable_bytes(self, gas3):
         assert ensemble_to_json(gas3) == ensemble_to_json(gas3)
 

@@ -173,6 +173,11 @@ class TestInteriorBond:
     def test_deterministic(self, grid44):
         assert interior_nn_bond(grid44) == interior_nn_bond(grid44)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gas_bond_is_first_cross_pair(self, n):
+        # the CLI and the bounds anchor the gas at site 0 through this bond
+        assert interior_nn_bond(LatticeSpec.complete_bipartite(n)) == (0, n)
+
 
 class TestConfigRoundtrip:
     def test_square_grid_roundtrip(self, grid44_periodic):
@@ -186,6 +191,65 @@ class TestConfigRoundtrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             lattice_from_config({"kind": "triangular", "rows": 2, "cols": 2})
+
+    def test_cli_keys_and_decimal_strings(self, grid44_periodic):
+        # the CLI passes its whole namespace: "lattice" for the kind, None
+        # for every flag not given, sizes as ints or strings
+        doc = {"lattice": "square-grid", "rows": "4", "cols": 4, "boundary": "periodic",
+               "n": None, "variant": None}
+        assert lattice_from_config(doc) == grid44_periodic
+        doc = {"lattice": "square-grid", "rows": 2, "cols": "3", "boundary": None}
+        assert lattice_from_config(doc) == LatticeSpec.square_grid(2, 3)
+        doc = {"lattice": "complete-bipartite", "n": "3", "rows": None}
+        assert lattice_from_config(doc) == LatticeSpec.complete_bipartite(3)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"kind": "grid", "rows": 2, "cols": 2}, "unknown lattice kind 'grid'"),
+            ({"kind": "square", "rows": 2, "cols": 2}, "unknown lattice kind 'square'"),
+            ({"kind": "Square-Grid", "rows": 2, "cols": 2}, "unknown lattice kind"),
+            ({"kind": "complete", "n": 2}, "unknown lattice kind 'complete'"),
+            ({"kind": "bipartite", "n": 2}, "unknown lattice kind 'bipartite'"),
+            ({"kind": "complete-bipartite", "n_per_sublattice": 2}, "needs n"),
+            ({"rows": 2, "cols": 2}, "missing lattice kind"),
+            ({"kind": "square-grid", "cols": 2}, "square-grid lattice needs rows and cols"),
+            ({"kind": "square-grid", "rows": None, "cols": 2}, "needs rows and cols"),
+            ({"kind": "square-grid", "rows": 2.9, "cols": 2}, "rows must be an integer"),
+            ({"kind": "square-grid", "rows": 2, "cols": "2.0"}, "cols must be an integer"),
+            ({"kind": "square-grid", "rows": 2, "cols": 2, "boundary": "Open"}, "Boundary"),
+            ({"kind": "square-grid", "rows": 2, "cols": 2, "boundary": ""}, "Boundary"),
+            ({"kind": "complete-bipartite", "n": True}, "n must be an integer"),
+            ({"kind": "complete-bipartite", "n": "abc"}, "n must be an integer"),
+            ({"kind": "complete-bipartite", "n": 0}, "n >= 1"),
+        ],
+    )
+    def test_bad_documents_rejected_in_one_line(self, doc, message):
+        with pytest.raises(ValueError, match=message) as info:
+            lattice_from_config(doc)
+        assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [
+        LatticeSpec.square_grid(4, 4),
+        LatticeSpec.square_grid(4, 4, boundary="periodic"),
+        LatticeSpec.complete_bipartite(4),
+    ],
+    ids=["open44", "periodic44", "gas4"],
+)
+def test_equidistant_class_matches_brute_force(lat):
+    for anchor in range(lat.site_count):
+        own = lat.sublattice_of(anchor)
+        for r in range(1, lat.max_distance() + 2):
+            brute = [
+                t
+                for t in range(lat.site_count)
+                if t != anchor and lat.sublattice_of(t) is not own and lat.distance(anchor, t) == r
+            ]
+            assert lat.equidistant_class(anchor, r) == tuple(brute)
+            assert lat.equidistant_count(anchor, r) == len(brute)
 
 
 def test_equidistant_count_plain_values(grid44):
