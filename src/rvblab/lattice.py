@@ -6,7 +6,8 @@ checkerboard rule ``(row + col) % 2 == 0 -> A``; complete bipartite
 lattices put the first ``n_per_sublattice`` indices in sublattice A and
 the rest in B.  Distances are graph distances: Manhattan on grids (with
 minimum-image wrap when periodic), and 1 or 2 hops on complete bipartite
-graphs.
+graphs.  Grids also name the generators of their reflection, transpose
+and translation symmetries; the gas names none.
 
 ``LatticeSpec`` is immutable and every query is a pure function of it, so
 instances can be shared freely.
@@ -205,6 +206,30 @@ class LatticeSpec:
         if self.boundary is Boundary.PERIODIC:
             return self.rows // 2 + self.cols // 2
         return (self.rows - 1) + (self.cols - 1)
+
+    def symmetry_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Site permutations that generate a symmetry group of the grid.
+
+        Entry ``s`` of a permutation is the image of site ``s``.  The
+        generators are the row reflection, the column reflection, the
+        transpose when rows = cols and the two unit translations when
+        periodic, with identities and repeats dropped.  Each one maps
+        bonds to bonds, so it maps the covering set onto itself.  The gas
+        gets none.
+        """
+        if self.kind is not Kind.SQUARE_GRID:
+            return ()
+        rows, cols = self.rows, self.cols
+        maps = [lambda r, c: (rows - 1 - r, c), lambda r, c: (r, cols - 1 - c)]
+        if rows == cols:
+            maps.append(lambda r, c: (c, r))
+        if self.boundary is Boundary.PERIODIC:
+            maps += [lambda r, c: ((r + 1) % rows, c), lambda r, c: (r, (c + 1) % cols)]
+        identity = tuple(range(self.site_count))
+        perms = (
+            tuple(self.index(*f(*divmod(s, cols))) for s in identity) for f in maps
+        )
+        return tuple(p for p in dict.fromkeys(perms) if p != identity)
 
 
 def interior_nn_bond(lattice: LatticeSpec) -> tuple[int, int]:

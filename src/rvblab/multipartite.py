@@ -28,18 +28,37 @@ amplitudes times +1 or -1 with no tolerance.  A symmetric state
 diagonalises only the blocks with 2 d <= k and counts each one below the
 middle twice; any other state diagonalises every block.
 
+An assembled grid state also carries its lattice's symmetry generators
+(reflections, the transpose of a square grid, translations of a periodic
+one).  The support keeps a generator only when it maps the state to +1 or
+-1 times itself, with the same exact test as the flip, and closes the kept
+ones into a group: 8 elements on the open 4x4, 128 on the periodic 4x4.
+A symmetry permutes the sites and leaves every reduced spectrum fixed, so
+``subset_spectrum`` maps a subset to its orbit representative, the image
+with the smallest bitmask ``min_g sum_s 2**g(s)``, and returns that
+subset's spectrum.  The result depends on the state and the subset alone.
+The audits and the certificate each keep a memo from representative to
+spectrum for the length of one scan, so they compute one spectrum per
+orbit: 920 instead of 6,884 on the open 4x4 audit, 102 on the periodic
+one.  The gas, hand-built states and loaded states carry no generators
+and take the routes above unchanged.
+
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
-(subsets containing site 0, so each unordered cut appears once).
+(subsets containing site 0, so each unordered cut appears once).  Its
+``min_cut`` is the first cut of minimal entropy in enumeration order, and
+exactly so: members of one orbit tie bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,20 +91,51 @@ class AuditResult:
         return all(v.entangled for v in self.verdicts)
 
 
+# (state, representative bitmask -> spectrum) of the scan in progress; set
+# only while an audit or the certificate runs, so a bare subset_spectrum
+# call computes its representative directly
+_SCAN_MEMO: ContextVar[tuple[StateVector, dict[int, np.ndarray]] | None] = ContextVar(
+    "_SCAN_MEMO", default=None
+)
+
+
+@contextmanager
+def _orbit_memo(state: StateVector) -> Iterator[None]:
+    """One representative-to-spectrum memo for a scan of ``state``, dropped on exit."""
+    token = _SCAN_MEMO.set((state, {}))
+    try:
+        yield
+    finally:
+        _SCAN_MEMO.reset(token)
+
+
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     """Descending Schmidt spectrum (reduced eigenvalues) of a site subset.
 
     The subset must be strictly ascending, proper and nonempty; it is
     checked before any block is built.  The result has length
-    ``min(2**k, 2**(n-k))``.
+    ``min(2**k, 2**(n-k))``.  A state with a verified symmetry group
+    returns the spectrum of the subset's orbit representative, so every
+    member of an orbit gets the same bits.
     """
     sites = _check_sites(state, subset)
-    if not 0 < len(sites) < state.n_qubits:
+    n = state.n_qubits
+    if not 0 < len(sites) < n:
         raise ValueError("subset must be a proper nonempty subset")
     support = state._support
     if support is None:
         return _dense_spectrum(state, sites)
-    return _sector_spectrum(support, state.n_qubits, sites)
+    if support.orbit_bits is None:
+        return _sector_spectrum(support, n, sites)
+    # the representative is the image with the smallest bitmask
+    rep = int(support.orbit_bits[:, list(sites)].sum(axis=1).min())
+    scan = _SCAN_MEMO.get()
+    memo = scan[1] if scan is not None and scan[0] is state else {}
+    if rep not in memo:
+        rep_sites = tuple(s for s in range(n) if rep >> s & 1)
+        memo[rep] = _sector_spectrum(support, n, rep_sites)
+    # one memo entry serves the whole orbit, so no caller may write it
+    return memo[rep].copy()
 
 
 def _dense_spectrum(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
@@ -207,7 +257,8 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
     subsets = (s for k in sizes for s in combinations(range(n), k))
-    return AuditResult(verdicts=tuple(bipartition_verdict(state, s) for s in subsets))
+    with _orbit_memo(state):
+        return AuditResult(verdicts=tuple(bipartition_verdict(state, s) for s in subsets))
 
 
 def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
@@ -241,8 +292,10 @@ class CertificateReport:
 def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     """Exhaustive check that every bipartition of a pure state is entangled.
 
-    Scans the 2**(n-1) - 1 cuts whose subset contains site 0.  Raises
-    :class:`CapExceeded` above 12 qubits (2047 cuts).
+    Scans the 2**(n-1) - 1 cuts whose subset contains site 0, one spectrum
+    per symmetry orbit, and reports the first cut of minimal entropy in
+    enumeration order.  Raises :class:`CapExceeded` above 12 qubits (2047
+    cuts).
     """
     n = state.n_qubits
     if n > CERTIFICATE_MAX_QUBITS:
@@ -255,16 +308,17 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     best_cut: tuple[int, ...] = ()
     genuine = True
     n_cuts = 0
-    for k in range(1, n):
-        for rest in combinations(range(1, n), k - 1):
-            subset = (0,) + rest
-            n_cuts += 1
-            verdict = bipartition_verdict(state, subset)
-            if verdict.entropy_bits < best_entropy:
-                best_entropy = verdict.entropy_bits
-                best_cut = subset
-            if not verdict.entangled:
-                genuine = False
+    with _orbit_memo(state):
+        for k in range(1, n):
+            for rest in combinations(range(1, n), k - 1):
+                subset = (0,) + rest
+                n_cuts += 1
+                verdict = bipartition_verdict(state, subset)
+                if verdict.entropy_bits < best_entropy:
+                    best_entropy = verdict.entropy_bits
+                    best_cut = subset
+                if not verdict.entangled:
+                    genuine = False
     return CertificateReport(
         genuine=genuine,
         n_cuts=n_cuts,

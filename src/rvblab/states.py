@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 from typing import Sequence
@@ -59,24 +59,36 @@ SINGLET_VEC = np.array([0.0, -SQRT_HALF, SQRT_HALF, 0.0])
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state on ``n_qubits`` sites.
+    """Normalized pure state on ``n_qubits`` sites, with real amplitudes.
 
     ``norm`` records the length of the raw weighted covering sum before
     normalization (``sqrt(3)`` for two equal-weight coverings overlapping
     at 1/2, for example); it is 1.0 for states built directly.
+    ``_site_generators`` lists candidate site symmetries (see
+    :meth:`LatticeSpec.symmetry_generators`); :func:`assemble` passes its
+    lattice's, and the support keeps only those the amplitudes obey.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
     norm: float = 1.0
+    _site_generators: tuple[tuple[int, ...], ...] = field(
+        default=(), repr=False, compare=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
-        if self.amplitudes.shape != (2**self.n_qubits,):
+        amps = np.asarray(self.amplitudes)
+        # inner products and Gram blocks never conjugate
+        if np.iscomplexobj(amps):
+            raise ValueError(f"state amplitudes must be real, got dtype {amps.dtype}")
+        amps = np.asarray(amps, dtype=np.float64)
+        object.__setattr__(self, "amplitudes", amps)
+        if amps.shape != (2**self.n_qubits,):
             raise ValueError(
                 f"amplitude vector must have length 2**{self.n_qubits}, "
-                f"got shape {self.amplitudes.shape}"
+                f"got shape {amps.shape}"
             )
-        nrm = float(np.linalg.norm(self.amplitudes))
+        nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
 
@@ -96,12 +108,18 @@ class _SectorSupport:
     ``flip`` is the sign ``f`` when flipping every spin maps the state to
     ``f`` times itself, exactly, and None otherwise.  Every singlet
     superposition has ``flip == (-1)**(n_qubits // 2)``.
+
+    ``orbit_bits`` holds one row per element g of the state's verified
+    site-symmetry group, with ``2**g(s)`` in column ``s``, so a subset's
+    image masks are one gather and a row sum.  It is read-only, and None
+    when no candidate generator maps the state to plus or minus itself.
     """
 
     bits: np.ndarray
     amplitudes: np.ndarray
     down: int
     flip: int | None
+    orbit_bits: np.ndarray | None
 
 
 def _sector_support(state: StateVector) -> _SectorSupport | None:
@@ -118,28 +136,64 @@ def _sector_support(state: StateVector) -> _SectorSupport | None:
     bits = np.empty((idx.size, n))
     for s in range(n):
         bits[:, s] = (idx >> s) & 1
-    amps = state.amplitudes[idx]
+    psi = state.amplitudes
+    amps = psi[idx]
+    # a site permutation g sends index i to sum_s bit_s(i) 2**g(s)
+    kept = [
+        g
+        for g in state._site_generators
+        if _symmetry_sign(psi, amps, (bits @ np.exp2(g)).astype(np.int64)) is not None
+    ]
     return _SectorSupport(
-        bits=bits, amplitudes=amps, down=int(down[0]), flip=_flip_sign(n, idx, amps)
+        bits=bits,
+        amplitudes=amps,
+        down=int(down[0]),
+        flip=_symmetry_sign(psi, amps, (2**n - 1) - idx),
+        orbit_bits=_orbit_bits(kept, n) if kept else None,
     )
 
 
-def _flip_sign(n: int, idx: np.ndarray, amps: np.ndarray) -> int | None:
-    """Sign under flipping every spin, from the ascending support alone.
+def _symmetry_sign(psi: np.ndarray, amps: np.ndarray, image: np.ndarray) -> int | None:
+    """Sign ``f`` with ``psi[image] == f * amps`` exactly, or None.
 
-    The flip maps index ``i`` to ``2**n - 1 - i``, which reverses the
-    order, so the state is flip-symmetric exactly when the reversed
-    support is the complemented one and the reversed amplitudes are
-    ``+amps`` or ``-amps`` everywhere.
+    ``amps`` holds the state's nonzero amplitudes and ``image[p]`` is where
+    a basis permutation sends the index of ``amps[p]``.  The check has no
+    tolerance.  Every image lands on a nonzero amplitude when it passes,
+    so the permutation maps the support onto itself and the zeros onto
+    zeros: the state is ``f`` times itself under it.  The spin flip sends
+    ``i`` to ``2**n - 1 - i``.
     """
-    if not np.array_equal(idx[::-1], (2**n - 1) - idx):
-        return None
-    mirrored = amps[::-1]
-    if np.array_equal(mirrored, amps):
+    moved = psi[image]
+    if np.array_equal(moved, amps):
         return 1
-    if np.array_equal(mirrored, -amps):
+    np.negative(moved, out=moved)
+    if np.array_equal(moved, amps):
         return -1
     return None
+
+
+def _orbit_bits(generators: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """``2**g(s)`` for every g of the group the generators close into.
+
+    Composes generators breadth-first from the identity, so the rows come
+    in a fixed order.  The kept generators are exact symmetries, and so is
+    every product of them.
+    """
+    identity = tuple(range(n))
+    group = {identity: None}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for h in generators:
+                hg = tuple(h[s] for s in g)
+                if hg not in group:
+                    group[hg] = None
+                    grown.append(hg)
+        frontier = grown
+    out = np.left_shift(1, np.array(list(group), dtype=np.int64))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,7 +321,12 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
     weight_scale = float(np.sum(np.abs(weights)))
     if nrm <= 1e-12 * max(1.0, weight_scale):
         raise ValueError("ensemble sum cancels to the zero vector")
-    return StateVector(n_qubits=n_qubits, amplitudes=psi / nrm, norm=nrm)
+    return StateVector(
+        n_qubits=n_qubits,
+        amplitudes=psi / nrm,
+        norm=nrm,
+        _site_generators=ensemble.lattice.symmetry_generators(),
+    )
 
 
 def inner(left: StateVector, right: StateVector) -> float:

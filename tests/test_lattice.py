@@ -261,3 +261,44 @@ def test_equidistant_count_plain_values(grid44):
     counts = [grid44.equidistant_count(5, r) for r in (1, 3, 5)]
     assert sum(counts) == grid44.sublattice_size
     assert np.count_nonzero(counts) == 2
+
+
+class TestSymmetryGenerators:
+    @pytest.mark.parametrize(
+        "lat, count",
+        [
+            (LatticeSpec.square_grid(4, 4), 3),  # two reflections and the transpose
+            (LatticeSpec.square_grid(4, 4, boundary="periodic"), 5),  # and two translations
+            (LatticeSpec.square_grid(2, 4), 2),
+            (LatticeSpec.square_grid(3, 4), 2),
+            (LatticeSpec.square_grid(1, 6), 1),  # the row reflection is the identity
+            (LatticeSpec.square_grid(2, 4, boundary="periodic"), 3),  # row shift = row reflection
+        ],
+        ids=["open44", "periodic44", "open24", "open34", "open16", "periodic24"],
+    )
+    def test_generators_are_lattice_automorphisms(self, lat, count):
+        gens = lat.symmetry_generators()
+        assert len(gens) == count
+        assert len(set(gens)) == count
+        n = lat.site_count
+        bonds = set(lat.nn_bonds())
+        for g in gens:
+            assert sorted(g) == list(range(n))
+            assert g != tuple(range(n))
+            assert {tuple(sorted((g[i], g[j]))) for i, j in bonds} == bonds
+            # every site changes sublattice, or none does
+            assert len({lat.sublattice_of(s) is lat.sublattice_of(g[s]) for s in range(n)}) == 1
+
+    def test_open_44_generators(self, grid44):
+        row_reflection, col_reflection, transpose = grid44.symmetry_generators()
+        assert row_reflection[grid44.index(0, 1)] == grid44.index(3, 1)
+        assert col_reflection[grid44.index(0, 1)] == grid44.index(0, 2)
+        assert transpose[grid44.index(0, 1)] == grid44.index(1, 0)
+
+    def test_periodic_translations(self, grid44_periodic):
+        *_, down, right = grid44_periodic.symmetry_generators()
+        assert down[grid44_periodic.index(3, 2)] == grid44_periodic.index(0, 2)
+        assert right[grid44_periodic.index(2, 3)] == grid44_periodic.index(2, 0)
+
+    def test_gas_has_none(self):
+        assert LatticeSpec.complete_bipartite(4).symmetry_generators() == ()

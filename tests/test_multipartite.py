@@ -44,6 +44,11 @@ def state26():
 
 
 @pytest.fixture(scope="module")
+def state44_periodic(grid44_periodic):
+    return assemble(enumerate_liquid(grid44_periodic))
+
+
+@pytest.fixture(scope="module")
 def disjoint_singlets():
     # |s>_01 x |s>_23: entangled within pairs, product across the (01)|(23) cut
     cov = DimerCovering(a_sites=(0, 2), b_partners=(1, 3))
@@ -117,6 +122,7 @@ class TestSectorBlocks:
         lattice = LatticeSpec.square_grid(4, 4, boundary=boundary)
         state = assemble(enumerate_liquid(lattice))
         assert state._support.flip == 1  # the mirrored-block route
+        assert state._support.orbit_bits is not None  # one spectrum per orbit
         seen = {}
 
         def recording(st_, subset):
@@ -290,10 +296,210 @@ class TestFlipPairing:
 
     def test_audit_halves_the_eigensolves(self, state44, monkeypatch):
         calls = _eigvalsh_calls(monkeypatch)
-        odd_subset_audit(state44, max_size=5)
-        even_subset_audit(state44, max_size=4)
+        # a copy carries no symmetry candidates: one spectrum per subset
+        plain = StateVector(16, state44.amplitudes)
+        odd_subset_audit(plain, max_size=5)
+        even_subset_audit(plain, max_size=4)
         # 24,172 with every block diagonalised
         assert len(calls) == 13_056
+        calls.clear()
+        # the assembled state: one spectrum per orbit of its 8-element group
+        odd_subset_audit(state44, max_size=5)
+        even_subset_audit(state44, max_size=4)
+        assert len(calls) == 1_736
+
+
+def _group_perms(support):
+    """The verified group as site permutations, one row per element."""
+    return np.log2(support.orbit_bits).astype(np.int64)
+
+
+def _closure_oracle(generators, n):
+    """Every product of the generators, by repeated composition to a fixed point."""
+    group = {tuple(range(n))}
+    while True:
+        grown = group | {tuple(h[s] for s in g) for g in group for h in generators}
+        if grown == group:
+            return group
+        group = grown
+
+
+def _orbit_count_oracle(lattice, sizes):
+    """Distinct subset orbits under the closed lattice generators, by brute force."""
+    n = lattice.site_count
+    group = _closure_oracle(lattice.symmetry_generators(), n)
+    return len(
+        {
+            min(tuple(sorted(g[s] for s in subset)) for g in group)
+            for k in sizes
+            for subset in itertools.combinations(range(n), k)
+        }
+    )
+
+
+def _cut_index(cut, n):
+    """Position of a cut in the certificate's enumeration order."""
+    cuts = [(0,) + rest for k in range(1, n) for rest in itertools.combinations(range(1, n), k - 1)]
+    return cuts.index(tuple(cut))
+
+
+def _grids_up_to(max_sites):
+    out = []
+    for boundary in ("open", "periodic"):
+        for rows in range(1, max_sites + 1):
+            for cols in range(1, max_sites // rows + 1):
+                try:
+                    out.append(LatticeSpec.square_grid(rows, cols, boundary=boundary))
+                except ValueError:  # odd site count, or an odd periodic side
+                    pass
+    return out
+
+
+CERTIFICATE_GRIDS = _grids_up_to(multipartite.CERTIFICATE_MAX_QUBITS)
+
+# grids where the unreduced scan picks its min_cut by rounding alone: a
+# single site and its complement have one spectrum, and the complement's
+# entropy comes out one ulp lower than the site's
+ROUNDING_TIES = {(2, 6, "periodic"), (4, 2, "periodic"), (6, 2, "periodic")}
+
+
+class TestOrbits:
+    """One spectrum per lattice-symmetry orbit, pinned to the unreduced routes."""
+
+    @pytest.mark.parametrize(
+        "rows, cols, boundary, order",
+        [(4, 4, "open", 8), (4, 4, "periodic", 128), (2, 4, "open", 4), (3, 4, "open", 4)],
+    )
+    def test_verified_group(self, rows, cols, boundary, order):
+        lattice = LatticeSpec.square_grid(rows, cols, boundary=boundary)
+        state = assemble(enumerate_liquid(lattice))
+        n = state.n_qubits
+        perms = _group_perms(state._support)
+        assert perms.shape == (order, n)
+        assert len({tuple(g) for g in perms}) == order
+        assert {tuple(g) for g in perms} == _closure_oracle(lattice.symmetry_generators(), n)
+        assert not state._support.orbit_bits.flags.writeable
+        # every element maps the dense state to plus or minus itself
+        psi = state.amplitudes
+        basis = np.arange(2**n)
+        for g in perms:
+            image = sum(((basis >> s) & 1) << int(g[s]) for s in range(n))
+            moved = np.empty_like(psi)
+            moved[image] = psi
+            assert np.array_equal(moved, psi) or np.array_equal(moved, -psi)
+
+    @pytest.mark.parametrize(
+        "fixture, lattice_fixture, orbits",
+        [("state44", "grid44", 920), ("state44_periodic", "grid44_periodic", 102)],
+    )
+    def test_audit_computes_one_spectrum_per_orbit(
+        self, fixture, lattice_fixture, orbits, request, monkeypatch
+    ):
+        state = request.getfixturevalue(fixture)
+        lattice = request.getfixturevalue(lattice_fixture)
+        assert _orbit_count_oracle(lattice, (1, 2, 3, 4, 5)) == orbits
+        computed = []
+        spectrum = multipartite._sector_spectrum
+
+        def counting(support, n, sites):
+            computed.append(sites)
+            return spectrum(support, n, sites)
+
+        monkeypatch.setattr(multipartite, "_sector_spectrum", counting)
+        odd = odd_subset_audit(state, max_size=5)
+        even = even_subset_audit(state, max_size=4)
+        assert len(odd.verdicts) + len(even.verdicts) == 6884
+        assert len(computed) == len(set(computed)) == orbits
+        # the memo lives for one scan
+        assert multipartite._SCAN_MEMO.get() is None
+
+    def test_one_ulp_leaves_no_group(self, state44, grid44):
+        amps = state44.amplitudes.copy()
+        generators = grid44.symmetry_generators()
+        # an entry that no generator (nor the flip) sends to itself
+        n = state44.n_qubits
+        for index in np.flatnonzero(amps):
+            images = [sum(((int(index) >> s) & 1) << g[s] for s in range(n)) for g in generators]
+            if index not in images:
+                break
+        else:
+            pytest.fail("every support index is fixed by some generator")
+        amps[index] = np.nextafter(amps[index], np.inf)
+        nudged = StateVector(n, amps, _site_generators=generators)
+        intact = StateVector(n, state44.amplitudes, _site_generators=generators)
+        assert intact._support.orbit_bits.shape == (8, n)
+        assert nudged._support.orbit_bits is None
+        assert nudged._support.flip is None
+        for subset in [(0,), (5, 6), (0, 5, 10), (1, 2, 7, 11), (0, 3, 12, 15)]:
+            _assert_matches_oracle(nudged, subset, subset_spectrum(nudged, subset))
+
+    def test_candidate_that_is_no_symmetry_is_rejected(self, state44, grid44):
+        n = state44.n_qubits
+        # swapping sites 0 and 1 exchanges a corner and an edge site
+        swap = (1, 0) + tuple(range(2, n))
+        row_reflection = grid44.symmetry_generators()[0]
+        only_swap = StateVector(n, state44.amplitudes, _site_generators=(swap,))
+        assert only_swap._support.orbit_bits is None
+        mixed = StateVector(n, state44.amplitudes, _site_generators=(swap, row_reflection))
+        assert {tuple(g) for g in _group_perms(mixed._support)} == {
+            tuple(range(n)),
+            row_reflection,
+        }
+
+    def test_states_without_candidates_keep_the_unreduced_route(self, state44, gas_state4):
+        loaded = states.state_from_bytes(states.state_to_bytes(state44))
+        for state in (StateVector(16, state44.amplitudes), loaded, gas_state4):
+            assert state._support.orbit_bits is None
+
+    def test_spectrum_is_a_function_of_state_and_subset(self, state44, monkeypatch):
+        # bare calls, calls inside a scan, and calls after one agree bit for bit
+        subsets = [(0,), (3,), (12,), (1, 2), (4, 8), (0, 5, 10), (5, 10, 15)]
+        bare = [subset_spectrum(state44, s).tobytes() for s in subsets]
+        seen = {}
+
+        def recording(st_, subset):
+            seen[tuple(subset)] = spectrum = subset_spectrum(st_, subset)
+            return spectrum
+
+        monkeypatch.setattr(multipartite, "subset_spectrum", recording)
+        odd_subset_audit(state44, max_size=3)
+        even_subset_audit(state44, max_size=2)
+        monkeypatch.undo()
+        assert [seen[s].tobytes() for s in subsets] == bare
+        assert [subset_spectrum(state44, s).tobytes() for s in subsets] == bare
+        # orbit members tie bit for bit: the four corners, then the centre
+        assert len({subset_spectrum(state44, (s,)).tobytes() for s in (0, 3, 12, 15)}) == 1
+        assert len({subset_spectrum(state44, (s,)).tobytes() for s in (5, 6, 9, 10)}) == 1
+
+    def test_scan_hands_out_copies(self, state44):
+        with multipartite._orbit_memo(state44):
+            first = subset_spectrum(state44, (0, 1))
+            first[:] = -1.0
+            # (2, 3) is the column mirror image of (0, 1)
+            second = subset_spectrum(state44, (2, 3))
+        _assert_matches_oracle(state44, (2, 3), second)
+
+    @pytest.mark.parametrize(
+        "lattice",
+        CERTIFICATE_GRIDS,
+        ids=[f"{g.rows}x{g.cols}-{g.boundary.value}" for g in CERTIFICATE_GRIDS],
+    )
+    def test_certificate_equals_the_unreduced_scan(self, lattice):
+        state = assemble(enumerate_liquid(lattice))
+        n = state.n_qubits
+        cert = genuine_multipartite_certificate(state)
+        plain_state = StateVector(n, state.amplitudes)
+        plain = genuine_multipartite_certificate(plain_state)
+        assert (cert.genuine, cert.n_cuts) == (plain.genuine, plain.n_cuts)
+        assert abs(cert.min_entropy_bits - plain.min_entropy_bits) <= 1e-12
+        key = (lattice.rows, lattice.cols, lattice.boundary.value)
+        if key not in ROUNDING_TIES:
+            assert cert.min_cut == plain.min_cut
+            return
+        # the orbit scan keeps the earlier of two cuts that tie to one ulp
+        tied = bipartition_verdict(plain_state, cert.min_cut).entropy_bits
+        assert 0.0 < tied - plain.min_entropy_bits <= 1e-15
+        assert _cut_index(cert.min_cut, n) < _cut_index(plain.min_cut, n)
 
 
 class TestBipartitionVerdict:

@@ -438,3 +438,27 @@ class TestStateVectorValidation:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
             StateVector(n_qubits=2, amplitudes=np.array([1.0, 0.0]))
+
+    # Gram blocks and inner products never conjugate, so a complex amplitude
+    # would give wrong spectra: the product state (|0> + i|1>)|0> spans two
+    # S^z sectors and took the dense route, where it read as entangled with
+    # purity 0.5; (|01> + i|10>) lies in one sector, whose route dropped the
+    # imaginary part with a ComplexWarning
+    @pytest.mark.parametrize(
+        "amps",
+        [[SQRT_HALF, 1j * SQRT_HALF, 0.0, 0.0], [0.0, SQRT_HALF, 1j * SQRT_HALF, 0.0]],
+        ids=["dense-route", "sector-route"],
+    )
+    def test_complex_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError, match="^state amplitudes must be real") as err:
+            StateVector(2, amps)
+        assert "\n" not in str(err.value)
+
+    def test_complex_dtype_rejected_even_when_real_valued(self):
+        with pytest.raises(ValueError, match="got dtype complex128$"):
+            StateVector(2, SINGLET_VEC.astype(np.complex128))
+
+    def test_real_values_stored_as_float64(self):
+        state = StateVector(2, [0.0, -SQRT_HALF, SQRT_HALF, 0.0])
+        assert state.amplitudes.dtype == np.float64
+        assert np.array_equal(state.amplitudes, SINGLET_VEC)
