@@ -7,6 +7,10 @@ always ordered A-first; that orientation fixes the sign convention of the
 singlet product built from a covering, so it is enforced rather than
 silently normalized.
 
+An ensemble stores its coverings in this form as one partner table, read
+by validation, serialization, assembly and the loop sums alike;
+:class:`DimerCovering` objects are built from it only on request.
+
 Two enumerations are provided: the gas (every A-B pairing of a complete
 bipartite lattice, ``N!`` coverings) and the liquid (nearest-neighbor
 pairings of a grid).  Both are deterministic: repeated calls yield the
@@ -18,8 +22,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from itertools import chain, permutations
-from operator import attrgetter
+from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,69 +114,111 @@ class DimerCovering:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CoveringEnsemble:
-    """A lattice plus a weighted, ordered list of its coverings."""
+    """A lattice plus a weighted, ordered table of its coverings.
+
+    Read-only ``partners[k, i]`` is covering ``k``'s partner of the
+    lattice's ``i``-th A site and ``weights[k]`` its weight.  Coverings
+    passed in become table rows; :attr:`coverings` rebuilds them on demand.
+    """
 
     lattice: LatticeSpec
-    coverings: tuple[DimerCovering, ...]
     variant: Variant
+    partners: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.coverings:
+    def __init__(
+        self, lattice: LatticeSpec, coverings: Sequence[DimerCovering], variant: Variant
+    ) -> None:
+        if not coverings:
             raise ValueError("ensemble must contain at least one covering")
-        n = self.coverings[0].n_pairs
-        if any(c.n_pairs != n for c in self.coverings):
+        n = coverings[0].n_pairs
+        if any(c.n_pairs != n for c in coverings):
             raise ValueError("coverings must all cover the same lattice")
-        if n != self.lattice.sublattice_size:
+        if n != lattice.sublattice_size:
             raise ValueError(
                 f"covering n_pairs {n} differs from the lattice's sublattice "
-                f"size {self.lattice.sublattice_size}"
+                f"size {lattice.sublattice_size}"
             )
-        self._check_sites_on_lattice()
-        if self.variant in (Variant.GAS, Variant.LIQUID):
-            w0 = self.coverings[0].weight
-            if any(c.weight != w0 for c in self.coverings):
-                raise ValueError(f"{self.variant.value} ensembles carry equal weights")
-        if self.variant is Variant.LIQUID:
-            for c in self.coverings:
-                for a, b in c.pairs:
-                    if b not in self.lattice.neighbors(a):
-                        raise ValueError(
-                            f"liquid covering contains non-nearest-neighbor pair ({a}, {b})"
-                        )
+        # row k is covering k's A sites then its B partners, so the first
+        # bad site in row-major order is the first bad covering's
+        sites = np.array([c.a_sites + c.b_partners for c in coverings], dtype=np.int64)
+        bad = (sites < 0) | (sites >= lattice.site_count)
+        if bad.any():
+            raise ValueError(
+                f"covering site {sites.flat[np.argmax(bad)]} out of range "
+                f"[0, {lattice.site_count})"
+            )
+        off_a = ~np.isin(sites[:, :n], lattice.a_sites())
+        if off_a.any():
+            k, i = np.argwhere(off_a)[0]
+            raise ValueError(f"pair ({sites[k, i]}, {sites[k, n + i]}) is not ordered A-first")
+        weights = np.array([c.weight for c in coverings], dtype=np.float64)
+        self._set_table(lattice, variant, sites[:, n:], weights)
 
-    def _check_sites_on_lattice(self) -> None:
-        """ValueError unless every covering site lies in ``[0, site_count)``.
+    @classmethod
+    def _from_table(
+        cls, lattice: LatticeSpec, variant: Variant, partners: np.ndarray, weights: np.ndarray
+    ) -> "CoveringEnsemble":
+        """Ensemble that takes ownership of ``partners`` and ``weights``."""
+        self = cls.__new__(cls)
+        self._set_table(lattice, variant, partners, weights)
+        return self
 
-        One C-level pass over all sites instead of a Python loop per
-        covering (the gas has 40,320); A-site tuples shared by many
-        coverings are checked once.
-        """
-        on_lattice = frozenset(range(self.lattice.site_count))
-        a_tuples = set(map(attrgetter("a_sites"), self.coverings))
-        b_tuples = map(attrgetter("b_partners"), self.coverings)
-        if on_lattice.issuperset(chain.from_iterable(chain(a_tuples, b_tuples))):
-            return
-        bad = next(
-            s
-            for c in self.coverings
-            for s in (*c.a_sites, *c.b_partners)
-            if s not in on_lattice
+    def _set_table(
+        self, lattice: LatticeSpec, variant: Variant, partners: np.ndarray, weights: np.ndarray
+    ) -> None:
+        """Validate the table in array operations, then freeze and store it."""
+        partners = np.ascontiguousarray(partners, dtype=np.int64)
+        # every covering holds every A site, so a repeated site or an A site
+        # among the partners leaves a row that is not a permutation of B
+        if np.any(np.sort(partners, axis=1) != lattice.b_sites()):
+            raise ValueError("covering sites must be distinct: each site lies in one pair")
+        if variant in (Variant.GAS, Variant.LIQUID) and np.any(weights != weights[0]):
+            raise ValueError(f"{variant.value} ensembles carry equal weights")
+        if variant is Variant.LIQUID:
+            n = lattice.site_count
+            a_sites = np.array(lattice.a_sites())
+            bonds = [a * n + b for a in a_sites.tolist() for b in lattice.neighbors(a)]
+            far = ~np.isin(a_sites * n + partners, bonds)
+            if far.any():
+                k, i = np.argwhere(far)[0]
+                raise ValueError(
+                    f"liquid covering contains non-nearest-neighbor pair "
+                    f"({a_sites[i]}, {partners[k, i]})"
+                )
+        partners.setflags(write=False)
+        weights.setflags(write=False)
+        fields = {"lattice": lattice, "variant": variant, "partners": partners, "weights": weights}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coverings(self) -> tuple[DimerCovering, ...]:
+        """The table as :class:`DimerCovering` objects, built on first use."""
+        a = self.lattice.a_sites()
+        return tuple(
+            DimerCovering(a_sites=a, b_partners=tuple(row), weight=w)
+            for row, w in zip(self.partners.tolist(), self.weights.tolist())
         )
-        raise ValueError(f"covering site {bad} out of range [0, {self.lattice.site_count})")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoveringEnsemble):
+            return NotImplemented
+        return (self.lattice, self.variant) == (other.lattice, other.variant) and all(
+            map(np.array_equal, (self.partners, self.weights), (other.partners, other.weights))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.variant, self.partners.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.coverings)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.coverings], dtype=np.float64)
+        return len(self.partners)
 
     @property
     def has_equal_weights(self) -> bool:
-        w = self.weights
-        return bool(np.all(w == w[0]))
+        return bool(np.all(self.weights == self.weights[0]))
 
 
 def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
@@ -186,12 +232,8 @@ def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     n = lattice.n_per_sublattice
     if n > GAS_MAX_N:
         raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
-    a = lattice.a_sites()
-    covs = tuple(
-        DimerCovering(a_sites=a, b_partners=perm)
-        for perm in permutations(lattice.b_sites())
-    )
-    return CoveringEnsemble(lattice=lattice, coverings=covs, variant=Variant.GAS)
+    table = np.array(list(permutations(lattice.b_sites())), dtype=np.int64)
+    return CoveringEnsemble._from_table(lattice, Variant.GAS, table, np.ones(len(table)))
 
 
 def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
@@ -219,21 +261,14 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
         )
     max_coverings = LIQUID_MAX_STORED_PAIRS // (n // 2)
     adj = [lattice.neighbors(s) for s in range(n)]
-    is_a = [lattice.sublattice_of(s) is Sublattice.A for s in range(n)]
+    a_sites = lattice.a_sites()
     matched = [False] * n
+    mate = [0] * n
     bond_stack: list[tuple[int, int]] = []
-    found: list[DimerCovering] = []
+    found: list[list[int]] = []  # one partner-table row per covering
 
     def lowest_unmatched(start: int) -> int | None:
         return next((s for s in range(start, n) if not matched[s]), None)
-
-    def covering(bonds: list[tuple[int, int]]) -> DimerCovering:
-        # nearest-neighbor bonds join A to B, so orienting them A-first and
-        # sorting gives what from_pairs would, without re-validating
-        pairs = sorted((s, t) if is_a[s] else (t, s) for s, t in bonds)
-        return DimerCovering(
-            a_sites=tuple(a for a, _ in pairs), b_partners=tuple(b for _, b in pairs)
-        )
 
     # one frame per matched bond: the site and its untried neighbors;
     # every site below a frame's site is matched while the frame is live
@@ -249,6 +284,7 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
                 matched[bond_stack.pop()[1]] = False
             continue
         matched[t] = True
+        mate[site], mate[t] = t, site
         bond_stack.append((site, t))
         nxt = lowest_unmatched(site + 1)
         if nxt is not None:
@@ -261,12 +297,13 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
                 f"(coverings x pairs); {lattice.rows}x{lattice.cols} grid has more "
                 f"than {max_coverings} coverings of {n // 2} pairs"
             )
-        found.append(covering(bond_stack))
+        found.append([mate[a] for a in a_sites])
         bond_stack.pop()
         matched[t] = False
     if not found:
         raise ValueError("lattice admits no nearest-neighbor perfect matching")
-    return CoveringEnsemble(lattice=lattice, coverings=tuple(found), variant=Variant.LIQUID)
+    table = np.array(found, dtype=np.int64)
+    return CoveringEnsemble._from_table(lattice, Variant.LIQUID, table, np.ones(len(table)))
 
 
 def custom_ensemble(
@@ -275,8 +312,7 @@ def custom_ensemble(
     weights: Sequence[float] | None = None,
 ) -> CoveringEnsemble:
     """Ensemble from explicit coverings; weights default to 1."""
-    if weights is None:
-        weights = [1.0] * len(pair_lists)
+    weights = [1.0] * len(pair_lists) if weights is None else weights
     if len(weights) != len(pair_lists):
         raise ValueError("one weight per covering required")
     covs = tuple(
@@ -294,11 +330,14 @@ def ensemble_to_json(ensemble: CoveringEnsemble) -> str:
         "schema": 1,
         "lattice": lattice_to_config(ensemble.lattice),
         "variant": ensemble.variant.value,
-        # JSON writes tuples as arrays: the same text as nested lists
-        "coverings": [c.pairs for c in ensemble.coverings],
-        "weights": [c.weight for c in ensemble.coverings],
+        "weights": ensemble.weights.tolist(),
     }
-    return json.dumps(doc, sort_keys=True)
+    # the text of json.dumps(doc, sort_keys=True) with the coverings as
+    # nested pair lists: "coverings" sorts first, and each row fills one
+    # template with the lattice's A sites written in
+    row = "[" + ", ".join(f"[{a}, %d]" for a in ensemble.lattice.a_sites()) + "]"
+    rows = ", ".join([row] * len(ensemble)) % tuple(ensemble.partners.ravel().tolist())
+    return '{"coverings": [' + rows + "], " + json.dumps(doc, sort_keys=True)[1:]
 
 
 def ensemble_from_json(text: str) -> CoveringEnsemble:
@@ -306,7 +345,7 @@ def ensemble_from_json(text: str) -> CoveringEnsemble:
     lattice = lattice_from_config(doc["lattice"])
     variant = Variant(doc["variant"])
     covs = tuple(
-        DimerCovering.from_pairs(lattice, [tuple(p) for p in pairs], weight=w)
+        DimerCovering.from_pairs(lattice, pairs, weight=w)
         for pairs, w in zip(doc["coverings"], doc["weights"])
     )
     return CoveringEnsemble(lattice=lattice, coverings=covs, variant=variant)

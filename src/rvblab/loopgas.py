@@ -111,8 +111,10 @@ def build_transition_graph(c_k: DimerCovering, c_l: DimerCovering) -> Transition
 
 def _partner_matrix(ensemble: CoveringEnsemble) -> np.ndarray:
     """(coverings x sites) array: row k maps each site to its partner in k."""
-    n_sites = ensemble.lattice.site_count
-    return np.stack([c.partner_array(n_sites) for c in ensemble.coverings])
+    a = np.broadcast_to(ensemble.lattice.a_sites(), ensemble.partners.shape)
+    out = np.empty((len(ensemble), ensemble.lattice.site_count), dtype=np.int64)
+    np.put_along_axis(out, np.hstack((a, ensemble.partners)), np.hstack((ensemble.partners, a)), 1)
+    return out
 
 
 def _row_loops(partners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +148,7 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
     :class:`CapExceeded` above ``MAX_GRAPH_PAIRS`` ordered pairs.
     """
     _check_scannable(ensemble)
-    n_cov = len(ensemble.coverings)
+    n_cov = len(ensemble)
     if n_cov * n_cov > MAX_GRAPH_PAIRS:
         raise CapExceeded(
             f"loop scan capped at {MAX_GRAPH_PAIRS} ordered covering pairs; "
@@ -193,7 +195,7 @@ def loop_formula_p(
     n_sites = lattice.site_count
     if not (0 <= i < n_sites and 0 <= j < n_sites) or i == j:
         raise ValueError(f"need two distinct sites in [0, {n_sites}), got ({i}, {j})")
-    n_cov = len(ensemble.coverings)
+    n_cov = len(ensemble)
     if n_cov * n_cov > max_graph_pairs:
         from .entanglement import extract_werner_p
 

@@ -15,13 +15,14 @@ Basis and sign conventions, fixed once here and relied on everywhere:
 Assembly sums covering products with their weights and normalizes once at
 the end; the pre-normalization norm is preserved on the result.  One index
 kernel serves both :func:`singlet_product` and :func:`assemble`: for a
-chunk of ``ASSEMBLY_CHUNK`` coverings it builds every covering's 2**N
-nonzero basis indices at once, and one ``np.add.at`` scatters the chunk's
-weighted amplitudes covering-major and pattern-minor.  Each amplitude thus
-sums its terms in ensemble order, a fixed-order deterministic reduction,
-so identical ensembles yield bit-identical state vectors.  A chunk holds
-two (chunk, 2**N) temporaries, 256 kB each at N = 8; nothing is kept
-across chunks but the state.
+slice of ``ASSEMBLY_CHUNK`` rows of the ensemble's partner table it
+builds every covering's 2**N nonzero basis indices at once, and one
+``np.add.at`` scatters the chunk's weighted amplitudes covering-major and
+pattern-minor.  Each amplitude thus sums its terms in ensemble order, a
+fixed-order deterministic reduction, so identical ensembles yield
+bit-identical state vectors.  A chunk holds two (chunk, 2**N)
+temporaries, 256 kB each at N = 8; nothing is kept across chunks but the
+state.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class StateVector:
     ``_site_generators`` lists candidate site symmetries (see
     :meth:`LatticeSpec.symmetry_generators`); :func:`assemble` passes its
     lattice's, and the support keeps only those the amplitudes obey.
+    Two states are equal when qubit count, norm and amplitude bytes are.
     """
 
     n_qubits: int
@@ -91,6 +93,14 @@ class StateVector:
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
+
+    def __eq__(self, other: object) -> bool:
+        # the generated __eq__ would ask an ndarray comparison for one bool
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return (self.n_qubits, self.norm) == (other.n_qubits, other.norm) and (
+            self.amplitudes.tobytes() == other.amplitudes.tobytes()
+        )
 
     @cached_property
     def _support(self) -> "_SectorSupport | None":
@@ -249,14 +259,15 @@ def _pattern_amplitudes(n_pairs: int) -> np.ndarray:
 def _chunk_indices(a_sites: np.ndarray, b_partners: np.ndarray) -> np.ndarray:
     """Basis indices of a chunk of coverings' nonzero entries.
 
-    ``a_sites`` and ``b_partners`` are (chunk, n_pairs) int64 arrays, one
-    covering per row.  Entry ``[c, u]`` is
+    ``a_sites`` is the (n_pairs,) A sites shared by the chunk and
+    ``b_partners`` a (chunk, n_pairs) int64 slice of the partner table.
+    Entry ``[c, u]`` is
     ``sum_k 2**b_k + bit_k(u) * (2**a_k - 2**b_k)`` over covering ``c``'s
     pairs: pattern ``u`` in the order of :func:`_pattern_amplitudes`.
     Built by doubling, so columns ``[2**k, 2**(k+1))`` are columns
     ``[0, 2**k)`` plus pair ``k``'s term.
     """
-    n_chunk, n_pairs = a_sites.shape
+    n_chunk, n_pairs = b_partners.shape
     pow_b = np.left_shift(1, b_partners)
     step = np.left_shift(1, a_sites) - pow_b
     idx = np.empty((n_chunk, 2**n_pairs), dtype=np.int64)
@@ -279,10 +290,7 @@ def singlet_product(covering: DimerCovering) -> StateVector:
     if min(sites) < 0 or max(sites) >= n_qubits:
         raise ValueError(f"site indices {sites} out of range for {n_qubits} qubits")
     # a one-row chunk of the assembly kernel
-    idx = _chunk_indices(
-        np.array([covering.a_sites], dtype=np.int64),
-        np.array([covering.b_partners], dtype=np.int64),
-    )
+    idx = _chunk_indices(np.array(covering.a_sites), np.array([covering.b_partners]))
     psi = np.zeros(2**n_qubits)
     psi[idx[0]] = _pattern_amplitudes(covering.n_pairs)
     return StateVector(n_qubits=n_qubits, amplitudes=psi, norm=1.0)
@@ -303,15 +311,12 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
             f"state assembly capped at {ASSEMBLY_MAX_QUBITS} qubits; lattice has {n_qubits}"
         )
     amps = _pattern_amplitudes(ensemble.lattice.sublattice_size)
+    a_sites = np.array(ensemble.lattice.a_sites(), dtype=np.int64)
     weights = ensemble.weights
     psi = np.zeros(2**n_qubits)
-    coverings = ensemble.coverings
-    for start in range(0, len(coverings), ASSEMBLY_CHUNK):
+    for start in range(0, len(ensemble), ASSEMBLY_CHUNK):
         stop = start + ASSEMBLY_CHUNK
-        idx = _chunk_indices(
-            np.array([c.a_sites for c in coverings[start:stop]], dtype=np.int64),
-            np.array([c.b_partners for c in coverings[start:stop]], dtype=np.int64),
-        )
+        idx = _chunk_indices(a_sites, ensemble.partners[start:stop])
         # one covering's indices are distinct, and ufunc.at adds in order,
         # so each amplitude sums its terms in ensemble order
         np.add.at(psi, idx.ravel(), (weights[start:stop, None] * amps).ravel())

@@ -6,7 +6,8 @@ permutation filters, Ryser's permanent, the non-Hermitian concurrence
 route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
 loop, dense Gram matrices for subset spectra, one scatter per covering
-for state assembly) so that agreement is evidence, not tautology.
+for state assembly, one ``DimerCovering`` object per covering for the
+partner table) so that agreement is evidence, not tautology.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from rvblab import (
+    DimerCovering,
     LatticeSpec,
     StateVector,
     Sublattice,
@@ -235,6 +237,55 @@ def bfs_distances(lattice, start):
 
 
 # ----------------------------------------------------------------------
+# oracle: covering objects, the routes the partner table replaced
+
+
+def gas_coverings_oracle(lattice):
+    """Every gas covering as a ``DimerCovering``, one per B permutation."""
+    a_sites = lattice.a_sites()
+    return tuple(
+        DimerCovering(a_sites=a_sites, b_partners=perm)
+        for perm in itertools.permutations(lattice.b_sites())
+    )
+
+
+def liquid_coverings_oracle(lattice):
+    """Nearest-neighbour coverings by recursion, as ``DimerCovering`` objects.
+
+    Matches the lowest unmatched site to each unmatched neighbour in
+    ascending order, so coverings come in the order of their bond
+    sequences; each one is validated through ``from_pairs``.
+    """
+    n = lattice.site_count
+    matched = [False] * n
+    found = []
+
+    def extend(bonds):
+        site = next((s for s in range(n) if not matched[s]), None)
+        if site is None:
+            on_a = [lattice.sublattice_of(s) is Sublattice.A for s, _ in bonds]
+            pairs = [(s, t) if a else (t, s) for (s, t), a in zip(bonds, on_a)]
+            found.append(DimerCovering.from_pairs(lattice, pairs))
+            return
+        matched[site] = True
+        for t in lattice.neighbors(site):
+            if not matched[t]:
+                matched[t] = True
+                extend(bonds + [(site, t)])
+                matched[t] = False
+        matched[site] = False
+
+    extend([])
+    return tuple(found)
+
+
+def partner_matrix_oracle(ensemble):
+    """(coverings x sites) partner map, one ``partner_array`` per covering."""
+    n_sites = ensemble.lattice.site_count
+    return np.stack([c.partner_array(n_sites) for c in ensemble.coverings])
+
+
+# ----------------------------------------------------------------------
 # oracle: state assembly
 
 
@@ -421,7 +472,7 @@ def loop_formula_scan_oracle(ensemble):
     """
     lattice = ensemble.lattice
     n_sites = lattice.site_count
-    partners = [c.partner_array(n_sites) for c in ensemble.coverings]
+    partners = partner_matrix_oracle(ensemble)
     numerator = np.zeros((n_sites, n_sites), dtype=np.float64)
     denominator = 0.0
     for p_k in partners:

@@ -1,12 +1,19 @@
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 import rvblab.coverings as coverings_mod
 
-from conftest import biadjacency, brute_force_matchings, ryser_permanent
+from conftest import (
+    biadjacency,
+    brute_force_matchings,
+    gas_coverings_oracle,
+    liquid_coverings_oracle,
+    ryser_permanent,
+)
 from rvblab import (
     CapExceeded,
     CoveringEnsemble,
@@ -19,7 +26,20 @@ from rvblab import (
     enumerate_gas,
     enumerate_liquid,
 )
+from rvblab.cli import main
 from rvblab.lattice import lattice_to_config
+
+# the open and periodic 4x4, 2x6 and 4x6
+ORACLE_GRIDS = [(r, c, b) for r, c in ((4, 4), (2, 6), (4, 6)) for b in ("open", "periodic")]
+ORACLE_GRID_IDS = [f"{b}{r}x{c}" for r, c, b in ORACLE_GRIDS]
+CUSTOM_WEIGHTS = (0.5, 2.0, -1.0, 2**-40)
+
+
+def custom_weighted():
+    """The first four 2x4 liquid coverings with unequal, signed weights."""
+    lattice = LatticeSpec.square_grid(2, 4)
+    pairs = [c.pairs for c in enumerate_liquid(lattice).coverings[:4]]
+    return custom_ensemble(lattice, pairs, weights=CUSTOM_WEIGHTS)
 
 
 class TestDimerCovering:
@@ -239,6 +259,37 @@ class TestEnsembleValidation:
             CoveringEnsemble(lattice=lat, coverings=(covering,), variant=variant)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_b_first_covering_rejected(self, variant):
+        # accepted once, and assembled to the sign-flipped singlet
+        lat = LatticeSpec.complete_bipartite(1)
+        cov = DimerCovering(a_sites=(1,), b_partners=(0,))
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
+            CoveringEnsemble(lattice=lat, coverings=(cov,), variant=variant)
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
+            DimerCovering.from_pairs(lat, cov.pairs)
+
+    def test_b_first_liquid_covering_rejected(self, grid22):
+        # both bonds are nearest-neighbour, but 1 and 2 are B sites
+        cov = DimerCovering(a_sites=(1, 2), b_partners=(0, 3))
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
+            CoveringEnsemble(lattice=grid22, coverings=(cov,), variant=Variant.LIQUID)
+
+    @pytest.mark.parametrize(
+        "table", [[[2, 2]], [[0, 3]], [[2, 3], [3, 3]]], ids=["repeat", "a_site", "second_row"]
+    )
+    def test_table_rows_must_permute_b(self, table):
+        lat = LatticeSpec.complete_bipartite(2)
+        with pytest.raises(ValueError, match="distinct"):
+            CoveringEnsemble._from_table(lat, Variant.GAS, np.array(table), np.ones(len(table)))
+
+    def test_table_liquid_bonds_checked(self, grid24):
+        # partners of the A sites 0, 2, 5, 7: a permutation of B, but 2 and 4
+        # are two columns apart
+        table = np.array([[1, 4, 6, 3]])
+        with pytest.raises(ValueError, match=r"non-nearest-neighbor pair \(2, 4\)"):
+            CoveringEnsemble._from_table(grid24, Variant.LIQUID, table, np.ones(1))
+
     def test_bad_site_found_past_good_coverings(self):
         lat = LatticeSpec.complete_bipartite(2)
         good = enumerate_gas(lat).coverings
@@ -279,26 +330,89 @@ class TestSerialization:
             ensemble_from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "make",
+        [partial(enumerate_gas, LatticeSpec.complete_bipartite(8)), custom_weighted],
+        ids=["gas8", "custom_weighted"],
+    )
+    def test_roundtrip_keeps_table_weights_and_text(self, make):
+        ens = make()
+        text = ensemble_to_json(ens)
+        back = ensemble_from_json(text)
+        assert back.partners.dtype == ens.partners.dtype
+        assert back.partners.shape == ens.partners.shape
+        assert back.partners.tobytes() == ens.partners.tobytes()
+        assert back.weights.tobytes() == ens.weights.tobytes()
+        assert ensemble_to_json(back) == text
+        assert back == ens
+
     def test_json_stable_bytes(self, gas3):
         assert ensemble_to_json(gas3) == ensemble_to_json(gas3)
 
     @pytest.mark.parametrize(
-        "enumerate_, lattice",
-        [(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in range(1, 9)]
+        "make",
+        [partial(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in range(1, 9)]
         + [
-            (enumerate_liquid, LatticeSpec.square_grid(4, 4, boundary=b))
+            partial(enumerate_liquid, LatticeSpec.square_grid(4, 4, boundary=b))
             for b in ("open", "periodic")
-        ],
-        ids=[f"gas{n}" for n in range(1, 9)] + ["open44", "periodic44"],
+        ]
+        + [custom_weighted],
+        ids=[f"gas{n}" for n in range(1, 9)] + ["open44", "periodic44", "custom_weighted"],
     )
-    def test_json_text_equals_the_nested_list_document(self, enumerate_, lattice):
+    def test_json_text_equals_the_nested_list_document(self, make):
         # ensemble_sha256 digests this text; it was written from nested lists
-        ens = enumerate_(lattice)
+        ens = make()
         nested = {
             "schema": 1,
-            "lattice": lattice_to_config(lattice),
+            "lattice": lattice_to_config(ens.lattice),
             "variant": ens.variant.value,
             "coverings": [[list(p) for p in c.pairs] for c in ens.coverings],
             "weights": [c.weight for c in ens.coverings],
         }
         assert ensemble_to_json(ens) == json.dumps(nested, sort_keys=True)
+
+
+class TestPartnerTable:
+    """The table is the ensemble's data; the object routes it replaced are
+    kept in ``conftest`` and pinned here with ``==``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gas_coverings_equal_the_object_route(self, n):
+        lattice = LatticeSpec.complete_bipartite(n)
+        assert enumerate_gas(lattice).coverings == gas_coverings_oracle(lattice)
+
+    @pytest.mark.parametrize("rows, cols, boundary", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
+    def test_liquid_coverings_equal_the_object_route(self, rows, cols, boundary):
+        lattice = LatticeSpec.square_grid(rows, cols, boundary=boundary)
+        assert enumerate_liquid(lattice).coverings == liquid_coverings_oracle(lattice)
+
+    def test_layout(self, gas3, liquid23):
+        for ens in (gas3, liquid23):
+            assert ens.partners.dtype == np.int64
+            assert ens.partners.shape == (len(ens), ens.lattice.sublattice_size)
+            assert not ens.partners.flags.writeable
+            assert not ens.weights.flags.writeable
+            for row, cov in zip(ens.partners.tolist(), ens.coverings):
+                assert cov.a_sites == ens.lattice.a_sites()
+                assert tuple(row) == cov.b_partners
+
+    def test_objects_and_table_give_equal_ensembles(self, gas3):
+        rebuilt = CoveringEnsemble(
+            lattice=gas3.lattice, coverings=gas3.coverings, variant=Variant.GAS
+        )
+        assert rebuilt == gas3
+        assert hash(rebuilt) == hash(gas3)
+        assert rebuilt.partners.tobytes() == gas3.partners.tobytes()
+        custom = CoveringEnsemble(
+            lattice=gas3.lattice, coverings=gas3.coverings, variant=Variant.CUSTOM
+        )
+        assert custom != gas3
+
+    def test_gas_run_builds_no_covering_object(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a DimerCovering was built")
+
+        monkeypatch.setattr(DimerCovering, "__post_init__", refuse)
+        args = ["--lattice", "complete-bipartite", "--n", "4"]
+        tasks = ["--tasks", "enumerate", "assemble", "werner-scan"]
+        assert main([*args, *tasks, "--out", str(tmp_path / "out")]) == 0

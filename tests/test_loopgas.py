@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import loop_formula_scan_oracle
+from conftest import loop_formula_scan_oracle, partner_matrix_oracle
 from rvblab import (
     DimerCovering,
     LatticeSpec,
@@ -18,7 +18,7 @@ from rvblab import (
     same_sublattice_scan,
     singlet_product,
 )
-from rvblab.loopgas import MAX_GRAPH_PAIRS
+from rvblab.loopgas import MAX_GRAPH_PAIRS, _partner_matrix
 
 
 class TestTransitionGraph:
@@ -231,3 +231,24 @@ class TestSameSublatticeScan:
 
 def test_cap_constant_reasonable():
     assert MAX_GRAPH_PAIRS >= 36 * 36  # full scan of the 4x4 liquid stays direct
+
+
+class TestPartnerMatrix:
+    """One scatter of the partner table equals one ``partner_array`` per covering."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gas(self, n):
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(n))
+        got = _partner_matrix(ens)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, partner_matrix_oracle(ens))
+
+    @pytest.mark.parametrize(
+        "rows, cols, boundary",
+        [(r, c, b) for r, c in ((4, 4), (2, 6), (4, 6)) for b in ("open", "periodic")],
+    )
+    def test_liquid(self, rows, cols, boundary):
+        ens = enumerate_liquid(LatticeSpec.square_grid(rows, cols, boundary=boundary))
+        got = _partner_matrix(ens)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, partner_matrix_oracle(ens))

@@ -430,6 +430,23 @@ class TestSerialization:
         assert np.max(np.abs(back.matrix - dm.matrix)) == 0.0
 
 
+class TestStateVectorEquality:
+    def test_distinct_states_compare_without_raising(self, state22):
+        # the dataclass-generated __eq__ raised "truth value of an array ...
+        # is ambiguous" here: same amplitudes, norm 1.0 against the raw norm
+        other = StateVector(n_qubits=4, amplitudes=state22.amplitudes.copy())
+        assert other.norm != state22.norm
+        assert not state22 == other
+        assert state22 != other
+
+    def test_equal_on_qubits_norm_and_amplitude_bytes(self, state22):
+        same = StateVector(n_qubits=4, amplitudes=state22.amplitudes.copy(), norm=state22.norm)
+        assert same == state22
+        flipped = StateVector(n_qubits=4, amplitudes=-state22.amplitudes, norm=state22.norm)
+        assert flipped != state22
+        assert state22 != state22.amplitudes.tobytes()
+
+
 class TestStateVectorValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
