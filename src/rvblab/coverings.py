@@ -171,6 +171,8 @@ class CoveringEnsemble:
     ) -> None:
         """Validate the table in array operations, then freeze and store it."""
         partners = np.ascontiguousarray(partners, dtype=np.int64)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("covering weights must be finite")
         # every covering holds every A site, so a repeated site or an A site
         # among the partners leaves a row that is not a permutation of B
         if np.any(np.sort(partners, axis=1) != lattice.b_sites()):
@@ -313,13 +315,50 @@ def custom_ensemble(
 ) -> CoveringEnsemble:
     """Ensemble from explicit coverings; weights default to 1."""
     weights = [1.0] * len(pair_lists) if weights is None else weights
+    return _ensemble_from_pairs(lattice, Variant.CUSTOM, pair_lists, weights)
+
+
+def _ensemble_from_pairs(
+    lattice: LatticeSpec,
+    variant: Variant,
+    pair_lists: Sequence[Iterable[tuple[int, int]]],
+    weights: Sequence[float],
+) -> CoveringEnsemble:
+    """Ensemble from A-first pair lists, checked as :meth:`DimerCovering.from_pairs` checks.
+
+    The lists are read as one integer array.  A list passes when its
+    first sites are the lattice's A sites and its second sites its B
+    sites, each once, which is exactly what ``from_pairs`` accepts.  The
+    first list that fails, or every list when they do not stack into one
+    (coverings, pairs, 2) array, goes through ``from_pairs``, which names
+    the fault.
+    """
     if len(weights) != len(pair_lists):
-        raise ValueError("one weight per covering required")
-    covs = tuple(
-        DimerCovering.from_pairs(lattice, pairs, weight=w)
-        for pairs, w in zip(pair_lists, weights)
-    )
-    return CoveringEnsemble(lattice=lattice, coverings=covs, variant=Variant.CUSTOM)
+        raise ValueError(
+            f"one weight per covering required; got {len(pair_lists)} coverings "
+            f"and {len(weights)} weights"
+        )
+    if not pair_lists:
+        raise ValueError("ensemble must contain at least one covering")
+    n = lattice.sublattice_size
+    try:
+        pairs = np.array(pair_lists, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # ragged or not integers
+        pairs = None
+    if pairs is not None and pairs.shape == (len(pair_lists), n, 2):
+        pairs = np.take_along_axis(pairs, np.argsort(pairs[:, :, :1], axis=1), axis=1)
+        passed = np.all(pairs[:, :, 0] == lattice.a_sites(), axis=1) & np.all(
+            np.sort(pairs[:, :, 1], axis=1) == lattice.b_sites(), axis=1
+        )
+        for k in np.flatnonzero(~passed)[:1]:
+            DimerCovering.from_pairs(lattice, pair_lists[k])  # raises
+        partners = pairs[:, :, 1]
+    else:
+        partners = np.array(
+            [DimerCovering.from_pairs(lattice, pairs).b_partners for pairs in pair_lists]
+        )
+    weights = np.array([float(w) for w in weights])
+    return CoveringEnsemble._from_table(lattice, variant, partners, weights)
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +383,4 @@ def ensemble_from_json(text: str) -> CoveringEnsemble:
     doc = json.loads(text)
     lattice = lattice_from_config(doc["lattice"])
     variant = Variant(doc["variant"])
-    covs = tuple(
-        DimerCovering.from_pairs(lattice, pairs, weight=w)
-        for pairs, w in zip(doc["coverings"], doc["weights"])
-    )
-    return CoveringEnsemble(lattice=lattice, coverings=covs, variant=variant)
+    return _ensemble_from_pairs(lattice, variant, doc["coverings"], doc["weights"])

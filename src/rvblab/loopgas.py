@@ -18,20 +18,30 @@ integers; this route never touches the exponentially large state vector
 and serves as an independent check of the state-assembly pipeline.
 
 The sums run through one NumPy kernel, ``_row_loops``, that labels the
-loops of (k, l) for every l >= k at once.  A loop of (k, l) is the union
-of two orbits, of s and of p_k(s), under the permutation p_l o p_k, so
-``ceil(log2(sites / 2))`` pointer-doubling steps of ``m = min(m, m[f]);
-f = f[f]``, started from ``m = min(s, p_k(s))``, leave every site
-labelled by the smallest site of its loop; a loop's smallest site is the
-one site whose label is itself.  The summand is symmetric in (k, l), so
-only l >= k is summed and each off-diagonal weight counts twice.  The
-scan sums in float64.  Every weight is a power of two, and every
-partial sum is a multiple of the smallest weight 2**L_min and at most
-(covering pairs) * 2**(N - L_min) times it, below 2**53 for any ensemble
-within ``MAX_GRAPH_PAIRS`` on up to 74 sites.  The float sums are then
-the exact integers in any summation order, and each Werner parameter is
-the correctly rounded quotient of two of them.  ``loop_formula_p`` sums
-Python ints instead, which are exact at any size.
+loops of (k, l) for every l from a given first row at once.  A loop of
+(k, l) is the union of two orbits, of s and of p_k(s), under the
+permutation p_l o p_k, so ``ceil(log2(sites / 2))`` pointer-doubling
+steps of ``m = min(m, m[f]); f = f[f]``, started from ``m = min(s,
+p_k(s))``, leave every site labelled by the smallest site of its loop; a
+loop's smallest site is the one site whose label is itself.
+
+The scan sums one full row per covering orbit.  A site permutation g of
+the lattice that maps the ensemble onto itself (checked exactly on the
+partner arrays) maps the transition graph of (k, l) onto that of
+(g(k), g(l)), so covering g(r)'s full row ``sum_l 2**L X_ij`` is covering
+r's with sites i, j moved to g[i], g[j].  The scan labels the full row of
+each orbit representative r and adds it once per orbit member, under a
+g that maps r to the member; the row total enters the denominator as
+often.  No division enters.  The scan sums in float64.  Every weight is
+a power of two, and every partial sum is a multiple of the smallest
+weight 2**L_min and at most (covering pairs) * 2**(N - L_min) times it,
+below 2**53 for any ensemble within ``MAX_GRAPH_PAIRS`` on up to 74
+sites.  The float sums are then the exact integers in any summation
+order, so the orbit rows give the same numerator and denominator as the
+sum over every ordered pair, and each Werner parameter is the correctly
+rounded quotient of two of them.  ``loop_formula_p`` sums Python ints
+over l >= k, each off-diagonal weight counted twice, which is exact at
+any size.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import numpy as np
 
 from .coverings import CoveringEnsemble, DimerCovering
 from .errors import CapExceeded
-from .lattice import Sublattice
+from .lattice import LatticeSpec, Sublattice
 from .states import assemble, reduced_density_matrix
 
 MAX_GRAPH_PAIRS = 100_000
@@ -117,16 +127,16 @@ def _partner_matrix(ensemble: CoveringEnsemble) -> np.ndarray:
     return out
 
 
-def _row_loops(partners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Loop labels and loop counts of (k, l) for every l >= k.
+def _row_loops(partners: np.ndarray, k: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loop labels and loop counts of (k, l) for every l >= ``first``.
 
-    Row ``l - k`` of the labels gives each site the smallest site of its
-    loop in the transition graph of coverings k and l.
+    Row ``l - first`` of the labels gives each site the smallest site of
+    its loop in the transition graph of coverings k and l.
     """
     p_k = partners[k]
     n_sites = p_k.shape[0]
     sites = np.arange(n_sites)
-    f = partners[k:, p_k]  # p_l o p_k, one row per l
+    f = partners[first:, p_k]  # p_l o p_k, one row per l
     m = np.broadcast_to(np.minimum(sites, p_k), f.shape)
     # the orbits of p_l o p_k hold at most half the sites
     for _ in range((n_sites // 2 - 1).bit_length()):
@@ -135,9 +145,64 @@ def _row_loops(partners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.count_nonzero(m == sites, axis=1)
 
 
+def _kept_generators(
+    lattice: LatticeSpec, partners: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The lattice's symmetry generators that map the coverings onto themselves.
+
+    A site permutation g sends the covering with partner array p to the
+    one with ``q[g[s]] = g[p[s]]``.  g is kept only if the image rows are
+    the rows of ``partners`` again, compared exactly on integers and as a
+    multiset, so that a covering listed twice must map to one listed
+    twice.  Each kept g comes with ``cover``, the permutation it induces
+    on the rows: row ``cover[k]`` is the image of row k.
+    """
+    kept = []
+    order = np.lexsort(partners.T[::-1])
+    for g in map(np.array, lattice.symmetry_generators()):
+        image = np.empty_like(partners)
+        image[:, g] = g[partners]
+        image_order = np.lexsort(image.T[::-1])
+        if np.array_equal(image[image_order], partners[order]):
+            cover = np.empty_like(order)
+            cover[image_order] = order
+            kept.append((g, cover))
+    return kept
+
+
+def _covering_orbits(
+    lattice: LatticeSpec, partners: np.ndarray
+) -> list[tuple[int, list[np.ndarray]]]:
+    """Each covering orbit as its representative r and its site maps.
+
+    Walks the kept generators breadth-first from the lowest covering not
+    yet reached.  Each covering k of the orbit gives one site permutation
+    g with k = g(r), so the orbit holds ``len(maps)`` coverings.  Without
+    a kept generator every covering is its own orbit.
+    """
+    kept = _kept_generators(lattice, partners)
+    reached = np.zeros(len(partners), dtype=bool)
+    identity = np.arange(partners.shape[1])
+    orbits = []
+    for r in range(len(partners)):
+        if reached[r]:
+            continue
+        reached[r] = True
+        orbit = [(r, identity)]
+        for k, h in orbit:  # appending while iterating walks breadth-first
+            for g, cover in kept:
+                if not reached[cover[k]]:
+                    reached[cover[k]] = True
+                    orbit.append((cover[k], g[h]))
+        orbits.append((r, [h for _, h in orbit]))
+    return orbits
+
+
 def _check_scannable(ensemble: CoveringEnsemble) -> None:
     if not ensemble.has_equal_weights:
         raise ValueError("loop-sum route requires an equal-weight ensemble")
+    if ensemble.weights[0] == 0.0:
+        raise ValueError("loop-sum route requires a nonzero covering weight")
 
 
 def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
@@ -157,18 +222,20 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
     lattice = ensemble.lattice
     n_sites = lattice.site_count
     partners = _partner_matrix(ensemble)
-    numerator = np.zeros(n_sites * n_sites, dtype=np.float64)
+    numerator = np.zeros((n_sites, n_sites), dtype=np.float64)
     denominator = 0.0
-    for k in range(n_cov):
-        labels, counts = _row_loops(partners, k)
+    for r, maps in _covering_orbits(lattice, partners):
+        labels, counts = _row_loops(partners, r, 0)
         # 2**L scaled by 2**-pairs, which leaves every quotient unchanged and
-        # keeps the weights finite; (k, l) and (l, k) for l > k count twice
+        # keeps the weights finite
         weights = np.ldexp(1.0, counts - n_sites // 2)
-        weights[1:] *= 2.0
         same = labels[:, :, None] == labels[:, None, :]
-        numerator += weights @ same.reshape(len(weights), -1)
-        denominator += weights.sum()
-    numerator = numerator.reshape(n_sites, n_sites)
+        row = (weights @ same.reshape(n_cov, -1)).reshape(n_sites, n_sites)
+        row_total = weights.sum()
+        # covering g(r)'s row is r's row with sites i, j moved to g[i], g[j]
+        for g in maps:
+            numerator[np.ix_(g, g)] += row
+            denominator += row_total
     a_mask = np.array(
         [lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)]
     )
@@ -207,7 +274,7 @@ def loop_formula_p(
     numerator = 0
     denominator = 0
     for k in range(n_cov):
-        labels, counts = _row_loops(partners, k)
+        labels, counts = _row_loops(partners, k, k)
         # python ints, exact; (k, l) and (l, k) for l > k count twice
         weights = [1 << (int(c) + (offset > 0)) for offset, c in enumerate(counts)]
         denominator += sum(weights)

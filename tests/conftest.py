@@ -7,7 +7,8 @@ route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
 loop, dense Gram matrices for subset spectra, one scatter per covering
 for state assembly, one ``DimerCovering`` object per covering for the
-partner table) so that agreement is evidence, not tautology.
+partner table, the whole symmetry group applied to every covering for
+the covering orbits) so that agreement is evidence, not tautology.
 """
 
 import itertools
@@ -489,3 +490,34 @@ def loop_formula_scan_oracle(ensemble):
     p_matrix = sign * numerator / denominator
     np.fill_diagonal(p_matrix, 0.0)
     return p_matrix
+
+
+def covering_orbits_oracle(ensemble):
+    """Kept generators and covering orbits, by closing the whole group.
+
+    A candidate generator is kept when it maps the multiset of partner
+    rows onto itself.  The kept ones are closed into the full group of
+    site permutations, every element is applied to every row, and each
+    orbit is returned as the frozenset of partner rows (tuples) it holds.
+    """
+    rows = [tuple(p) for p in partner_matrix_oracle(ensemble).tolist()]
+    n_sites = ensemble.lattice.site_count
+
+    def image(g, row):
+        q = [0] * n_sites
+        for s in range(n_sites):
+            q[g[s]] = g[row[s]]
+        return tuple(q)
+
+    kept = [
+        g
+        for g in ensemble.lattice.symmetry_generators()
+        if sorted(image(g, row) for row in rows) == sorted(rows)
+    ]
+    group = {tuple(range(n_sites))}
+    frontier = group
+    while frontier:
+        frontier = {tuple(h[s] for s in g) for g in frontier for h in kept} - group
+        group |= frontier
+    orbits = {frozenset(image(g, row) for g in group) for row in rows}
+    return kept, orbits

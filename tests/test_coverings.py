@@ -238,6 +238,13 @@ class TestEnsembleValidation:
         assert ens.variant is Variant.CUSTOM
         assert not ens.has_equal_weights
 
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, grid24, weight):
+        # an equal-weight ensemble of infinite weights is no state
+        pairs = [c.pairs for c in enumerate_liquid(grid24).coverings]
+        with pytest.raises(ValueError, match="^covering weights must be finite$"):
+            custom_ensemble(grid24, pairs, weights=[weight] * len(pairs))
+
     def test_empty_ensemble_rejected(self, grid22):
         with pytest.raises(ValueError):
             CoveringEnsemble(lattice=grid22, coverings=(), variant=Variant.LIQUID)
@@ -345,6 +352,45 @@ class TestSerialization:
         assert back.weights.tobytes() == ens.weights.tobytes()
         assert ensemble_to_json(back) == text
         assert back == ens
+
+    def test_weight_count_must_match_coverings(self, liquid24):
+        doc = json.loads(ensemble_to_json(liquid24))
+        doc["weights"] = doc["weights"][:2]
+        with pytest.raises(
+            ValueError, match=r"^one weight per covering required; got 5 coverings and 2 weights$"
+        ):
+            ensemble_from_json(json.dumps(doc))
+
+    # faults put into the 2x4 liquid's coverings by index; A = 0, 2, 5, 7
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({3: [[1, 0], [2, 3], [5, 4], [7, 6]]}, r"pair \(1, 0\) is not ordered A-first"),
+            ({3: [[0, 1], [2, 5], [5, 4], [7, 6]]}, r"pair \(2, 5\) does not end on sublattice B"),
+            ({3: [[0, 1], [2, 1], [5, 4], [7, 6]]}, r"site 1 appears in more than one pair"),
+            (
+                {3: [[0, 1], [2, 3], [5, 4]]},
+                r"not a perfect matching; uncovered sites \[6, 7\]",
+            ),
+            # the first faulty covering is named, whether or not the
+            # coverings stack into one array
+            (
+                {1: [[0, 1], [2, 5], [5, 4], [7, 6]], 3: [[1, 0], [2, 3], [5, 4], [7, 6]]},
+                r"pair \(2, 5\) does not end on sublattice B",
+            ),
+            (
+                {1: [[1, 0], [2, 3], [5, 4], [7, 6]], 3: [[0, 1], [2, 3], [5, 4]]},
+                r"pair \(1, 0\) is not ordered A-first",
+            ),
+        ],
+        ids=["a-first", "ends-on-b", "repeated", "uncovered", "first-stacked", "first-ragged"],
+    )
+    def test_loader_names_the_first_bad_covering(self, liquid24, faults, message):
+        doc = json.loads(ensemble_to_json(liquid24))
+        for k, pairs in faults.items():
+            doc["coverings"][k] = pairs
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ensemble_from_json(json.dumps(doc))
 
     def test_json_stable_bytes(self, gas3):
         assert ensemble_to_json(gas3) == ensemble_to_json(gas3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import loop_formula_scan_oracle, partner_matrix_oracle
+from conftest import covering_orbits_oracle, loop_formula_scan_oracle, partner_matrix_oracle
 from rvblab import (
     DimerCovering,
     LatticeSpec,
@@ -18,7 +18,7 @@ from rvblab import (
     same_sublattice_scan,
     singlet_product,
 )
-from rvblab.loopgas import MAX_GRAPH_PAIRS, _partner_matrix
+from rvblab.loopgas import MAX_GRAPH_PAIRS, _covering_orbits, _kept_generators, _partner_matrix
 
 
 class TestTransitionGraph:
@@ -149,6 +149,15 @@ class TestLoopFormula:
         with pytest.raises(ValueError):
             loop_formula_p(liquid23, 2, 2)
 
+    def test_zero_weight_rejected(self, grid24):
+        # every amplitude is 0, so there is no state and no Werner parameter
+        pairs = [c.pairs for c in enumerate_liquid(grid24).coverings]
+        ens = custom_ensemble(grid24, pairs, weights=[0.0] * len(pairs))
+        with pytest.raises(ValueError, match="nonzero covering weight"):
+            loop_formula_scan(ens)
+        with pytest.raises(ValueError, match="nonzero covering weight"):
+            loop_formula_p(ens, 0, 1)
+
     def test_unequal_weights_rejected(self, grid22):
         covs = enumerate_liquid(grid22).coverings
         ens = custom_ensemble(grid22, [c.pairs for c in covs], weights=(1.0, 0.5))
@@ -182,8 +191,10 @@ class TestPinnedToLoopWalkOracle:
             LatticeSpec.square_grid(4, 4, boundary="periodic"),
             LatticeSpec.square_grid(2, 6),
             LatticeSpec.square_grid(4, 6),
+            LatticeSpec.square_grid(6, 2, boundary="periodic"),
+            LatticeSpec.square_grid(2, 8),
         ],
-        ids=["open-4x4", "periodic-4x4", "open-2x6", "open-4x6"],
+        ids=["open-4x4", "periodic-4x4", "open-2x6", "open-4x6", "periodic-6x2", "open-2x8"],
     )
     def test_scan_bytes_on_liquids(self, lattice):
         liquid = enumerate_liquid(lattice)
@@ -205,6 +216,78 @@ class TestPinnedToLoopWalkOracle:
             for j in range(n):
                 if i != j:
                     assert loop_formula_p(ensemble, i, j) == expected[i, j], (i, j)
+
+
+def _orbit_rows(ensemble):
+    """Each orbit of ``_covering_orbits`` as the partner rows its maps reach."""
+    partners = _partner_matrix(ensemble)
+    out = []
+    for r, maps in _covering_orbits(ensemble.lattice, partners):
+        images = []
+        for g in maps:
+            image = np.empty_like(partners[r])
+            image[g] = g[partners[r]]
+            images.append(tuple(image.tolist()))
+        out.append(images)
+    return out
+
+
+class TestCoveringOrbits:
+    """Orbit rows against the whole symmetry group applied to every covering."""
+
+    @pytest.mark.parametrize(
+        "rows, cols, boundary, expected",
+        [
+            (4, 4, "periodic", 13),
+            (4, 4, "open", 9),
+            (4, 6, "open", 98),
+            (2, 6, "open", 9),
+            (2, 8, "open", 21),
+            (6, 2, "periodic", 6),
+        ],
+    )
+    def test_orbits_match_brute_force(self, rows, cols, boundary, expected):
+        liquid = enumerate_liquid(LatticeSpec.square_grid(rows, cols, boundary=boundary))
+        kept, orbits = covering_orbits_oracle(liquid)
+        got = _orbit_rows(liquid)
+        assert len(got) == len(orbits) == expected
+        # every covering once, each orbit reached by maps that send r to a
+        # different member
+        assert sum(map(len, got)) == len(liquid)
+        assert {frozenset(images) for images in got} == orbits
+        assert all(len(set(images)) == len(images) for images in got)
+        partners = _partner_matrix(liquid)
+        assert [g.tolist() for g, _ in _kept_generators(liquid.lattice, partners)] == [
+            list(g) for g in kept
+        ]
+
+    @staticmethod
+    def _open44_variant(which):
+        lattice = LatticeSpec.square_grid(4, 4)
+        pairs = [c.pairs for c in enumerate_liquid(lattice).coverings]
+        # covering 2 is fixed by the column reflection alone
+        if which == "one-removed":
+            pairs = pairs[:2] + pairs[3:]
+        elif which == "one-twice":
+            pairs = pairs + pairs[2:3]
+        else:
+            pairs = pairs[2:3]
+        return custom_ensemble(lattice, pairs)
+
+    @pytest.mark.parametrize("which", ["one-removed", "one-twice", "single"])
+    def test_generators_that_break_the_ensemble_are_dropped(self, which):
+        ens = self._open44_variant(which)
+        candidates = ens.lattice.symmetry_generators()
+        kept, _ = covering_orbits_oracle(ens)
+        got = [tuple(g.tolist()) for g, _ in _kept_generators(ens.lattice, _partner_matrix(ens))]
+        assert got == kept
+        assert 0 < len(kept) < len(candidates)
+        assert loop_formula_scan(ens).tobytes() == loop_formula_scan_oracle(ens).tobytes()
+
+    def test_trivial_group_gives_one_orbit_per_covering(self, gas3):
+        orbits = _covering_orbits(gas3.lattice, _partner_matrix(gas3))
+        assert [r for r, _ in orbits] == list(range(len(gas3)))
+        assert all(len(maps) == 1 for _, maps in orbits)
 
 
 class TestSameSublatticeScan:
