@@ -7,8 +7,9 @@ identical configuration produces identical bytes: no path is randomized
 (the seed is only echoed) and no timestamps or environment data are recorded.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (or the
-computation itself failed); 2 configuration error; 3 resource cap
-exceeded.  Each nonzero exit prints a one-line diagnostic to stderr.
+computation itself failed); 2 configuration error or unwritable output;
+3 resource cap exceeded.  Each nonzero exit prints a one-line diagnostic
+to stderr.
 """
 
 from __future__ import annotations
@@ -294,7 +295,9 @@ def _task_bounds(ctx: _Context, checks: _Checks) -> dict:
 def _task_loop_cf(ctx: _Context, checks: _Checks) -> dict:
     ensemble = ctx.ensemble()
     n_cov = len(ensemble)
-    if n_cov * n_cov > loopgas.MAX_GRAPH_PAIRS:
+    # past the state-vector oracle's qubit cap the task exits 3, scanned or not
+    qubits_ok = ensemble.lattice.site_count <= states_mod.ASSEMBLY_MAX_QUBITS
+    if qubits_ok and n_cov * n_cov > loopgas.MAX_GRAPH_PAIRS:
         return {
             "skipped": (
                 f"{n_cov * n_cov} ordered covering pairs exceed the direct-sum cap "
@@ -655,12 +658,20 @@ def run(config: RunConfig) -> int:
         "summary": {"n_checks": len(checks.rows), "n_failed": checks.n_failed},
     }
     out_dir = config.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
-    _write_summary(report, out_dir / "summary.txt")
-    emit_plot_data(report, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+        )
+        _write_summary(report, out_dir / "summary.txt")
+        emit_plot_data(report, out_dir)
+    except OSError as exc:
+        print(
+            f"rvblab: configuration error: cannot write {exc.filename or out_dir}: "
+            f"{exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
 
     if checks.n_failed:
         failed = next(c for c in checks.rows if not c["passed"])

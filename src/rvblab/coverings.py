@@ -29,7 +29,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .lattice import Kind, LatticeSpec, Sublattice, lattice_from_config, lattice_to_config
+from .lattice import (
+    Kind, LatticeSpec, Sublattice, lattice_from_config, lattice_to_config, site_indices,
+)
 
 # N! coverings: the default cap keeps gas enumeration under ~10^5 states.
 GAS_MAX_N = 8
@@ -92,7 +94,7 @@ class DimerCovering:
         Every pair must be (A-site, B-site); pass pairs A-first, since the
         reversed orientation denotes a different (sign-flipped) state.
         """
-        plist = [(int(a), int(b)) for a, b in pairs]
+        plist = [site_indices((a, b)) for a, b in pairs]
         seen: set[int] = set()
         for a, b in plist:
             if lattice.sublattice_of(a) is not Sublattice.A:
@@ -330,8 +332,8 @@ def _ensemble_from_pairs(
     first sites are the lattice's A sites and its second sites its B
     sites, each once, which is exactly what ``from_pairs`` accepts.  The
     first list that fails, or every list when they do not stack into one
-    (coverings, pairs, 2) array, goes through ``from_pairs``, which names
-    the fault.
+    (coverings, pairs, 2) integer array, goes through ``from_pairs``,
+    which names the fault.
     """
     if len(weights) != len(pair_lists):
         raise ValueError(
@@ -342,10 +344,14 @@ def _ensemble_from_pairs(
         raise ValueError("ensemble must contain at least one covering")
     n = lattice.sublattice_size
     try:
-        pairs = np.array(pair_lists, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):  # ragged or not integers
+        pairs = np.array(pair_lists)
+    except ValueError:  # ragged
         pairs = None
-    if pairs is not None and pairs.shape == (len(pair_lists), n, 2):
+    if (
+        pairs is not None
+        and np.issubdtype(pairs.dtype, np.integer)
+        and pairs.shape == (len(pair_lists), n, 2)
+    ):
         pairs = np.take_along_axis(pairs, np.argsort(pairs[:, :, :1], axis=1), axis=1)
         passed = np.all(pairs[:, :, 0] == lattice.a_sites(), axis=1) & np.all(
             np.sort(pairs[:, :, 1], axis=1) == lattice.b_sites(), axis=1

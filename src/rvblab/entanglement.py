@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .lattice import site_indices
 from .linalg import eigvalsh_jacobi, matrix_sqrt_psd, operator_norm
 from .states import (
     SINGLET_VEC,
@@ -187,8 +188,8 @@ def monogamy_sum(
     valid because the global state is pure.  Monogamy asserts
     sum <= aggregate.
     """
-    partners = sorted(set(int(s) for s in partners))
-    anchor = int(anchor)
+    partners = sorted(set(site_indices(partners)))
+    (anchor,) = site_indices((anchor,))
     if anchor in partners:
         raise ValueError(f"anchor {anchor} cannot be its own partner")
     if not partners:
@@ -217,7 +218,7 @@ class MeasureRecord:
 
 def measure_pair(state: StateVector, pair: Sequence[int]) -> MeasureRecord:
     """Werner fit plus entanglement measures for one pair of sites."""
-    sites = tuple(sorted(int(s) for s in pair))
+    sites = tuple(sorted(site_indices(pair)))
     dm = reduced_density_matrix(state, sites)
     fit = extract_werner_p(dm)
     c = concurrence_two_qubit(dm)

@@ -16,8 +16,18 @@ instances can be shared freely.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
+
+
+def site_indices(sites: Iterable[object]) -> tuple[int, ...]:
+    """``sites`` as ints; ValueError unless each is an integer (NumPy's included)."""
+    sites = tuple(sites)
+    try:
+        return tuple(map(operator.index, sites))
+    except TypeError:
+        raise ValueError(f"sites must be integers, got {sites}") from None
 
 
 class Kind(enum.Enum):

@@ -1,4 +1,4 @@
-"""Transition graphs of covering pairs and the loop-sum correlation route.
+"""The loop-sum correlation route over the transition graphs of covering pairs.
 
 Superimposing two dimer coverings decomposes the lattice into closed
 loops: degenerate loops (the two coverings share a dimer, 2 sites) and
@@ -18,105 +18,41 @@ integers; this route never touches the exponentially large state vector
 and serves as an independent check of the state-assembly pipeline.
 
 The sums run through one NumPy kernel, ``_row_loops``, that labels the
-loops of (k, l) for every l from a given first row at once.  A loop of
-(k, l) is the union of two orbits, of s and of p_k(s), under the
-permutation p_l o p_k, so ``ceil(log2(sites / 2))`` pointer-doubling
-steps of ``m = min(m, m[f]); f = f[f]``, started from ``m = min(s,
-p_k(s))``, leave every site labelled by the smallest site of its loop; a
-loop's smallest site is the one site whose label is itself.
+loops of (k, l) for every l at once.  A loop of (k, l) is the union of
+two orbits, of s and of p_k(s), under the permutation p_l o p_k, so
+``ceil(log2(sites / 2))`` pointer-doubling steps of ``m = min(m, m[f]);
+f = f[f]``, started from ``m = min(s, p_k(s))``, leave every site
+labelled by the smallest site of its loop; a loop's smallest site is the
+one site whose label is itself.
 
-The scan sums one full row per covering orbit.  A site permutation g of
-the lattice that maps the ensemble onto itself (checked exactly on the
-partner arrays) maps the transition graph of (k, l) onto that of
-(g(k), g(l)), so covering g(r)'s full row ``sum_l 2**L X_ij`` is covering
-r's with sites i, j moved to g[i], g[j].  The scan labels the full row of
-each orbit representative r and adds it once per orbit member, under a
-g that maps r to the member; the row total enters the denominator as
-often.  No division enters.  The scan sums in float64.  Every weight is
-a power of two, and every partial sum is a multiple of the smallest
-weight 2**L_min and at most (covering pairs) * 2**(N - L_min) times it,
-below 2**53 for any ensemble within ``MAX_GRAPH_PAIRS`` on up to 74
-sites.  The float sums are then the exact integers in any summation
-order, so the orbit rows give the same numerator and denominator as the
-sum over every ordered pair, and each Werner parameter is the correctly
-rounded quotient of two of them.  ``loop_formula_p`` sums Python ints
-over l >= k, each off-diagonal weight counted twice, which is exact at
-any size.
+``loop_formula_scan`` sums one full row per covering orbit.  A site
+permutation g of the lattice that maps the ensemble onto itself (checked
+exactly on the partner arrays) maps the transition graph of (k, l) onto
+that of (g(k), g(l)), so covering g(r)'s full row ``sum_l 2**L X_ij`` is
+covering r's with sites i, j moved to g[i], g[j].  The scan labels the
+full row of each orbit representative r and adds it once per orbit
+member, under a g that maps r to the member; the row total enters the
+denominator as often.  No division enters.  The scan sums in float64.
+Every weight is a power of two, and every partial sum is a multiple of
+the smallest weight 2**L_min and at most (covering pairs) * 2**(N -
+L_min) times it, below 2**53 for any ensemble within ``MAX_GRAPH_PAIRS``
+on up to 74 sites.  The float sums are then the exact integers in any
+summation order, so the orbit rows give the same numerator and
+denominator as the sum over every ordered pair, and each Werner
+parameter is the correctly rounded quotient of two of them.
+``loop_formula_p`` reads one entry of the scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coverings import CoveringEnsemble, DimerCovering
+from .coverings import CoveringEnsemble
 from .errors import CapExceeded
-from .lattice import LatticeSpec, Sublattice
+from .lattice import LatticeSpec, Sublattice, site_indices
 from .states import assemble, reduced_density_matrix
 
 MAX_GRAPH_PAIRS = 100_000
-
-
-@dataclass(frozen=True)
-class TransitionGraph:
-    """Loop decomposition of one ordered pair of coverings.
-
-    Loops are site cycles, each listed from its smallest site, ordered by
-    that site; a loop of length 2 is degenerate.
-    """
-
-    loops: tuple[tuple[int, ...], ...]
-    degenerate_count: int
-    nondegenerate_count: int
-
-    @property
-    def loop_count(self) -> int:
-        return self.degenerate_count + self.nondegenerate_count
-
-    def same_loop(self, i: int, j: int) -> bool:
-        home = None
-        for loop in self.loops:
-            if i in loop:
-                home = loop
-                break
-        if home is None:
-            raise ValueError(f"site {i} not covered by this graph")
-        if j not in home and not any(j in loop for loop in self.loops):
-            raise ValueError(f"site {j} not covered by this graph")
-        return j in home
-
-
-def build_transition_graph(c_k: DimerCovering, c_l: DimerCovering) -> TransitionGraph:
-    """Superimpose two coverings of the same sites into loops."""
-    if c_k.a_sites != c_l.a_sites or set(c_k.b_partners) != set(c_l.b_partners):
-        raise ValueError("coverings pair different site sets")
-    n_sites = 2 * c_k.n_pairs
-    p_k = c_k.partner_array(n_sites)
-    p_l = c_l.partner_array(n_sites)
-    visited = [False] * n_sites
-    loops: list[tuple[int, ...]] = []
-    degenerate = 0
-    for start in range(n_sites):
-        if visited[start]:
-            continue
-        cycle = []
-        s = start
-        while not visited[s]:
-            visited[s] = True
-            cycle.append(s)
-            t = int(p_k[s])
-            visited[t] = True
-            cycle.append(t)
-            s = int(p_l[t])
-        if len(cycle) == 2:
-            degenerate += 1
-        loops.append(tuple(cycle))
-    return TransitionGraph(
-        loops=tuple(loops),
-        degenerate_count=degenerate,
-        nondegenerate_count=len(loops) - degenerate,
-    )
 
 
 def _partner_matrix(ensemble: CoveringEnsemble) -> np.ndarray:
@@ -127,16 +63,16 @@ def _partner_matrix(ensemble: CoveringEnsemble) -> np.ndarray:
     return out
 
 
-def _row_loops(partners: np.ndarray, k: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Loop labels and loop counts of (k, l) for every l >= ``first``.
+def _row_loops(partners: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loop labels and loop counts of (k, l) for every covering l.
 
-    Row ``l - first`` of the labels gives each site the smallest site of
-    its loop in the transition graph of coverings k and l.
+    Row l of the labels gives each site the smallest site of its loop in
+    the transition graph of coverings k and l.
     """
     p_k = partners[k]
     n_sites = p_k.shape[0]
     sites = np.arange(n_sites)
-    f = partners[first:, p_k]  # p_l o p_k, one row per l
+    f = partners[:, p_k]  # p_l o p_k, one row per l
     m = np.broadcast_to(np.minimum(sites, p_k), f.shape)
     # the orbits of p_l o p_k hold at most half the sites
     for _ in range((n_sites // 2 - 1).bit_length()):
@@ -225,7 +161,7 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
     numerator = np.zeros((n_sites, n_sites), dtype=np.float64)
     denominator = 0.0
     for r, maps in _covering_orbits(lattice, partners):
-        labels, counts = _row_loops(partners, r, 0)
+        labels, counts = _row_loops(partners, r)
         # 2**L scaled by 2**-pairs, which leaves every quotient unchanged and
         # keeps the weights finite
         weights = np.ldexp(1.0, counts - n_sites // 2)
@@ -245,46 +181,26 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
     return p_matrix
 
 
-def loop_formula_p(
-    ensemble: CoveringEnsemble,
-    i: int,
-    j: int,
-    max_graph_pairs: int = MAX_GRAPH_PAIRS,
-) -> float:
-    """Werner parameter of one site pair via the loop sum.
+def loop_formula_p(ensemble: CoveringEnsemble, i: int, j: int) -> float:
+    """Werner parameter of one site pair: entry (i, j) of :func:`loop_formula_scan`.
 
-    Ensembles above ``max_graph_pairs`` ordered pairs are routed to the
-    exact state-vector oracle instead (assemble, reduce, fit), which has
-    its own qubit cap.
+    Ensembles above ``MAX_GRAPH_PAIRS`` ordered pairs, where the scan
+    raises :class:`CapExceeded`, are routed to the exact state-vector
+    oracle instead (assemble, reduce, fit), which has its own qubit cap.
     """
     _check_scannable(ensemble)
-    lattice = ensemble.lattice
-    n_sites = lattice.site_count
+    i, j = site_indices((i, j))
+    n_sites = ensemble.lattice.site_count
     if not (0 <= i < n_sites and 0 <= j < n_sites) or i == j:
         raise ValueError(f"need two distinct sites in [0, {n_sites}), got ({i}, {j})")
-    n_cov = len(ensemble)
-    if n_cov * n_cov > max_graph_pairs:
+    try:
+        return float(loop_formula_scan(ensemble)[i, j])
+    except CapExceeded:
         from .entanglement import extract_werner_p
 
         state = assemble(ensemble)
         dm = reduced_density_matrix(state, tuple(sorted((i, j))))
         return extract_werner_p(dm).p
-
-    partners = _partner_matrix(ensemble)
-    numerator = 0
-    denominator = 0
-    for k in range(n_cov):
-        labels, counts = _row_loops(partners, k, k)
-        # python ints, exact; (k, l) and (l, k) for l > k count twice
-        weights = [1 << (int(c) + (offset > 0)) for offset, c in enumerate(counts)]
-        denominator += sum(weights)
-        numerator += sum(w for w, same in zip(weights, labels[:, i] == labels[:, j]) if same)
-    sign = (
-        1.0
-        if lattice.sublattice_of(i) is not lattice.sublattice_of(j)
-        else -1.0
-    )
-    return sign * numerator / denominator
 
 
 def same_sublattice_scan(ensemble: CoveringEnsemble) -> list[tuple[tuple[int, int], float]]:

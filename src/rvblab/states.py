@@ -38,6 +38,7 @@ import numpy as np
 
 from .coverings import CoveringEnsemble, DimerCovering
 from .errors import CapExceeded
+from .lattice import site_indices
 from .linalg import eigvalsh_jacobi, operator_norm
 
 ASSEMBLY_MAX_QUBITS = 16
@@ -346,8 +347,8 @@ def inner(left: StateVector, right: StateVector) -> float:
 
 
 def _check_sites(state: StateVector, sites: Sequence[int]) -> tuple[int, ...]:
-    """``sites`` as ints; ValueError unless strictly ascending and in range."""
-    sites = tuple(int(s) for s in sites)
+    """``sites`` as ints; ValueError unless integers, strictly ascending and in range."""
+    sites = site_indices(sites)
     n = state.n_qubits
     if list(sites) != sorted(set(sites)):
         raise ValueError("sites must be strictly ascending and distinct")
@@ -388,7 +389,7 @@ def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityM
 
 def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace a density matrix down to the site subset ``keep``."""
-    keep = tuple(int(s) for s in keep)
+    keep = site_indices(keep)
     if not all(s in dm.sites for s in keep):
         raise ValueError(f"keep sites {keep} not a subset of {dm.sites}")
     if list(keep) != sorted(set(keep)):

@@ -136,6 +136,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "16 qubits" in err
 
+    def test_loop_cf_past_both_caps_exits_three(self, tmp_path, capsys):
+        # the 2x14 ladder has 610 coverings, past the loop-sum cap, and 28
+        # qubits, past the state-vector oracle's: no route covers its values
+        code, out = run_cli(
+            tmp_path,
+            "--lattice", "square-grid", "--rows", "2", "--cols", "14", "--tasks", "loop-cf",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "16 qubits" in err
+        assert not out.exists()
+
+    def test_loop_cf_past_the_pair_cap_skips_on_the_gas(self, tmp_path):
+        # the gas at N = 6 fits the state-vector oracle, which covers the pairs
+        code, out = run_cli(
+            tmp_path, "--lattice", "complete-bipartite", "--n", "6", "--tasks", "loop-cf",
+        )
+        assert code == 0
+        (task,) = json.loads((out / "report.json").read_text())["tasks"]
+        assert task["data"] == {
+            "skipped": "518400 ordered covering pairs exceed the direct-sum cap 100000; "
+            "Werner scan covers these values via the state-vector route"
+        }
+
+    @pytest.mark.parametrize("name", ["report.json", "summary.txt"])
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys, name):
+        blocked = tmp_path / "out" / name
+        blocked.mkdir(parents=True)
+        code, _ = run_cli(
+            tmp_path, "--lattice", "complete-bipartite", "--n", "2", "--tasks", "enumerate",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(blocked) in err
+
     def test_failed_check_exits_one(self, tmp_path):
         # reproduce-paper includes a reference EoF anchor that the closed
         # form does not match, so the bundle reports a failed check

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import covering_orbits_oracle, loop_formula_scan_oracle, partner_matrix_oracle
+from conftest import (
+    _loop_labels_oracle,
+    covering_orbits_oracle,
+    loop_formula_scan_oracle,
+    partner_matrix_oracle,
+)
 from rvblab import (
-    DimerCovering,
     LatticeSpec,
     assemble,
-    build_transition_graph,
     custom_ensemble,
     enumerate_gas,
     enumerate_liquid,
@@ -18,77 +21,75 @@ from rvblab import (
     same_sublattice_scan,
     singlet_product,
 )
-from rvblab.loopgas import MAX_GRAPH_PAIRS, _covering_orbits, _kept_generators, _partner_matrix
+from rvblab import loopgas
+from rvblab.loopgas import (
+    MAX_GRAPH_PAIRS,
+    _covering_orbits,
+    _kept_generators,
+    _partner_matrix,
+    _row_loops,
+)
+
+
+def _loop_sizes(labels):
+    """Site count of each loop, from one row of ``_row_loops`` labels."""
+    return sorted(np.bincount(labels)[np.unique(labels)].tolist())
 
 
 class TestTransitionGraph:
+    """The loop labels of ``_row_loops`` on the transition graphs of covering pairs."""
+
     def test_identical_coverings_all_degenerate(self, liquid44):
-        cov = liquid44.coverings[0]
-        graph = build_transition_graph(cov, cov)
-        assert graph.degenerate_count == 8
-        assert graph.nondegenerate_count == 0
-        assert graph.loop_count == 8
-        assert all(len(loop) == 2 for loop in graph.loops)
+        labels, counts = _row_loops(_partner_matrix(liquid44), 0)
+        assert counts[0] == 8
+        assert _loop_sizes(labels[0]) == [2] * 8
 
     def test_plaquette_flip_single_loop(self, grid44):
         # two coverings differing by one flipped plaquette share all other dimers
         liquid = enumerate_liquid(grid44)
         base = liquid.coverings[0]
         flipped = None
-        for other in liquid.coverings[1:]:
+        for l, other in enumerate(liquid.coverings[1:], start=1):
             diff = [p for p in other.pairs if p not in base.pairs]
             if len(diff) == 2:
-                flipped = other
+                flipped = l
                 break
         assert flipped is not None
-        graph = build_transition_graph(base, flipped)
-        assert graph.nondegenerate_count == 1
-        assert graph.degenerate_count == 6
-        (big,) = [loop for loop in graph.loops if len(loop) > 2]
-        assert len(big) == 4
+        labels, counts = _row_loops(_partner_matrix(liquid), 0)
+        assert counts[flipped] == 7
+        assert _loop_sizes(labels[flipped]) == [2] * 6 + [4]
 
     def test_loops_partition_sites(self, liquid23):
-        c0, c1 = liquid23.coverings[0], liquid23.coverings[1]
-        graph = build_transition_graph(c0, c1)
-        seen = sorted(site for loop in graph.loops for site in loop)
-        assert seen == list(range(6))
+        # each site carries the smallest site of its loop, and the loops are
+        # the ones the site-by-site walk finds
+        partners = _partner_matrix(liquid23)
+        for k in range(len(liquid23)):
+            labels, counts = _row_loops(partners, k)
+            for l, row in enumerate(labels):
+                walk, walk_count = _loop_labels_oracle(partners[k], partners[l])
+                assert counts[l] == walk_count
+                assert np.array_equal(row[:, None] == row, walk[:, None] == walk)
+                for site, label in enumerate(row):
+                    assert label == min(np.flatnonzero(row == label)), (k, l, site)
 
     def test_loops_have_even_length(self, liquid24):
-        covs = liquid24.coverings
-        for a in covs:
-            for b in covs:
-                graph = build_transition_graph(a, b)
-                assert all(len(loop) % 2 == 0 for loop in graph.loops)
-                assert all(len(loop) >= 2 for loop in graph.loops)
-
-    def test_same_loop_predicate(self, liquid22):
-        c0, c1 = liquid22.coverings
-        graph = build_transition_graph(c0, c1)
-        # 2x2 distinct coverings form one loop over all four sites
-        assert graph.nondegenerate_count == 1
-        assert graph.same_loop(0, 3)
-        assert graph.same_loop(1, 2)
-
-    def test_same_loop_unknown_site_rejected(self, liquid22):
-        c0, c1 = liquid22.coverings
-        graph = build_transition_graph(c0, c1)
-        with pytest.raises(ValueError):
-            graph.same_loop(0, 99)
-
-    def test_mismatched_site_sets_rejected(self):
-        a = DimerCovering(a_sites=(0,), b_partners=(1,))
-        b = DimerCovering(a_sites=(0,), b_partners=(2,))
-        with pytest.raises(ValueError):
-            build_transition_graph(a, b)
+        partners = _partner_matrix(liquid24)
+        for k in range(len(liquid24)):
+            labels, _ = _row_loops(partners, k)
+            for row in labels:
+                sizes = _loop_sizes(row)
+                assert all(size % 2 == 0 and size >= 2 for size in sizes)
+                assert sum(sizes) == 8
 
     def test_overlap_counts_loops(self, liquid23):
         # |<c_k|c_l>| = 2^(L - N) with L loops over N pairs
         states = [singlet_product(c) for c in liquid23.coverings]
         n_pairs = 3
-        for i, c_k in enumerate(liquid23.coverings):
-            for j, c_l in enumerate(liquid23.coverings):
-                graph = build_transition_graph(c_k, c_l)
-                expected = 2.0 ** (graph.loop_count - n_pairs)
+        partners = _partner_matrix(liquid23)
+        for i in range(len(liquid23)):
+            _, counts = _row_loops(partners, i)
+            for j, count in enumerate(counts):
+                expected = 2.0 ** (int(count) - n_pairs)
                 got = inner(states[i], states[j])
                 assert got == pytest.approx(expected, abs=1e-13)
                 assert got > 0
@@ -130,10 +131,11 @@ class TestLoopFormula:
         assert loop_formula_p(liquid23, 1, 4) == pytest.approx(p_matrix[1, 4], abs=1e-14)
         assert loop_formula_p(liquid23, 0, 2) == pytest.approx(p_matrix[0, 2], abs=1e-14)
 
-    def test_oversized_ensemble_falls_back(self, liquid44, state44):
+    def test_oversized_ensemble_falls_back(self, liquid44, state44, monkeypatch):
         # force the ordered-pair cap below the ensemble size: the pointwise
         # route must switch to the state-vector path, not fail
-        p_direct = loop_formula_p(liquid44, 5, 6, max_graph_pairs=10)
+        monkeypatch.setattr(loopgas, "MAX_GRAPH_PAIRS", 10)
+        p_direct = loop_formula_p(liquid44, 5, 6)
         dm = reduced_density_matrix(state44, (5, 6))
         assert p_direct == pytest.approx(extract_werner_p(dm).p, abs=1e-12)
 
@@ -169,10 +171,10 @@ class TestLoopFormula:
         # each distinct graph with n nondegenerate loops appears 2^n times
         total = 0
         n_pairs = 3
-        for c_k in liquid23.coverings:
-            for c_l in liquid23.coverings:
-                graph = build_transition_graph(c_k, c_l)
-                total += 2**graph.loop_count
+        partners = _partner_matrix(liquid23)
+        for k in range(len(liquid23)):
+            _, counts = _row_loops(partners, k)
+            total += sum(2 ** int(count) for count in counts)
         state_norm_sq = 0.0
         states = [singlet_product(c) for c in liquid23.coverings]
         for sk in states:
