@@ -40,8 +40,14 @@ subset's spectrum.  The result depends on the state and the subset alone.
 The audits and the certificate each keep a memo from representative to
 spectrum for the length of one scan, so they compute one spectrum per
 orbit: 920 instead of 6,884 on the open 4x4 audit, 102 on the periodic
-one.  The gas, hand-built states and loaded states carry no generators
-and take the routes above unchanged.
+one.  A scan also maps all subsets of one size to their representatives
+in one array pass, a running minimum over the group's rows, into a table
+indexed by subset bitmask; ``subset_spectrum`` reads the table and falls
+back to the same minimum for one subset when the table does not hold it.
+The scan keeps (purity, entropy) per distinct spectrum, so each is
+computed once per representative with the same expressions as a bare
+``bipartition_verdict``.  The gas, hand-built states and loaded states
+carry no generators and take the routes above unchanged.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
@@ -53,12 +59,13 @@ exactly so: members of one orbit tie bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,22 +98,69 @@ class AuditResult:
         return all(v.entangled for v in self.verdicts)
 
 
-# (state, representative bitmask -> spectrum) of the scan in progress; set
-# only while an audit or the certificate runs, so a bare subset_spectrum
-# call computes its representative directly
-_SCAN_MEMO: ContextVar[tuple[StateVector, dict[int, np.ndarray]] | None] = ContextVar(
-    "_SCAN_MEMO", default=None
-)
+class _Scan:
+    """Memos of one audit or certificate scan of ``state``, dropped when it ends.
+
+    ``reps[mask]`` is the orbit representative of the subset with bitmask
+    ``mask``, or 0 (the mask of no proper nonempty subset) where no array
+    pass has filled it in; ``reps`` is None until the first pass and for
+    states with no verified group.  ``spectra``
+    maps a representative to its spectrum and ``stats`` maps a spectrum's
+    bytes to its (purity, entropy).
+    """
+
+    __slots__ = ("state", "reps", "spectra", "stats")
+
+    def __init__(self, state: StateVector) -> None:
+        self.state = state
+        self.reps: np.ndarray | None = None
+        self.spectra: dict[int, np.ndarray] = {}
+        self.stats: dict[bytes, tuple[float, float]] = {}
+
+
+# the scan in progress; set only while an audit or the certificate runs, so
+# a bare subset_spectrum call computes its representative directly
+_SCAN_MEMO: ContextVar[_Scan | None] = ContextVar("_SCAN_MEMO", default=None)
 
 
 @contextmanager
-def _orbit_memo(state: StateVector) -> Iterator[None]:
-    """One representative-to-spectrum memo for a scan of ``state``, dropped on exit."""
-    token = _SCAN_MEMO.set((state, {}))
+def _orbit_memo(state: StateVector) -> Iterator[_Scan]:
+    """One scan of ``state`` with empty memos, dropped on exit."""
+    scan = _Scan(state)
+    token = _SCAN_MEMO.set(scan)
     try:
-        yield
+        yield scan
     finally:
         _SCAN_MEMO.reset(token)
+
+
+def _scan_of(state: StateVector) -> _Scan:
+    """The scan in progress over ``state``, or an empty one for a single call."""
+    scan = _SCAN_MEMO.get()
+    return scan if scan is not None and scan.state is state else _Scan(state)
+
+
+def _map_representatives(scan: _Scan, subsets: Iterable[tuple[int, ...]], k: int) -> None:
+    """Enter the representative of every k-site subset in ``scan``'s table.
+
+    One pass over arrays: the image bitmasks under each group element are
+    one gather and a row sum, and a running ``np.minimum`` keeps the
+    smallest, so no (group, subsets, k) array is formed.  States with no
+    verified group keep no table.
+    """
+    support = scan.state._support
+    if support is None or support.orbit_bits is None:
+        return
+    sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
+    orbit_bits = support.orbit_bits
+    rep = orbit_bits[0][sites].sum(axis=1)
+    for row in orbit_bits[1:]:
+        np.minimum(rep, row[sites].sum(axis=1), out=rep)
+    if scan.reps is None:
+        # the narrowest unsigned type that holds every bitmask: 128 KB at 16 sites
+        top = (1 << scan.state.n_qubits) - 1
+        scan.reps = np.zeros(top + 1, dtype=np.min_scalar_type(top))
+    scan.reps[np.left_shift(1, sites).sum(axis=1)] = rep
 
 
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
@@ -127,10 +181,17 @@ def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
         return _dense_spectrum(state, sites)
     if support.orbit_bits is None:
         return _sector_spectrum(support, n, sites)
-    # the representative is the image with the smallest bitmask
-    rep = int(support.orbit_bits[:, list(sites)].sum(axis=1).min())
-    scan = _SCAN_MEMO.get()
-    memo = scan[1] if scan is not None and scan[0] is state else {}
+    scan = _scan_of(state)
+    rep = 0
+    if scan.reps is not None:
+        mask = 0
+        for s in sites:
+            mask |= 1 << s
+        rep = int(scan.reps[mask])
+    if not rep:
+        # the representative is the image with the smallest bitmask
+        rep = int(support.orbit_bits[:, list(sites)].sum(axis=1).min())
+    memo = scan.spectra
     if rep not in memo:
         rep_sites = tuple(s for s in range(n) if rep >> s & 1)
         memo[rep] = _sector_spectrum(support, n, rep_sites)
@@ -237,9 +298,12 @@ def _sector_spectrum(
 
 def bipartition_verdict(state: StateVector, subset: Sequence[int]) -> BipartitionVerdict:
     w = subset_spectrum(state, subset)
-    pur = float(np.sum(w * w))
-    positive = w[w > 0.0]
-    ent = float(-np.sum(positive * np.log2(positive)))
+    stats = _scan_of(state).stats
+    key = w.tobytes()
+    if key not in stats:
+        positive = w[w > 0.0]
+        stats[key] = (float(np.sum(w * w)), float(-np.sum(positive * np.log2(positive))))
+    pur, ent = stats[key]
     return BipartitionVerdict(
         subset=tuple(int(s) for s in subset),
         purity=pur,
@@ -256,9 +320,25 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
         raise CapExceeded(
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
-    subsets = (s for k in sizes for s in combinations(range(n), k))
-    with _orbit_memo(state):
-        return AuditResult(verdicts=tuple(bipartition_verdict(state, s) for s in subsets))
+    verdicts: list[BipartitionVerdict] = []
+    with _orbit_memo(state) as scan:
+        for k in sizes:
+            _map_representatives(scan, combinations(range(n), k), k)
+            verdicts.extend(bipartition_verdict(state, s) for s in combinations(range(n), k))
+    return AuditResult(verdicts=tuple(verdicts))
+
+
+def _audit_sizes(state: StateVector, first: int, max_size: int) -> range:
+    """Subset sizes ``first, first + 2, ...`` up to ``max_size``, all proper."""
+    try:
+        max_size = operator.index(max_size)
+    except TypeError:
+        raise ValueError(f"max_size must be an integer, got {max_size!r}") from None
+    sizes = range(first, min(max_size, state.n_qubits - 1) + 1, 2)
+    if not sizes:
+        parity = "odd" if first % 2 else "even"
+        raise ValueError(f"no {parity} proper subset sizes available")
+    return sizes
 
 
 def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
@@ -266,17 +346,15 @@ def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
 
     Odd subsets of a singlet superposition are always mixed (a dimer
     must cross the cut), so every verdict should come back entangled.
-    Raises :class:`CapExceeded` above ``AUDIT_MAX_SUBSETS`` subsets.
+    Raises :class:`CapExceeded` above ``AUDIT_MAX_SUBSETS`` subsets and
+    ValueError when no odd proper size is at most ``max_size``.
     """
-    return _audit(state, range(1, min(max_size, state.n_qubits - 1) + 1, 2))
+    return _audit(state, _audit_sizes(state, 1, max_size))
 
 
 def even_subset_audit(state: StateVector, max_size: int = 4) -> AuditResult:
     """Verdicts for every even-size proper subset up to ``max_size``; same cap."""
-    sizes = range(2, min(max_size, state.n_qubits - 1) + 1, 2)
-    if not sizes:
-        raise ValueError("no even proper subset sizes available")
-    return _audit(state, sizes)
+    return _audit(state, _audit_sizes(state, 2, max_size))
 
 
 @dataclass(frozen=True)
@@ -308,10 +386,11 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     best_cut: tuple[int, ...] = ()
     genuine = True
     n_cuts = 0
-    with _orbit_memo(state):
+    with _orbit_memo(state) as scan:
         for k in range(1, n):
-            for rest in combinations(range(1, n), k - 1):
-                subset = (0,) + rest
+            cuts = [(0,) + rest for rest in combinations(range(1, n), k - 1)]
+            _map_representatives(scan, cuts, k)
+            for subset in cuts:
                 n_cuts += 1
                 verdict = bipartition_verdict(state, subset)
                 if verdict.entropy_bits < best_entropy:

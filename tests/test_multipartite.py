@@ -502,6 +502,167 @@ class TestOrbits:
         assert _cut_index(cert.min_cut, n) < _cut_index(plain.min_cut, n)
 
 
+# (genuine, n_cuts, min_cut, repr(min_entropy_bits)) of every certificate
+# grid, as the scan computed them before subsets were mapped to
+# representatives in one array pass per size
+CERTIFICATE_PINS = {
+    (1, 2, "open"): (True, 1, (0,), "0.9999999999999999"),
+    (1, 4, "open"): (False, 7, (0, 1), "-0.0"),
+    (1, 6, "open"): (False, 31, (0, 1), "1.6017132519074586e-16"),
+    (1, 8, "open"): (False, 127, (0, 1), "-0.0"),
+    (1, 10, "open"): (False, 511, (0, 1), "-3.2034265038149176e-16"),
+    (1, 12, "open"): (False, 2047, (0, 1), "-0.0"),
+    (2, 1, "open"): (True, 1, (0,), "0.9999999999999999"),
+    (2, 2, "open"): (True, 7, (0,), "1.0"),
+    (2, 3, "open"): (True, 31, (0, 3), "0.7907669479360191"),
+    (2, 4, "open"): (True, 127, (0, 1, 4, 5), "0.44063469410271106"),
+    (2, 5, "open"): (True, 511, (0, 1, 2, 5, 6, 7), "0.5861443237126076"),
+    (2, 6, "open"): (True, 2047, (0, 1, 2, 3, 6, 7, 8, 9), "0.5260847921940384"),
+    (3, 2, "open"): (True, 31, (0, 1), "0.7907669479360191"),
+    (3, 4, "open"): (True, 2047, (0, 1, 4, 5, 8, 9), "0.384852173568554"),
+    (4, 1, "open"): (False, 7, (0, 1), "-0.0"),
+    (4, 2, "open"): (True, 127, (0, 1, 2, 3), "0.4406346941027144"),
+    (4, 3, "open"): (True, 2047, (0, 1, 2, 3, 4, 5), "0.3848521735685579"),
+    (5, 2, "open"): (True, 511, (0, 1, 2, 3), "0.5861443237126092"),
+    (6, 1, "open"): (False, 31, (0, 1), "1.6017132519074586e-16"),
+    (6, 2, "open"): (True, 2047, (0, 1, 2, 3, 4, 5, 6, 7), "0.5260847921940357"),
+    (8, 1, "open"): (False, 127, (0, 1), "-0.0"),
+    (10, 1, "open"): (False, 511, (0, 1), "-3.2034265038149176e-16"),
+    (12, 1, "open"): (False, 2047, (0, 1), "-0.0"),
+    (1, 2, "periodic"): (True, 1, (0,), "0.9999999999999999"),
+    (1, 4, "periodic"): (True, 7, (0,), "1.0"),
+    (1, 6, "periodic"): (True, 31, (0,), "1.0"),
+    (1, 8, "periodic"): (True, 127, (0,), "0.9999999999999999"),
+    (1, 10, "periodic"): (True, 511, (0,), "1.0"),
+    (1, 12, "periodic"): (True, 2047, (0,), "1.0"),
+    (2, 1, "periodic"): (True, 1, (0,), "0.9999999999999999"),
+    (2, 2, "periodic"): (True, 7, (0,), "1.0"),
+    (2, 4, "periodic"): (True, 127, (0,), "0.9999999999999999"),
+    (2, 6, "periodic"): (True, 2047, (0,), "0.9999999999999999"),
+    (4, 1, "periodic"): (True, 7, (0,), "1.0"),
+    (4, 2, "periodic"): (True, 127, (0,), "1.0"),
+    (6, 1, "periodic"): (True, 31, (0,), "1.0"),
+    (6, 2, "periodic"): (True, 2047, (0,), "0.9999999999999999"),
+    (8, 1, "periodic"): (True, 127, (0,), "0.9999999999999999"),
+    (10, 1, "periodic"): (True, 511, (0,), "1.0"),
+    (12, 1, "periodic"): (True, 2047, (0,), "1.0"),
+}
+
+
+def _mask(subset):
+    return sum(1 << s for s in subset)
+
+
+def _per_subset_rep(support, subset):
+    """The smallest image bitmask of one subset under the verified group."""
+    return int(support.orbit_bits[:, list(subset)].sum(axis=1).min())
+
+
+class TestRepresentativeTable:
+    """One array pass per subset size, pinned to the per-subset route."""
+
+    @pytest.mark.parametrize("fixture", ["state44", "state44_periodic"])
+    def test_table_equals_the_per_subset_minimum(self, fixture, request):
+        state = request.getfixturevalue(fixture)
+        support = state._support
+        with multipartite._orbit_memo(state) as scan:
+            assert scan.reps is None
+            for k in range(1, 6):
+                multipartite._map_representatives(scan, itertools.combinations(range(16), k), k)
+                for subset in itertools.combinations(range(16), k):
+                    assert scan.reps[_mask(subset)] == _per_subset_rep(support, subset)
+            filled = sum(math.comb(16, k) for k in range(1, 6))
+            assert np.count_nonzero(scan.reps) == filled
+
+    def test_certificate_cuts_map_to_the_per_subset_minimum(self, monkeypatch):
+        state = assemble(enumerate_liquid(LatticeSpec.square_grid(3, 4)))
+        support = state._support
+        assert support.orbit_bits is not None
+        fill = multipartite._map_representatives
+        seen = []
+
+        def checked(scan, subsets, k):
+            subsets = list(subsets)
+            fill(scan, subsets, k)
+            for subset in subsets:
+                assert len(subset) == k
+                assert scan.reps[_mask(subset)] == _per_subset_rep(support, subset)
+            seen.extend(subsets)
+
+        monkeypatch.setattr(multipartite, "_map_representatives", checked)
+        report = genuine_multipartite_certificate(state)
+        assert len(seen) == len(set(seen)) == report.n_cuts == 2**11 - 1
+        assert all(cut[0] == 0 for cut in seen)
+
+    @pytest.mark.parametrize("fixture", ["state44", "state44_periodic", "copy44"])
+    def test_audit_verdicts_equal_the_per_subset_route(self, fixture, request, monkeypatch):
+        if fixture == "copy44":
+            state = StateVector(16, request.getfixturevalue("state44").amplitudes)
+        else:
+            state = request.getfixturevalue(fixture)
+        tabled = odd_subset_audit(state, 5).verdicts + even_subset_audit(state, 4).verdicts
+        monkeypatch.setattr(multipartite, "_map_representatives", lambda scan, subsets, k: None)
+        plain = odd_subset_audit(state, 5).verdicts + even_subset_audit(state, 4).verdicts
+        assert len(tabled) == 6884
+        assert tabled == plain
+
+    def test_scan_verdicts_equal_bare_calls(self, state44):
+        # purity and entropy come from the scan's memo, computed once per spectrum
+        scanned = odd_subset_audit(state44, 5).verdicts + even_subset_audit(state44, 4).verdicts
+        assert scanned == tuple(bipartition_verdict(state44, v.subset) for v in scanned)
+
+    def test_scan_without_a_table_takes_the_per_subset_route(self, state44):
+        subsets = [(0,), (15,), (1, 2), (4, 8), (0, 5, 10), (3, 6, 9, 12), (1, 2, 7, 11, 13)]
+        bare = [subset_spectrum(state44, s).tobytes() for s in subsets]
+        with multipartite._orbit_memo(state44) as scan:
+            assert [subset_spectrum(state44, s).tobytes() for s in subsets] == bare
+            assert scan.reps is None
+            # a table of another size holds none of these
+            multipartite._map_representatives(scan, itertools.combinations(range(16), 6), 6)
+            assert [subset_spectrum(state44, s).tobytes() for s in subsets] == bare
+        for subset in subsets:
+            _assert_matches_oracle(state44, subset, subset_spectrum(state44, subset))
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda state: odd_subset_audit(state, 5),
+            lambda state: even_subset_audit(state, 4),
+            genuine_multipartite_certificate,
+        ],
+        ids=["odd", "even", "certificate"],
+    )
+    def test_exception_mid_scan_resets_the_memo(self, scan, state23, monkeypatch):
+        expected = scan(state23)
+        spectrum = multipartite._sector_spectrum
+        calls = []
+
+        def failing(support, n, sites):
+            calls.append(sites)
+            if len(calls) == 3:
+                raise RuntimeError("spectrum failed")
+            return spectrum(support, n, sites)
+
+        monkeypatch.setattr(multipartite, "_sector_spectrum", failing)
+        with pytest.raises(RuntimeError, match="spectrum failed"):
+            scan(state23)
+        assert multipartite._SCAN_MEMO.get() is None
+        monkeypatch.undo()
+        # the next scan starts from empty memos
+        assert scan(state23) == expected
+
+    @pytest.mark.parametrize(
+        "lattice",
+        CERTIFICATE_GRIDS,
+        ids=[f"{g.rows}x{g.cols}-{g.boundary.value}" for g in CERTIFICATE_GRIDS],
+    )
+    def test_certificate_is_pinned(self, lattice):
+        assert len(CERTIFICATE_PINS) == len(CERTIFICATE_GRIDS)
+        cert = genuine_multipartite_certificate(assemble(enumerate_liquid(lattice)))
+        got = (cert.genuine, cert.n_cuts, cert.min_cut, repr(cert.min_entropy_bits))
+        assert got == CERTIFICATE_PINS[(lattice.rows, lattice.cols, lattice.boundary.value)]
+
+
 class TestBipartitionVerdict:
     def test_single_site_maximally_mixed(self, state44):
         v = bipartition_verdict(state44, (7,))
@@ -558,6 +719,25 @@ class TestAudits:
     def test_even_audit_requires_even_sizes(self, gas_state2):
         with pytest.raises(ValueError):
             even_subset_audit(gas_state2, max_size=1)
+
+    @pytest.mark.parametrize("max_size", [0, -1, -5])
+    def test_odd_audit_requires_odd_sizes(self, state23, max_size):
+        with pytest.raises(ValueError, match="^no odd proper subset sizes available$"):
+            odd_subset_audit(state23, max_size=max_size)
+
+    def test_odd_audit_of_one_qubit_has_no_sizes(self):
+        with pytest.raises(ValueError, match="^no odd proper subset sizes available$"):
+            odd_subset_audit(StateVector(1, np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("audit", [odd_subset_audit, even_subset_audit])
+    @pytest.mark.parametrize("max_size", [1.5, 4.0, "4", None])
+    def test_non_integer_max_size_is_one_line(self, state23, audit, max_size):
+        with pytest.raises(ValueError, match="^max_size must be an integer, got .+$"):
+            audit(state23, max_size=max_size)
+
+    def test_integer_like_max_size_is_accepted(self, state23):
+        sizes = {len(v.subset) for v in odd_subset_audit(state23, np.int64(3)).verdicts}
+        assert sizes == {1, 3}
 
 
 class TestCertificate:
