@@ -374,7 +374,8 @@ def _task_multipartite(ctx: _Context, checks: _Checks) -> dict:
         checks.add(
             "multipartite/genuine-certificate",
             cert.genuine,
-            f"{cert.n_cuts} bipartitions, min entropy {cert.min_entropy_bits:.6f} bits",
+            # + 0.0 turns the -0.0 of a product cut into the canonical zero
+            f"{cert.n_cuts} bipartitions, min entropy {cert.min_entropy_bits + 0.0:.6f} bits",
         )
     else:
         data["certificate"] = {

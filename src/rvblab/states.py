@@ -70,6 +70,10 @@ class StateVector:
     :meth:`LatticeSpec.symmetry_generators`); :func:`assemble` passes its
     lattice's, and the support keeps only those the amplitudes obey.
     Two states are equal when qubit count, norm and amplitude bytes are.
+
+    Never modify ``amplitudes`` in place: the sector support and the memo
+    of 1- and 2-site reduced density matrices are derived from them once
+    and kept on the state.
     """
 
     n_qubits: int
@@ -107,6 +111,11 @@ class StateVector:
     def _support(self) -> "_SectorSupport | None":
         # built on first use and kept: amplitudes are never modified in place
         return _sector_support(self)
+
+    @cached_property
+    def _rdm_memo(self) -> "dict[tuple[int, ...], DensityMatrix]":
+        # reduced_density_matrix's 1- and 2-site results, by checked sites
+        return {}
 
 
 @dataclass(frozen=True)
@@ -349,23 +358,32 @@ def inner(left: StateVector, right: StateVector) -> float:
 def _check_sites(state: StateVector, sites: Sequence[int]) -> tuple[int, ...]:
     """``sites`` as ints; ValueError unless integers, strictly ascending and in range."""
     sites = site_indices(sites)
-    n = state.n_qubits
-    if list(sites) != sorted(set(sites)):
-        raise ValueError("sites must be strictly ascending and distinct")
-    if any(not 0 <= s < n for s in sites):
-        raise ValueError(f"sites {sites} out of range for {n} qubits")
+    if sites:
+        # one pairwise pass; once ascending, the ends bound the range
+        last = sites[0]
+        for s in sites[1:]:
+            if s <= last:
+                raise ValueError("sites must be strictly ascending and distinct")
+            last = s
+        if sites[0] < 0 or last >= state.n_qubits:
+            raise ValueError(f"sites {sites} out of range for {state.n_qubits} qubits")
     return sites
 
 
 def _subset_block(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention."""
-    sites = _check_sites(state, sites)
+    return _checked_block(state, _check_sites(state, sites))
+
+
+def _checked_block(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
+    """:func:`_subset_block` for sites that already passed :func:`_check_sites`."""
     n = state.n_qubits
     # tensor axis j holds site n-1-j; kept axes ordered so reduced qubit t
     # (bit t of the row index) is sites[t]
     tensor = state.amplitudes.reshape((2,) * n)
     kept_axes = [n - 1 - s for s in reversed(sites)]
-    rest = [ax for ax in range(n) if ax not in set(kept_axes)]
+    kept = set(kept_axes)
+    rest = [ax for ax in range(n) if ax not in kept]
     return np.transpose(tensor, kept_axes + rest).reshape(2 ** len(sites), -1)
 
 
@@ -373,8 +391,12 @@ def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityM
     """Trace out everything but ``sites`` (strictly ascending).
 
     Cost is one reshape/transpose of the state tensor plus a Gram product,
-    ``O(2**n * 2**len(sites))``.  Raises :class:`CapExceeded` above
-    ``RDM_MAX_SITES`` sites.
+    ``O(2**n * 2**len(sites))``, on the first call for a set of sites.
+    Results on 1 and 2 sites are memoised on the state, at most
+    ``n(n+1)/2`` matrices of at most 4x4, so a repeat call returns the
+    same read-only :class:`DensityMatrix`; larger reductions are rebuilt
+    on every call.  The sites are checked on every call, and
+    :class:`CapExceeded` is raised above ``RDM_MAX_SITES`` sites.
     """
     sites = _check_sites(state, sites)
     if len(sites) > RDM_MAX_SITES:
@@ -382,9 +404,18 @@ def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityM
             f"reduced density matrices capped at {RDM_MAX_SITES} sites; "
             f"requested {len(sites)}"
         )
-    block = _subset_block(state, sites)
-    rho = (block @ block.conj().T).astype(np.complex128)
-    return DensityMatrix(sites=sites, matrix=rho)
+    memo = state._rdm_memo
+    dm = memo.get(sites)
+    if dm is None:
+        block = _checked_block(state, sites)
+        rho = (block @ block.conj().T).astype(np.complex128)
+        dm = DensityMatrix(sites=sites, matrix=rho)
+        # 1 and 2 sites only: n(n+1)/2 matrices of at most 4x4, about 35 kB
+        # at 16 sites.  One entry serves every later caller, so none may write it
+        if len(sites) <= 2:
+            rho.setflags(write=False)
+            memo[sites] = dm
+    return dm
 
 
 def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -252,6 +252,20 @@ class TestOutputs:
         rows = (out / "distance_profile.csv").read_text().splitlines()
         assert rows == ["distance_r,p,monogamy_bound,telecloning_bound"]
 
+    def test_certificate_detail_prints_canonical_zero(self, tmp_path):
+        # a product cut's entropy is -np.sum([0.0]), which printed as -0.000000
+        code, out = run_cli(
+            tmp_path,
+            "--lattice", "square-grid", "--rows", "1", "--cols", "4",
+            "--tasks", "multipartite",
+        )
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        (row,) = [c for c in report["checks"] if c["name"] == "multipartite/genuine-certificate"]
+        assert not row["passed"]
+        assert row["detail"] == "7 bipartitions, min entropy 0.000000 bits"
+        assert "-0.000000" not in (out / "summary.txt").read_text()
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):

@@ -317,6 +317,81 @@ class TestReducedDensityMatrix:
         assert np.max(np.abs(dm.matrix - expected)) < 1e-14
 
 
+def _pair_and_single_keys(n):
+    return [(s,) for s in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.fixture(scope="module", params=["open-4x4", "periodic-4x4", "gas-4"])
+def memo_state(request):
+    """A fresh state, so its memo starts empty."""
+    if request.param == "gas-4":
+        return assemble(enumerate_gas(LatticeSpec.complete_bipartite(4)))
+    boundary = request.param.split("-")[0]
+    return assemble(enumerate_liquid(LatticeSpec.square_grid(4, 4, boundary=boundary)))
+
+
+class TestReducedDensityMatrixMemo:
+    def test_repeat_calls_match_a_fresh_state(self, memo_state):
+        n = memo_state.n_qubits
+        fresh = StateVector(n, memo_state.amplitudes.copy())
+        assert fresh._rdm_memo == {}
+        for sites in _pair_and_single_keys(n):
+            first = reduced_density_matrix(memo_state, sites)
+            again = reduced_density_matrix(memo_state, sites)
+            assert again is first
+            expected = reduced_density_matrix(fresh, sites)
+            assert expected is not first
+            assert again.sites == expected.sites == sites
+            assert again.matrix.tobytes() == expected.matrix.tobytes()
+
+    def test_memo_holds_only_one_and_two_sites(self, memo_state):
+        n = memo_state.n_qubits
+        for sites in _pair_and_single_keys(n):
+            reduced_density_matrix(memo_state, sites)
+        triple = reduced_density_matrix(memo_state, (0, 1, 2))
+        assert reduced_density_matrix(memo_state, (0, 1, 2)) is not triple
+        # exactly the n(n+1)/2 keys of 1 and 2 sites: no 3-site entry
+        assert sorted(memo_state._rdm_memo) == sorted(_pair_and_single_keys(n))
+
+    def test_returned_matrices_are_read_only(self, memo_state):
+        for sites in ((0,), (0, 1), (1, 5)):
+            dm = reduced_density_matrix(memo_state, sites)
+            with pytest.raises(ValueError):
+                dm.matrix[0, 0] = 0.0
+            dm.validate()
+
+    @pytest.mark.parametrize(
+        "sites, match",
+        [
+            ((3, 0), "strictly ascending"),
+            ((2, 2), "strictly ascending"),
+            ((0, 99), "out of range"),
+            ((-1, 2), "out of range"),
+            ((0.5,), "must be integers"),
+            # equal and hash-equal to the memoised (0, 1), so checked before any lookup
+            ((0.0, 1.0), "must be integers"),
+            ((0, "1"), "must be integers"),
+        ],
+    )
+    def test_bad_sites_raise_and_leave_no_entry(self, memo_state, sites, match):
+        reduced_density_matrix(memo_state, (0, 1))
+        before = dict(memo_state._rdm_memo)
+        with pytest.raises(ValueError, match=match):
+            reduced_density_matrix(memo_state, sites)
+        assert memo_state._rdm_memo == before
+
+    def test_over_cap_raises_and_leaves_no_entry(self, state44):
+        reduced_density_matrix(state44, (0, 1))
+        before = dict(state44._rdm_memo)
+        with pytest.raises(CapExceeded, match="capped at 8 sites"):
+            reduced_density_matrix(state44, tuple(range(9)))
+        assert state44._rdm_memo == before
+
+    def test_numpy_integer_sites_share_the_entry(self, memo_state):
+        dm = reduced_density_matrix(memo_state, (0, 3))
+        assert reduced_density_matrix(memo_state, np.array([0, 3])) is dm
+
+
 class TestDensityMatrixProperties:
     def test_purity_pure_state(self):
         dm = DensityMatrix(sites=(0, 1), matrix=np.outer(SINGLET_VEC, SINGLET_VEC))
