@@ -74,14 +74,6 @@ class DimerCovering:
     def n_pairs(self) -> int:
         return len(self.a_sites)
 
-    def partner_array(self, n_sites: int) -> np.ndarray:
-        """site -> matched partner, as an int array of length ``n_sites``."""
-        out = np.full(n_sites, -1, dtype=np.int64)
-        for a, b in zip(self.a_sites, self.b_partners):
-            out[a] = b
-            out[b] = a
-        return out
-
     @classmethod
     def from_pairs(
         cls,
@@ -206,6 +198,12 @@ class CoveringEnsemble:
             DimerCovering(a_sites=a, b_partners=tuple(row), weight=w)
             for row, w in zip(self.partners.tolist(), self.weights.tolist())
         )
+
+    @cached_property
+    def _memo(self) -> dict[str, np.ndarray]:
+        # read-only arrays other modules derive from the table once and keep:
+        # the table never changes after construction
+        return {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoveringEnsemble):

@@ -39,8 +39,16 @@ L_min) times it, below 2**53 for any ensemble within ``MAX_GRAPH_PAIRS``
 on up to 74 sites.  The float sums are then the exact integers in any
 summation order, so the orbit rows give the same numerator and
 denominator as the sum over every ordered pair, and each Werner
-parameter is the correctly rounded quotient of two of them.
-``loop_formula_p`` reads one entry of the scan.
+parameter is the correctly rounded quotient of two of them.  An orbit's
+rows enter in one gather: entry (a, b) of member g(r)'s row is entry
+(g^-1(a), g^-1(b)) of r's, so one fancy index over the orbit's inverse
+site maps and one sum over them fold the whole orbit.
+
+The scan runs once per ensemble.  Its matrix is kept read-only on the
+ensemble, and each call of ``loop_formula_scan``, ``loop_formula_p`` or
+``same_sublattice_scan`` gets a copy; the weight checks and the
+``MAX_GRAPH_PAIRS`` cap still run on every call, and a scan that raises
+keeps nothing.  ``loop_formula_p`` reads one entry of the scan.
 """
 
 from __future__ import annotations
@@ -146,7 +154,10 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
 
     Returns a symmetric (sites x sites) array with the sublattice sign
     applied; the diagonal is set to 0 (undefined).  Raises
-    :class:`CapExceeded` above ``MAX_GRAPH_PAIRS`` ordered pairs.
+    :class:`CapExceeded` above ``MAX_GRAPH_PAIRS`` ordered pairs.  The
+    checks run on every call; the matrix is summed on the first call for
+    an ensemble and kept on it read-only, and each call returns its own
+    copy.
     """
     _check_scannable(ensemble)
     n_cov = len(ensemble)
@@ -155,6 +166,16 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
             f"loop scan capped at {MAX_GRAPH_PAIRS} ordered covering pairs; "
             f"ensemble needs {n_cov * n_cov}"
         )
+    memo = ensemble._memo
+    if "loop_sum" not in memo:
+        p_matrix = _loop_sum(ensemble)
+        p_matrix.setflags(write=False)
+        memo["loop_sum"] = p_matrix
+    return memo["loop_sum"].copy()
+
+
+def _loop_sum(ensemble: CoveringEnsemble) -> np.ndarray:
+    """The signed loop-sum quotients, one full row per covering orbit."""
     lattice = ensemble.lattice
     n_sites = lattice.site_count
     partners = _partner_matrix(ensemble)
@@ -166,12 +187,12 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
         # keeps the weights finite
         weights = np.ldexp(1.0, counts - n_sites // 2)
         same = labels[:, :, None] == labels[:, None, :]
-        row = (weights @ same.reshape(n_cov, -1)).reshape(n_sites, n_sites)
-        row_total = weights.sum()
-        # covering g(r)'s row is r's row with sites i, j moved to g[i], g[j]
-        for g in maps:
-            numerator[np.ix_(g, g)] += row
-            denominator += row_total
+        row = (weights @ same.reshape(len(ensemble), -1)).reshape(n_sites, n_sites)
+        # covering g(r)'s row is r's row with sites i, j moved to g[i], g[j],
+        # so entry (a, b) of it is r's entry at the inverse images of a and b
+        inv = np.argsort(maps, axis=1)
+        numerator += row[inv[:, :, None], inv[:, None, :]].sum(axis=0)
+        denominator += weights.sum() * len(maps)
     a_mask = np.array(
         [lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)]
     )
@@ -184,10 +205,8 @@ def loop_formula_scan(ensemble: CoveringEnsemble) -> np.ndarray:
 def loop_formula_p(ensemble: CoveringEnsemble, i: int, j: int) -> float:
     """Werner parameter of one site pair: entry (i, j) of :func:`loop_formula_scan`.
 
-    Each call runs a whole scan and keeps one entry of it, so a caller
-    that needs many pairs should read them from one
-    :func:`loop_formula_scan` matrix: on the periodic 4x4, 240 calls cost
-    240 scans.
+    The scan's matrix is kept on the ensemble, so only the first call
+    sums it; later calls copy it and read one entry.
 
     Ensembles above ``MAX_GRAPH_PAIRS`` ordered pairs, where the scan
     raises :class:`CapExceeded`, are routed to the exact state-vector

@@ -27,7 +27,6 @@ state.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -71,9 +70,10 @@ class StateVector:
     lattice's, and the support keeps only those the amplitudes obey.
     Two states are equal when qubit count, norm and amplitude bytes are.
 
-    Never modify ``amplitudes`` in place: the sector support and the memo
-    of 1- and 2-site reduced density matrices are derived from them once
-    and kept on the state.
+    ``amplitudes`` is a read-only view: the sector support and the memo
+    of 1- and 2-site reduced density matrices are derived from it once
+    and kept on the state.  A float64 array passed in is not copied: the
+    state aliases it, so the caller must not write to it afterwards.
     """
 
     n_qubits: int
@@ -88,7 +88,8 @@ class StateVector:
         # inner products and Gram blocks never conjugate
         if np.iscomplexobj(amps):
             raise ValueError(f"state amplitudes must be real, got dtype {amps.dtype}")
-        amps = np.asarray(amps, dtype=np.float64)
+        amps = np.asarray(amps, dtype=np.float64).view()
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(
@@ -109,7 +110,7 @@ class StateVector:
 
     @cached_property
     def _support(self) -> "_SectorSupport | None":
-        # built on first use and kept: amplitudes are never modified in place
+        # built on first use and kept: the amplitudes are read-only
         return _sector_support(self)
 
     @cached_property
@@ -517,34 +518,3 @@ def save_state(state: StateVector, path: str | Path) -> None:
 
 def load_state(path: str | Path) -> StateVector:
     return state_from_bytes(Path(path).read_bytes())
-
-
-def state_to_json(state: StateVector) -> str:
-    doc = {
-        "schema": 1,
-        "n_qubits": state.n_qubits,
-        "norm": state.norm,
-        "amplitudes": state.amplitudes.tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def state_from_json(text: str) -> StateVector:
-    doc = json.loads(text)
-    return StateVector(
-        n_qubits=int(doc["n_qubits"]),
-        amplitudes=np.asarray(doc["amplitudes"], dtype=np.float64),
-        norm=float(doc.get("norm", 1.0)),
-    )
-
-
-def density_matrix_to_json(dm: DensityMatrix) -> str:
-    pairs = [[[float(z.real), float(z.imag)] for z in row] for row in dm.matrix]
-    return json.dumps({"schema": 1, "sites": list(dm.sites), "matrix": pairs}, sort_keys=True)
-
-
-def density_matrix_from_json(text: str) -> DensityMatrix:
-    doc = json.loads(text)
-    raw = doc["matrix"]
-    mat = np.array([[complex(re, im) for re, im in row] for row in raw])
-    return DensityMatrix(sites=tuple(doc["sites"]), matrix=mat)

@@ -280,10 +280,19 @@ def liquid_coverings_oracle(lattice):
     return tuple(found)
 
 
+def partner_array(covering, n_sites):
+    """site -> matched partner of one covering, as an int array of length ``n_sites``."""
+    out = np.full(n_sites, -1, dtype=np.int64)
+    for a, b in zip(covering.a_sites, covering.b_partners):
+        out[a] = b
+        out[b] = a
+    return out
+
+
 def partner_matrix_oracle(ensemble):
     """(coverings x sites) partner map, one ``partner_array`` per covering."""
     n_sites = ensemble.lattice.site_count
-    return np.stack([c.partner_array(n_sites) for c in ensemble.coverings])
+    return np.stack([partner_array(c, n_sites) for c in ensemble.coverings])
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import (
     brute_force_matchings,
     gas_coverings_oracle,
     liquid_coverings_oracle,
+    partner_array,
     ryser_permanent,
 )
 from rvblab import (
@@ -49,7 +50,7 @@ class TestDimerCovering:
 
     def test_partner_array_involution(self):
         cov = DimerCovering(a_sites=(0, 2), b_partners=(3, 1))
-        arr = cov.partner_array(4)
+        arr = partner_array(cov, 4)
         assert np.array_equal(arr[arr], np.arange(4))
 
     def test_a_sites_must_ascend(self):

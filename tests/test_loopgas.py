@@ -8,9 +8,12 @@ from conftest import (
     partner_matrix_oracle,
 )
 from rvblab import (
+    CapExceeded,
     LatticeSpec,
     assemble,
     custom_ensemble,
+    ensemble_from_json,
+    ensemble_to_json,
     enumerate_gas,
     enumerate_liquid,
     extract_werner_p,
@@ -218,6 +221,82 @@ class TestPinnedToLoopWalkOracle:
             for j in range(n):
                 if i != j:
                     assert loop_formula_p(ensemble, i, j) == expected[i, j], (i, j)
+
+
+def _periodic44():
+    # a fresh ensemble each time: a session fixture may carry a memoised scan
+    return enumerate_liquid(LatticeSpec.square_grid(4, 4, boundary="periodic"))
+
+
+def _count_row_loops(monkeypatch):
+    calls = []
+    row_loops = loopgas._row_loops
+
+    def counted(partners, k):
+        calls.append(k)
+        return row_loops(partners, k)
+
+    monkeypatch.setattr(loopgas, "_row_loops", counted)
+    return calls
+
+
+class TestScanMemo:
+    """One scan per ensemble; every call checks first and gets its own copy."""
+
+    def test_every_caller_shares_one_scan(self, monkeypatch):
+        liquid = _periodic44()
+        calls = _count_row_loops(monkeypatch)
+        p_matrix = loop_formula_scan(liquid)
+        same = same_sublattice_scan(liquid)
+        n = liquid.lattice.site_count
+        pointwise = {
+            (i, j): loop_formula_p(liquid, i, j) for i in range(n) for j in range(n) if i != j
+        }
+        # one labelled row per covering orbit, 13 on the periodic 4x4
+        assert len(pointwise) == 240 and len(calls) == 13
+        assert all(p == p_matrix[pair] for pair, p in pointwise.items())
+        assert all(p == p_matrix[pair] for pair, p in same)
+
+    def test_repeat_calls_return_distinct_writeable_copies(self):
+        liquid = _periodic44()
+        first = loop_formula_scan(liquid)
+        again = loop_formula_scan(liquid)
+        assert again is not first and not np.shares_memory(first, again)
+        assert first.flags.writeable and again.flags.writeable
+        assert again.tobytes() == first.tobytes()
+        expected = first.tobytes()
+        first[:] = 7.0
+        again[0, 1] = -7.0
+        assert loop_formula_scan(liquid).tobytes() == expected
+        assert loop_formula_p(liquid, 0, 1) != -7.0
+
+    def test_rebuilt_ensemble_gives_the_same_bytes(self):
+        liquid = _periodic44()
+        rebuilt = ensemble_from_json(ensemble_to_json(liquid))
+        assert rebuilt is not liquid and rebuilt == liquid
+        assert loop_formula_scan(rebuilt).tobytes() == loop_formula_scan(liquid).tobytes()
+        assert loop_formula_scan(liquid).tobytes() == loop_formula_scan_oracle(liquid).tobytes()
+
+    def test_lowered_cap_after_a_scan_still_applies(self, liquid44, state44, monkeypatch):
+        loop_formula_scan(liquid44)
+        monkeypatch.setattr(loopgas, "MAX_GRAPH_PAIRS", 10)
+        with pytest.raises(CapExceeded, match="capped at 10"):
+            loop_formula_scan(liquid44)
+        with pytest.raises(CapExceeded):
+            same_sublattice_scan(liquid44)
+        # loop_formula_p takes the state-vector route, to the last ulp its own
+        dm = reduced_density_matrix(state44, (5, 6))
+        assert loop_formula_p(liquid44, 5, 6) == extract_werner_p(dm).p
+
+    def test_a_scan_that_raises_keeps_nothing(self, monkeypatch):
+        liquid = _periodic44()
+        monkeypatch.setattr(loopgas, "MAX_GRAPH_PAIRS", 10)
+        with pytest.raises(CapExceeded):
+            loop_formula_scan(liquid)
+        monkeypatch.undo()
+        calls = _count_row_loops(monkeypatch)
+        loop_formula_scan(liquid)
+        assert len(calls) == 13
 
 
 def _orbit_rows(ensemble):
