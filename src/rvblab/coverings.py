@@ -9,7 +9,9 @@ silently normalized.
 
 An ensemble stores its coverings in this form as one partner table, read
 by validation, serialization, assembly and the loop sums alike;
-:class:`DimerCovering` objects are built from it only on request.
+:class:`DimerCovering` objects are built from it only on request.  The gas
+table and the JSON text are built in array operations as well, with no
+Python object per covering.
 
 Two enumerations are provided: the gas (every A-B pairing of a complete
 bipartite lattice, ``N!`` coverings) and the liquid (nearest-neighbor
@@ -23,7 +25,6 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -227,15 +228,33 @@ def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     """All ``N!`` equal-weight pairings of a complete bipartite lattice.
 
     Coverings are emitted in lexicographic order of the partner
-    permutation.  Raises :class:`CapExceeded` when ``N > GAS_MAX_N``.
+    permutation, the order of ``itertools.permutations(lattice.b_sites())``;
+    the partner table is built in array operations, not one tuple per
+    covering.  Raises :class:`CapExceeded` when ``N > GAS_MAX_N``.
     """
     if lattice.kind is not Kind.COMPLETE_BIPARTITE:
         raise ValueError("gas enumeration is defined on complete bipartite lattices")
     n = lattice.n_per_sublattice
     if n > GAS_MAX_N:
         raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
-    table = np.array(list(permutations(lattice.b_sites())), dtype=np.int64)
+    table = np.array(lattice.b_sites(), dtype=np.int64)[_permutation_table(n)]
     return CoveringEnsemble._from_table(lattice, Variant.GAS, table, np.ones(len(table)))
+
+
+def _permutation_table(m: int) -> np.ndarray:
+    """Every permutation of ``range(m)`` as one ``(m!, m)`` table, in lexicographic order.
+
+    The table of size ``k`` is ``k`` blocks of the table of size ``k - 1``:
+    block ``v`` leads with ``v`` and moves every entry ``>= v`` up by one,
+    a map that keeps each block in lexicographic order.
+    """
+    table = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m + 1):
+        lead = np.repeat(np.arange(k, dtype=np.int64), len(table))
+        rest = np.tile(table, (k, 1))
+        rest += rest >= lead[:, None]
+        table = np.column_stack([lead, rest])
+    return table
 
 
 def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
@@ -369,18 +388,72 @@ def _ensemble_from_pairs(
 # serialization: integers for pairs are exact, weights are decimal floats
 
 def ensemble_to_json(ensemble: CoveringEnsemble) -> str:
+    """The ensemble as the text of ``json.dumps(doc, sort_keys=True)``.
+
+    ``doc`` holds schema 1, the lattice config, the variant, every covering
+    as a list of ``[A site, B site]`` pairs and the weights.  The coverings
+    and the weights are written in array operations, with no Python object
+    per covering; the text is the same, byte for byte, as that of
+    ``json.dumps`` on the nested lists.
+    """
     doc = {
         "schema": 1,
         "lattice": lattice_to_config(ensemble.lattice),
         "variant": ensemble.variant.value,
-        "weights": ensemble.weights.tolist(),
     }
-    # the text of json.dumps(doc, sort_keys=True) with the coverings as
-    # nested pair lists: "coverings" sorts first, and each row fills one
-    # template with the lattice's A sites written in
-    row = "[" + ", ".join(f"[{a}, %d]" for a in ensemble.lattice.a_sites()) + "]"
-    rows = ", ".join([row] * len(ensemble)) % tuple(ensemble.partners.ravel().tolist())
-    return '{"coverings": [' + rows + "], " + json.dumps(doc, sort_keys=True)[1:]
+    # "coverings" sorts before the other keys and "weights" after them
+    return b"".join(
+        [
+            b'{"coverings": [',
+            _coverings_text(ensemble),
+            b"], ",
+            json.dumps(doc, sort_keys=True)[1:-1].encode(),
+            b', "weights": [',
+            _weights_text(ensemble.weights),
+            b"]}",
+        ]
+    ).decode("ascii")
+
+
+def _coverings_text(ensemble: CoveringEnsemble) -> bytearray:
+    """Every covering as ``[[a, b], ...]``, joined by ``", "``.
+
+    Each pair is one record of three byte strings: the text up to its B
+    site, the B site's digits gathered from a per-site table, and the text
+    after it.  NumPy pads each to its field's width with NUL bytes, which
+    :func:`_unpadded` drops.  The records are written straight into the
+    buffer that is filtered, so the text is copied once.
+    """
+    a_sites = ensemble.lattice.a_sites()
+    last = len(a_sites) - 1
+    before = np.array([f"{', ' if i else '['}[{a}, " for i, a in enumerate(a_sites)], dtype=bytes)
+    digits = np.array([str(s) for s in range(ensemble.lattice.site_count)], dtype=bytes)
+    after = np.array(["]"] * last + ["]], "], dtype=bytes)
+    fields = np.dtype([("before", before.dtype), ("b", digits.dtype), ("after", after.dtype)])
+    text = bytearray(ensemble.partners.size * fields.itemsize)
+    records = np.frombuffer(text, dtype=fields).reshape(ensemble.partners.shape)
+    records["before"] = before
+    records["b"] = digits[ensemble.partners]
+    records["after"] = after
+    return _unpadded(text)
+
+
+def _weights_text(weights: np.ndarray) -> bytearray:
+    """Every weight's ``repr`` joined by ``", "``, one ``repr`` per distinct weight.
+
+    Weights are keyed by their float64 bits, not their values, so that
+    ``-0.0`` keeps its own text instead of merging into ``0.0``.
+    """
+    bits, which = np.unique(weights.view(np.uint64), return_inverse=True)
+    texts = np.array([f"{w!r}, " for w in bits.view(np.float64).tolist()], dtype=bytes)
+    return _unpadded(bytearray(texts[which]))
+
+
+def _unpadded(text: bytearray) -> bytearray:
+    """``text`` with its NUL padding and its final ``", "`` dropped."""
+    text = text.translate(None, b"\0")
+    del text[-2:]
+    return text
 
 
 def ensemble_from_json(text: str) -> CoveringEnsemble:

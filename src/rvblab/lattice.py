@@ -22,9 +22,15 @@ from typing import Iterable, Mapping
 
 
 def site_indices(sites: Iterable[object]) -> tuple[int, ...]:
-    """``sites`` as ints; ValueError unless each is an integer (NumPy's included)."""
+    """``sites`` as ints; ValueError unless each is an integer (NumPy's included).
+
+    Booleans are refused too: ``operator.index(True)`` is 1, but a flag is
+    not a site.
+    """
     sites = tuple(sites)
     try:
+        if bool in map(type, sites):
+            raise TypeError
         return tuple(map(operator.index, sites))
     except TypeError:
         raise ValueError(f"sites must be integers, got {sites}") from None

@@ -331,6 +331,8 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
 def _audit_sizes(state: StateVector, first: int, max_size: int) -> range:
     """Subset sizes ``first, first + 2, ...`` up to ``max_size``, all proper."""
     try:
+        if isinstance(max_size, bool):  # operator.index(True) is 1
+            raise TypeError
         max_size = operator.index(max_size)
     except TypeError:
         raise ValueError(f"max_size must be an integer, got {max_size!r}") from None

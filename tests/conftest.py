@@ -7,11 +7,14 @@ route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
 loop, dense Gram matrices for subset spectra, one scatter per covering
 for state assembly, one ``DimerCovering`` object per covering for the
-partner table, the whole symmetry group applied to every covering for
-the covering orbits) so that agreement is evidence, not tautology.
+partner table, ``itertools.permutations`` for the gas table, one ``%``
+format over every site for the ensemble JSON, the whole symmetry group
+applied to every covering for the covering orbits) so that agreement is
+evidence, not tautology.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 from functools import lru_cache
@@ -31,6 +34,7 @@ from rvblab import (
     enumerate_gas,
     enumerate_liquid,
 )
+from rvblab.lattice import lattice_to_config
 
 # ----------------------------------------------------------------------
 # fixtures
@@ -248,6 +252,29 @@ def gas_coverings_oracle(lattice):
         DimerCovering(a_sites=a_sites, b_partners=perm)
         for perm in itertools.permutations(lattice.b_sites())
     )
+
+
+def gas_partners_oracle(lattice):
+    """The gas partner table as one tuple per B permutation, stacked by ``np.array``."""
+    return np.array(list(itertools.permutations(lattice.b_sites())), dtype=np.int64)
+
+
+def ensemble_json_oracle(ensemble):
+    """The ensemble JSON text, with every covering written by one ``%`` format.
+
+    The route the array writer replaced: each row fills one template with
+    the lattice's A sites written in, the rows' B partners go into it as
+    one tuple of Python ints, and ``json.dumps`` writes the rest.
+    """
+    doc = {
+        "schema": 1,
+        "lattice": lattice_to_config(ensemble.lattice),
+        "variant": ensemble.variant.value,
+        "weights": ensemble.weights.tolist(),
+    }
+    row = "[" + ", ".join(f"[{a}, %d]" for a in ensemble.lattice.a_sites()) + "]"
+    rows = ", ".join([row] * len(ensemble)) % tuple(ensemble.partners.ravel().tolist())
+    return '{"coverings": [' + rows + "], " + json.dumps(doc, sort_keys=True)[1:]
 
 
 def liquid_coverings_oracle(lattice):

@@ -10,7 +10,9 @@ import rvblab.coverings as coverings_mod
 from conftest import (
     biadjacency,
     brute_force_matchings,
+    ensemble_json_oracle,
     gas_coverings_oracle,
+    gas_partners_oracle,
     liquid_coverings_oracle,
     partner_array,
     ryser_permanent,
@@ -419,6 +421,58 @@ class TestSerialization:
         assert ensemble_to_json(ens) == json.dumps(nested, sort_keys=True)
 
 
+# open 1x8, 2x2, 4x4 and 2x14 (two-digit sites), periodic 4x2, 2x6 and 4x4
+JSON_GRIDS = [
+    (1, 8, "open"), (2, 2, "open"), (4, 4, "open"), (2, 14, "open"),
+    (4, 2, "periodic"), (2, 6, "periodic"), (4, 4, "periodic"),
+]
+# weights whose texts are short, tiny, repeating and large, and two that a
+# table keyed by value would merge: -0.0 and 0.0 compare equal
+ODD_WEIGHTS = (0.1, 1e-300, 1 / 3, -2.5e10, -0.0, 0.0)
+
+
+def reversed_custom():
+    """The gas N = 3 coverings in reverse order, each given in reversed pair order."""
+    lattice = LatticeSpec.complete_bipartite(3)
+    pairs = [c.pairs[::-1] for c in reversed(enumerate_gas(lattice).coverings)]
+    return custom_ensemble(lattice, pairs, weights=ODD_WEIGHTS)
+
+
+class TestJsonWriter:
+    """The array writer is pinned with ``==`` to the ``%`` writer it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gas_text_equals_the_format_route(self, n):
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(n))
+        assert ensemble_to_json(ens) == ensemble_json_oracle(ens)
+
+    @pytest.mark.parametrize(
+        "rows, cols, boundary", JSON_GRIDS, ids=[f"{b}{r}x{c}" for r, c, b in JSON_GRIDS]
+    )
+    def test_liquid_text_equals_the_format_route(self, rows, cols, boundary):
+        ens = enumerate_liquid(LatticeSpec.square_grid(rows, cols, boundary=boundary))
+        assert ensemble_to_json(ens) == ensemble_json_oracle(ens)
+
+    def test_custom_text_equals_the_format_route(self):
+        ens = reversed_custom()
+        # the rows run against the gas order, so no row is where the gas puts it
+        gas = enumerate_gas(ens.lattice).partners
+        assert np.array_equal(ens.partners, gas[::-1])
+        text = ensemble_to_json(ens)
+        assert text == ensemble_json_oracle(ens)
+        assert text.endswith(
+            '"weights": [0.1, 1e-300, 0.3333333333333333, -25000000000.0, -0.0, 0.0]}'
+        )
+
+    def test_custom_round_trip(self):
+        ens = reversed_custom()
+        back = ensemble_from_json(ensemble_to_json(ens))
+        assert back == ens
+        assert back.variant is Variant.CUSTOM
+        assert back.weights.tobytes() == ens.weights.tobytes()
+        assert np.signbit(back.weights).tolist() == [False, False, False, True, True, False]
+
+
 class TestPartnerTable:
     """The table is the ensemble's data; the object routes it replaced are
     kept in ``conftest`` and pinned here with ``==``."""
@@ -427,6 +481,13 @@ class TestPartnerTable:
     def test_gas_coverings_equal_the_object_route(self, n):
         lattice = LatticeSpec.complete_bipartite(n)
         assert enumerate_gas(lattice).coverings == gas_coverings_oracle(lattice)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gas_table_equals_the_permutations_route(self, n):
+        lattice = LatticeSpec.complete_bipartite(n)
+        partners = enumerate_gas(lattice).partners
+        assert partners.dtype == np.int64
+        assert np.array_equal(partners, gas_partners_oracle(lattice))
 
     @pytest.mark.parametrize("rows, cols, boundary", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
     def test_liquid_coverings_equal_the_object_route(self, rows, cols, boundary):

@@ -730,7 +730,8 @@ class TestAudits:
             odd_subset_audit(StateVector(1, np.array([1.0, 0.0])))
 
     @pytest.mark.parametrize("audit", [odd_subset_audit, even_subset_audit])
-    @pytest.mark.parametrize("max_size", [1.5, 4.0, "4", None])
+    # operator.index(True) is 1, which would run the size-1 audit
+    @pytest.mark.parametrize("max_size", [1.5, 4.0, "4", None, True, False, np.True_])
     def test_non_integer_max_size_is_one_line(self, state23, audit, max_size):
         with pytest.raises(ValueError, match="^max_size must be an integer, got .+$"):
             audit(state23, max_size=max_size)

@@ -1,8 +1,9 @@
-"""Site indices must be integers: every entry point rejects a float or a string.
+"""Site indices must be integers: every entry point rejects a float, a string or a boolean.
 
-``int()`` would truncate 1.9 to 1 or parse "1" as 1 and answer for a pair
-that was never asked for; each entry point raises a one-line ValueError
-instead, and NumPy integers still pass.
+``int()`` would truncate 1.9 to 1 or parse "1" as 1, and ``operator.index``
+reads True as 1, and each would answer for a pair that was never asked for;
+each entry point raises a one-line ValueError instead, and NumPy integers
+still pass.
 """
 
 import json
@@ -22,6 +23,7 @@ from rvblab import (
     reduced_density_matrix,
 )
 from rvblab.coverings import DimerCovering
+from rvblab.lattice import site_indices
 
 
 def _rejects(call):
@@ -66,6 +68,24 @@ def test_custom_ensemble(grid22):
 
 def test_loop_formula_p(liquid23):
     _rejects(lambda: loop_formula_p(liquid23, 0, 1.9))
+
+
+@pytest.mark.parametrize("sites", [(False, True), (0, True), (np.int64(0), False)])
+def test_site_indices_rejects_booleans(sites):
+    with pytest.raises(ValueError, match=r"^sites must be integers, got \(.+\)$"):
+        site_indices(sites)
+
+
+def test_booleans_rejected_at_every_entry_point(grid22, liquid23, state23):
+    # each call would answer for the pair (0, 1) or the anchor 1 if True read as 1
+    dm = reduced_density_matrix(state23, (0, 1, 2))
+    _rejects(lambda: reduced_density_matrix(state23, (False, True)))
+    _rejects(lambda: partial_trace(dm, (False, 1)))
+    _rejects(lambda: measure_pair(state23, (0, True)))
+    _rejects(lambda: loop_formula_p(liquid23, False, True))
+    _rejects(lambda: monogamy_sum(state23, True, (0, 2)))
+    _rejects(lambda: monogamy_sum(state23, 0, (True, 2)))
+    _rejects(lambda: DimerCovering.from_pairs(grid22, [(False, 1), (3, 2)]))
 
 
 def test_numpy_integers_pass(grid23, liquid23, state23):
