@@ -345,12 +345,13 @@ def _ensemble_from_pairs(
 ) -> CoveringEnsemble:
     """Ensemble from A-first pair lists, checked as :meth:`DimerCovering.from_pairs` checks.
 
-    The lists are read as one integer array.  A list passes when its
-    first sites are the lattice's A sites and its second sites its B
-    sites, each once, which is exactly what ``from_pairs`` accepts.  The
-    first list that fails, or every list when they do not stack into one
-    (coverings, pairs, 2) integer array, goes through ``from_pairs``,
-    which names the fault.
+    The lists are read as one integer array; a boolean among the sites,
+    which the array would read as 0 or 1, is refused before the array is
+    used.  A list passes when its first sites are the lattice's A sites
+    and its second sites its B sites, each once, which is exactly what
+    ``from_pairs`` accepts.  The first list that fails, or every list when
+    they do not stack into one (coverings, pairs, 2) integer array, goes
+    through ``from_pairs``, which names the fault.
     """
     if len(weights) != len(pair_lists):
         raise ValueError(
@@ -369,6 +370,9 @@ def _ensemble_from_pairs(
         and np.issubdtype(pairs.dtype, np.integer)
         and pairs.shape == (len(pair_lists), n, 2)
     ):
+        site_types = {type(s) for covering in pair_lists for pair in covering for s in pair}
+        if bool in site_types or np.bool_ in site_types:
+            raise ValueError("covering sites must be integers, got a boolean")
         pairs = np.take_along_axis(pairs, np.argsort(pairs[:, :, :1], axis=1), axis=1)
         passed = np.all(pairs[:, :, 0] == lattice.a_sites(), axis=1) & np.all(
             np.sort(pairs[:, :, 1], axis=1) == lattice.b_sites(), axis=1

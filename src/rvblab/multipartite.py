@@ -28,6 +28,17 @@ amplitudes times +1 or -1 with no tolerance.  A symmetric state
 diagonalises only the blocks with 2 d <= k and counts each one below the
 middle twice; any other state diagonalises every block.
 
+One kernel computes the block spectra of a batch of k-site subsets at
+once.  A slot table per (n, k, D, flip) maps each recoded basis index
+(subset bits low, rest bits high) straight to its place in a flat buffer
+of the kept blocks, and sends every entry of a skipped block to one dump
+slot.  Per chunk of subsets, one matrix product recodes the support for
+all of them, and each subset then costs one gather from the table and
+one scatter into its zero-filled buffer.  Each kept block takes one
+stacked Gram product and one stacked ``eigvalsh`` over the chunk.  A bare
+``subset_spectrum`` call is a batch of one.  The tests pin the kernel bit
+for bit to the one-subset kernel it replaced, at several chunk sizes.
+
 An assembled grid state also carries its lattice's symmetry generators
 (reflections, the transpose of a square grid, translations of a periodic
 one).  The support keeps a generator only when it maps the state to +1 or
@@ -40,14 +51,16 @@ subset's spectrum.  The result depends on the state and the subset alone.
 The audits and the certificate each keep a memo from representative to
 spectrum for the length of one scan, so they compute one spectrum per
 orbit: 920 instead of 6,884 on the open 4x4 audit, 102 on the periodic
-one.  A scan also maps all subsets of one size to their representatives
-in one array pass, a running minimum over the group's rows, into a table
-indexed by subset bitmask; ``subset_spectrum`` reads the table and falls
-back to the same minimum for one subset when the table does not hold it.
-The scan keeps (purity, entropy) per distinct spectrum, so each is
-computed once per representative with the same expressions as a bare
+one.  For each subset size, a scan first maps all the subsets to their
+representatives in one array pass, a running minimum over the group's
+rows, into a table indexed by subset bitmask, and then fills the memo
+with every new representative in one kernel batch.  Each subset still
+goes through ``subset_spectrum``, which reads the table and the memo; it
+falls back to the same minimum, and to a batch of one, for a subset the
+scan has not mapped.  The scan keeps (purity, entropy) per
+representative, computed once with the same expressions as a bare
 ``bipartition_verdict``.  The gas, hand-built states and loaded states
-carry no generators and take the routes above unchanged.
+carry no generators: they take one batch of one per subset.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
@@ -77,9 +90,12 @@ CERTIFICATE_MAX_QUBITS = 12
 AUDIT_MAX_SUBSETS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BipartitionVerdict:
-    """Mixedness of one subset against the rest of a pure state."""
+    """Mixedness of one subset against the rest of a pure state.
+
+    Slotted: an audit keeps one per subset (6,884 on the open 4x4).
+    """
 
     subset: tuple[int, ...]
     purity: float
@@ -104,9 +120,8 @@ class _Scan:
     ``reps[mask]`` is the orbit representative of the subset with bitmask
     ``mask``, or 0 (the mask of no proper nonempty subset) where no array
     pass has filled it in; ``reps`` is None until the first pass and for
-    states with no verified group.  ``spectra``
-    maps a representative to its spectrum and ``stats`` maps a spectrum's
-    bytes to its (purity, entropy).
+    states with no verified group.  ``spectra`` maps a representative to
+    its spectrum and ``stats`` maps it to its (purity, entropy, entangled).
     """
 
     __slots__ = ("state", "reps", "spectra", "stats")
@@ -115,7 +130,7 @@ class _Scan:
         self.state = state
         self.reps: np.ndarray | None = None
         self.spectra: dict[int, np.ndarray] = {}
-        self.stats: dict[bytes, tuple[float, float]] = {}
+        self.stats: dict[int, tuple[float, float, bool]] = {}
 
 
 # the scan in progress; set only while an audit or the certificate runs, so
@@ -140,17 +155,20 @@ def _scan_of(state: StateVector) -> _Scan:
     return scan if scan is not None and scan.state is state else _Scan(state)
 
 
-def _map_representatives(scan: _Scan, subsets: Iterable[tuple[int, ...]], k: int) -> None:
+def _map_representatives(
+    scan: _Scan, subsets: Iterable[tuple[int, ...]], k: int
+) -> np.ndarray | None:
     """Enter the representative of every k-site subset in ``scan``'s table.
 
     One pass over arrays: the image bitmasks under each group element are
     one gather and a row sum, and a running ``np.minimum`` keeps the
-    smallest, so no (group, subsets, k) array is formed.  States with no
-    verified group keep no table.
+    smallest, so no (group, subsets, k) array is formed.  Returns the
+    representatives in the order of ``subsets``.  States with no verified
+    group keep no table and return None.
     """
     support = scan.state._support
     if support is None or support.orbit_bits is None:
-        return
+        return None
     sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
     orbit_bits = support.orbit_bits
     rep = orbit_bits[0][sites].sum(axis=1)
@@ -161,6 +179,7 @@ def _map_representatives(scan: _Scan, subsets: Iterable[tuple[int, ...]], k: int
         top = (1 << scan.state.n_qubits) - 1
         scan.reps = np.zeros(top + 1, dtype=np.min_scalar_type(top))
     scan.reps[np.left_shift(1, sites).sum(axis=1)] = rep
+    return rep
 
 
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
@@ -180,23 +199,26 @@ def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     if support is None:
         return _dense_spectrum(state, sites)
     if support.orbit_bits is None:
-        return _sector_spectrum(support, n, sites)
+        return _sector_spectra(support, n, [_bitmask(sites)], len(sites))[0]
     scan = _scan_of(state)
     rep = 0
     if scan.reps is not None:
-        mask = 0
-        for s in sites:
-            mask |= 1 << s
-        rep = int(scan.reps[mask])
+        rep = scan.reps.item(_bitmask(sites))
     if not rep:
         # the representative is the image with the smallest bitmask
         rep = int(support.orbit_bits[:, list(sites)].sum(axis=1).min())
     memo = scan.spectra
     if rep not in memo:
-        rep_sites = tuple(s for s in range(n) if rep >> s & 1)
-        memo[rep] = _sector_spectrum(support, n, rep_sites)
+        memo[rep] = _sector_spectra(support, n, [rep], len(sites))[0]
     # one memo entry serves the whole orbit, so no caller may write it
     return memo[rep].copy()
+
+
+def _bitmask(sites: tuple[int, ...]) -> int:
+    mask = 0
+    for s in sites:
+        mask |= 1 << s
+    return mask
 
 
 def _dense_spectrum(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
@@ -230,86 +252,156 @@ def _code_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _sector_layout(n: int, k: int, down: int) -> tuple[tuple, np.ndarray, int]:
-    """Sector blocks of a k-site subset in one flat buffer.
+def _sector_layout(
+    n: int, k: int, down: int, mirrored: bool
+) -> tuple[tuple, np.ndarray, int]:
+    """Kept sector blocks of a k-site subset in one flat buffer.
 
     Block d holds the rows with d subset spins down and the columns with
-    ``down - d`` rest spins down, row-major at its own start.  Returns the
-    nonempty blocks as (d, start, rows, cols), each row code's offset into
-    the buffer, and the buffer size.
+    ``down - d`` rest spins down, row-major at its own start.  A mirrored
+    (flip-symmetric) layout keeps only the blocks with ``2 d <= k``.
+    Returns the kept nonempty blocks as (d, start, rows, cols), each row
+    code's offset into the buffer, and the buffer size: the kept blocks
+    and one dump slot after them, where every skipped row's entries land.
     """
     popcount, rank = _code_tables(n - 1)
+    skipped = [mirrored and 2 * d > k for d in range(k + 1)]
+    # a skipped block takes no room in the buffer
     shapes = [
-        (math.comb(k, d), math.comb(n - k, down - d) if d <= down else 0)
-        for d in range(k + 1)
+        (math.comb(k, d), 0 if skip or d > down else math.comb(n - k, down - d))
+        for d, skip in enumerate(skipped)
     ]
     starts = np.cumsum([0] + [r * c for r, c in shapes])
+    dump = int(starts[-1])
     n_cols = np.array([c for _, c in shapes], dtype=np.int64)
     d = popcount[: 2**k].astype(np.int64)
-    row_offset = starts[d] + rank[: 2**k] * n_cols[d]
+    row_offset = np.where(np.array(skipped)[d], dump, starts[d] + rank[: 2**k] * n_cols[d])
     row_offset.setflags(write=False)
     blocks = tuple(
         (d, int(start), r, c)
         for d, ((r, c), start) in enumerate(zip(shapes, starts))
         if r * c
     )
-    return blocks, row_offset, int(starts[-1])
+    return blocks, row_offset, dump + 1
 
 
-def _sector_spectrum(
-    support: _SectorSupport, n: int, sites: tuple[int, ...]
-) -> np.ndarray:
-    """Schmidt spectrum from one Gram block per subset magnetisation.
+@lru_cache(maxsize=1)
+def _slot_table(n: int, k: int, down: int, mirrored: bool) -> np.ndarray:
+    """Buffer slot of every recoded index: row code in the low k bits, column above.
 
-    For a flip-symmetric support, block ``k - d`` is block d with rows and
-    columns permuted and every entry times the flip sign, so only blocks
-    with ``2 d <= k`` are diagonalised and each spectrum below the middle
-    is counted twice.
+    One outer add of the column ranks and the row offsets, in the narrowest
+    unsigned type that holds every sum (uint16 up to 16 sites), with no
+    ``2**n`` int64 temporary.  A row at the dump slot (a skipped block's)
+    sends all its columns there.  Only indices in the state's sector are
+    ever read.  An audit or a certificate asks for one size at a time, so
+    one cached table serves all of that size.
     """
-    k = len(sites)
-    # weight 2**t on subset site t and 2**(k + j) on rest site j: one product
-    # gives each nonzero entry its row code (low k bits) and column code
-    chosen = set(sites)
-    order = list(sites) + [s for s in range(n) if s not in chosen]
-    weights = np.empty(n)
-    weights[order] = np.exp2(np.arange(n))
-    code = (support.bits @ weights).astype(np.int64)
-    blocks, row_offset, size = _sector_layout(n, k, support.down)
-    rank = _code_tables(n - 1)[1]
-    flat = np.zeros(size)
-    flat[row_offset[code & ((1 << k) - 1)] + rank[code >> k]] = support.amplitudes
+    _, row_offset, size = _sector_layout(n, k, down, mirrored)
+    cols = _code_tables(n - 1)[1][: 2 ** (n - k)]
+    table = np.empty((cols.size, row_offset.size), np.min_scalar_type(size + cols.size))
+    np.add(cols[:, None], row_offset, out=table, casting="unsafe")
+    table[:, row_offset == size - 1] = size - 1
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
+# bytes of the float64 scatter buffer of one chunk of subsets
+_CHUNK_BYTES = 1 << 18
+
+
+def _sector_spectra(
+    support: _SectorSupport, n: int, masks: Sequence[int] | np.ndarray, k: int
+) -> np.ndarray:
+    """Schmidt spectra of the k-site subsets with bitmasks ``masks``, one row each.
+
+    The subsets go in chunks whose block buffers fill ``_CHUNK_BYTES``.
+    Each subset weights its sites ``2**t`` (its t-th site) and the rest
+    ``2**(k + j)`` (the j-th other site), so one product of the chunk's
+    weights with the support's bits recodes every nonzero entry for every
+    subset.  Each subset then takes one gather from the slot table and one
+    scatter into its zero-filled buffer, and each kept block one stacked
+    Gram product and one stacked ``eigvalsh`` over the chunk.  No result
+    depends on the chunking.  For a flip-symmetric support, block ``k - d``
+    is block d with rows and columns permuted and every entry times the
+    flip sign, so only blocks with ``2 d <= k`` are kept and each spectrum
+    below the middle is counted twice.  Rows are sorted descending and
+    padded with zeros to ``min(2**k, 2**(n - k))``.
+    """
     mirrored = support.flip is not None
-    pieces = []
-    for d, start, r, c in blocks:
-        if mirrored and 2 * d > k:
-            continue
-        block = flat[start : start + r * c].reshape(r, c)
-        gram = block @ block.T if r <= c else block.T @ block
-        # a 1x1 Gram matrix is its own eigenvalue
-        w = gram.ravel() if gram.size == 1 else np.linalg.eigvalsh(gram)
-        pieces.append(w)
-        if mirrored and 2 * d < k:
+    blocks, _, size = _sector_layout(n, k, support.down, mirrored)
+    table = _slot_table(n, k, support.down, mirrored)
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = support.bits.T  # C-contiguous
+    sites = np.arange(n)
+    out = np.zeros((masks.size, min(2**k, 2 ** (n - k))))
+    step = max(1, _CHUNK_BYTES // (8 * size))
+    for lo in range(0, masks.size, step):
+        member = (masks[lo : lo + step, None] >> sites) & 1
+        # subset sites below each site; every other site below it is a rest site
+        below = np.cumsum(member, axis=1) - member
+        weights = np.exp2(np.where(member == 1, below, k + sites - below))
+        slots = table[(weights @ bits).astype(np.intp)].astype(np.intp)
+        m = slots.shape[0]
+        flat = np.zeros((m, size))
+        for row, slot in zip(flat, slots):
+            row[slot] = support.amplitudes
+        pieces = []
+        for d, start, r, c in blocks:
+            block = flat[:, start : start + r * c].reshape(m, r, c)
+            if r <= c:
+                gram = block @ block.transpose(0, 2, 1)
+            else:
+                gram = block.transpose(0, 2, 1) @ block
+            # a 1x1 Gram matrix is its own eigenvalue
+            w = gram.reshape(m, 1) if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
             pieces.append(w)
-    w = np.sort(np.clip(np.concatenate(pieces), 0.0, None))[::-1]
-    spectrum = np.zeros(min(2**k, 2 ** (n - k)))
-    spectrum[: w.size] = w
-    return spectrum
+            if mirrored and 2 * d < k:
+                pieces.append(w)
+        w = np.sort(np.clip(np.concatenate(pieces, axis=1), 0.0, None), axis=1)
+        out[lo : lo + m, : w.shape[1]] = w[:, ::-1]
+    return out
 
 
 def bipartition_verdict(state: StateVector, subset: Sequence[int]) -> BipartitionVerdict:
     w = subset_spectrum(state, subset)
-    stats = _scan_of(state).stats
-    key = w.tobytes()
-    if key not in stats:
-        positive = w[w > 0.0]
-        stats[key] = (float(np.sum(w * w)), float(-np.sum(positive * np.log2(positive))))
-    pur, ent = stats[key]
-    return BipartitionVerdict(
-        subset=tuple(int(s) for s in subset),
-        purity=pur,
-        entropy_bits=ent,
-        entangled=pur < 1.0 - ENTANGLED_PURITY_TOL,
-    )
+    return BipartitionVerdict(tuple(int(s) for s in subset), *_mixedness(w))
+
+
+def _mixedness(w: np.ndarray) -> tuple[float, float, bool]:
+    """Purity, entropy in bits and the entangled flag of a reduced spectrum."""
+    positive = w[w > 0.0]
+    purity = float(np.sum(w * w))
+    entropy = float(-np.sum(positive * np.log2(positive)))
+    return purity, entropy, purity < 1.0 - ENTANGLED_PURITY_TOL
+
+
+def _scan_verdicts(
+    scan: _Scan, subsets: Iterable[tuple[int, ...]], reps: np.ndarray | None, k: int
+) -> Iterator[BipartitionVerdict]:
+    """Verdicts of the k-site ``subsets``, whose representatives are ``reps``.
+
+    The spectra of all the representatives are computed in one batch
+    first; each subset then still goes through ``subset_spectrum``, and
+    its mixedness is computed once per representative.  With no
+    representatives (no verified group) each subset is its own.
+    """
+    state = scan.state
+    if reps is None:
+        for subset in subsets:
+            yield BipartitionVerdict(subset, *_mixedness(subset_spectrum(state, subset)))
+        return
+    # a set, not np.unique: NumPy 2's first np.unique call in a process (a
+    # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
+    new = sorted(set(reps.tolist()).difference(scan.spectra))
+    if new:
+        scan.spectra.update(zip(new, _sector_spectra(state._support, state.n_qubits, new, k)))
+    stats = scan.stats
+    for subset, rep in zip(subsets, map(int, reps)):
+        w = subset_spectrum(state, subset)
+        if rep not in stats:
+            stats[rep] = _mixedness(w)
+        yield BipartitionVerdict(subset, *stats[rep])
 
 
 def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
@@ -323,8 +415,9 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
     verdicts: list[BipartitionVerdict] = []
     with _orbit_memo(state) as scan:
         for k in sizes:
-            _map_representatives(scan, combinations(range(n), k), k)
-            verdicts.extend(bipartition_verdict(state, s) for s in combinations(range(n), k))
+            # two passes over the subsets; keeping them in a list costs memory
+            reps = _map_representatives(scan, combinations(range(n), k), k)
+            verdicts.extend(_scan_verdicts(scan, combinations(range(n), k), reps, k))
     return AuditResult(verdicts=tuple(verdicts))
 
 
@@ -391,13 +484,12 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     with _orbit_memo(state) as scan:
         for k in range(1, n):
             cuts = [(0,) + rest for rest in combinations(range(1, n), k - 1)]
-            _map_representatives(scan, cuts, k)
-            for subset in cuts:
+            reps = _map_representatives(scan, cuts, k)
+            for verdict in _scan_verdicts(scan, cuts, reps, k):
                 n_cuts += 1
-                verdict = bipartition_verdict(state, subset)
                 if verdict.entropy_bits < best_entropy:
                     best_entropy = verdict.entropy_bits
-                    best_cut = subset
+                    best_cut = verdict.subset
                 if not verdict.entangled:
                     genuine = False
     return CertificateReport(

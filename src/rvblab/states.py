@@ -126,6 +126,8 @@ class _SectorSupport:
     Every nonzero basis index has exactly ``down`` spins down.  ``bits``
     is float64 of shape (nonzeros, n_qubits); column ``s`` holds bit ``s``
     of each index, so a product with a weight vector recodes the indices.
+    It is stored column by column (Fortran order), so ``bits.T`` is
+    C-contiguous for products with many weight vectors at once.
     ``flip`` is the sign ``f`` when flipping every spin maps the state to
     ``f`` times itself, exactly, and None otherwise.  Every singlet
     superposition has ``flip == (-1)**(n_qubits // 2)``.
@@ -154,7 +156,7 @@ def _sector_support(state: StateVector) -> _SectorSupport | None:
         down += (idx >> s) & 1
     if down.min() != down.max():
         return None
-    bits = np.empty((idx.size, n))
+    bits = np.empty((idx.size, n), order="F")
     for s in range(n):
         bits[:, s] = (idx >> s) & 1
     psi = state.amplitudes

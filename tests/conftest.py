@@ -5,12 +5,13 @@ computations with different algorithms than the package (brute-force
 permutation filters, Ryser's permanent, the non-Hermitian concurrence
 route, correlation-function Werner extraction, cyclic Jacobi rotations
 for Hermitian spectra, a site-by-site walk of every transition-graph
-loop, dense Gram matrices for subset spectra, one scatter per covering
-for state assembly, one ``DimerCovering`` object per covering for the
-partner table, ``itertools.permutations`` for the gas table, one ``%``
-format over every site for the ensemble JSON, the whole symmetry group
-applied to every covering for the covering orbits) so that agreement is
-evidence, not tautology.
+loop, dense Gram matrices for subset spectra, one subset and one
+``eigvalsh`` per S^z block for the batched sector kernel, one scatter per
+covering for state assembly, one ``DimerCovering`` object per covering
+for the partner table, ``itertools.permutations`` for the gas table, one
+``%`` format over every site for the ensemble JSON, the whole symmetry
+group applied to every covering for the covering orbits) so that
+agreement is evidence, not tautology.
 """
 
 import itertools
@@ -413,6 +414,61 @@ def subset_spectrum_oracle(state, subset):
     block = np.transpose(tensor, kept + rest).reshape(2 ** len(subset), -1)
     gram = block @ block.T if block.shape[0] <= block.shape[1] else block.T @ block
     return np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _sector_layout_oracle(n, k, down):
+    """Every S^z block of a k-site subset in one flat buffer, and each row code's offset."""
+    popcount = np.array([bin(code).count("1") for code in range(2 ** max(k, n - k))])
+    rank = np.zeros(popcount.size, dtype=np.int64)
+    for d in range(popcount.max() + 1):
+        members = popcount == d
+        rank[members] = np.arange(np.count_nonzero(members))
+    shapes = [
+        (math.comb(k, d), math.comb(n - k, down - d) if d <= down else 0) for d in range(k + 1)
+    ]
+    starts = np.cumsum([0] + [r * c for r, c in shapes])
+    n_cols = np.array([c for _, c in shapes])
+    d = popcount[: 2**k]
+    row_offset = starts[d] + rank[: 2**k] * n_cols[d]
+    blocks = [(d, int(start), r, c) for d, ((r, c), start) in enumerate(zip(shapes, starts)) if r * c]
+    return blocks, row_offset, rank, int(starts[-1])
+
+
+def sector_spectrum_oracle(support, n, sites):
+    """One subset's Schmidt spectrum from its S^z blocks, one block at a time.
+
+    The one-subset kernel the batched one replaced: recode the support
+    indices for this subset alone, scatter them into a zero-filled buffer
+    of every block, and call ``eigvalsh`` once per Gram matrix over 1x1.
+    A flip-symmetric support takes the blocks with ``2 d <= k`` and counts
+    each one below the middle twice.  The batched kernel must match it bit
+    for bit.
+    """
+    k = len(sites)
+    chosen = set(sites)
+    order = list(sites) + [s for s in range(n) if s not in chosen]
+    weights = np.empty(n)
+    weights[order] = np.exp2(np.arange(n))
+    code = (support.bits @ weights).astype(np.int64)
+    blocks, row_offset, rank, size = _sector_layout_oracle(n, k, support.down)
+    flat = np.zeros(size)
+    flat[row_offset[code & ((1 << k) - 1)] + rank[code >> k]] = support.amplitudes
+    mirrored = support.flip is not None
+    pieces = []
+    for d, start, r, c in blocks:
+        if mirrored and 2 * d > k:
+            continue
+        block = flat[start : start + r * c].reshape(r, c)
+        gram = block @ block.T if r <= c else block.T @ block
+        w = gram.ravel() if gram.size == 1 else np.linalg.eigvalsh(gram)
+        pieces.append(w)
+        if mirrored and 2 * d < k:
+            pieces.append(w)
+    w = np.sort(np.clip(np.concatenate(pieces), 0.0, None))[::-1]
+    spectrum = np.zeros(min(2**k, 2 ** (n - k)))
+    spectrum[: w.size] = w
+    return spectrum
 
 
 def purity_entropy_oracle(spectrum):

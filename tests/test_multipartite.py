@@ -11,6 +11,7 @@ from conftest import (
     entropy_bits_oracle,
     equal_weight_ensembles,
     purity_entropy_oracle,
+    sector_spectrum_oracle,
     subset_spectrum_oracle,
 )
 from rvblab import multipartite, states
@@ -46,6 +47,16 @@ def state26():
 @pytest.fixture(scope="module")
 def state44_periodic(grid44_periodic):
     return assemble(enumerate_liquid(grid44_periodic))
+
+
+@pytest.fixture(scope="module")
+def state34():
+    return assemble(enumerate_liquid(LatticeSpec.square_grid(3, 4)))
+
+
+@pytest.fixture(scope="module")
+def state26_periodic():
+    return assemble(enumerate_liquid(LatticeSpec.square_grid(2, 6, boundary="periodic")))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +174,7 @@ class TestSectorBlocks:
         def no_sector(*args):
             raise AssertionError("sector blocks built for a state with no sector")
 
-        monkeypatch.setattr(multipartite, "_sector_spectrum", no_sector)
+        monkeypatch.setattr(multipartite, "_sector_spectra", no_sector)
         assert state._support is None
         for subset in _proper_subsets(state.n_qubits):
             got = subset_spectrum(state, subset)
@@ -190,7 +201,7 @@ class TestSectorBlocks:
         def no_block(*args):
             raise AssertionError("block built before the subset check")
 
-        for name in ("_subset_block", "_sector_spectrum", "_dense_spectrum"):
+        for name in ("_subset_block", "_sector_spectra", "_dense_spectrum"):
             monkeypatch.setattr(multipartite, name, no_block)
         monkeypatch.setattr(states, "_sector_support", no_block)
         cov = DimerCovering(a_sites=(0, 2), b_partners=(1, 3))
@@ -224,12 +235,16 @@ def _random_sz0_state(n, seed):
 
 
 def _eigvalsh_calls(monkeypatch):
-    """Count the kernel's eigvalsh calls; it calls NumPy directly."""
+    """One entry per matrix the kernel diagonalises; it calls NumPy directly.
+
+    A stacked call on (m, r, r) counts m matrices, so the count does not
+    depend on how the kernel batches them.
+    """
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(a):
-        calls.append(a.shape)
+        calls.extend([a.shape[-2:]] * math.prod(a.shape[:-2]))
         return eigvalsh(a)
 
     monkeypatch.setattr(multipartite.np.linalg, "eigvalsh", counting)
@@ -237,9 +252,12 @@ def _eigvalsh_calls(monkeypatch):
 
 
 def _blocks_over_1x1(n, subset, down, half):
-    blocks = multipartite._sector_layout(n, len(subset), down)[0]
+    """S^z blocks of ``subset`` whose Gram matrix is over 1x1, the mirrored half skipped."""
+    k = len(subset)
     return sum(
-        min(r, c) > 1 for d, _, r, c in blocks if not (half and 2 * d > len(subset))
+        min(math.comb(k, d), math.comb(n - k, down - d)) > 1
+        for d in range(min(k, down) + 1)
+        if not (half and 2 * d > k)
     )
 
 
@@ -399,13 +417,13 @@ class TestOrbits:
         lattice = request.getfixturevalue(lattice_fixture)
         assert _orbit_count_oracle(lattice, (1, 2, 3, 4, 5)) == orbits
         computed = []
-        spectrum = multipartite._sector_spectrum
+        spectra = multipartite._sector_spectra
 
-        def counting(support, n, sites):
-            computed.append(sites)
-            return spectrum(support, n, sites)
+        def counting(support, n, masks, k):
+            computed.extend(int(mask) for mask in masks)
+            return spectra(support, n, masks, k)
 
-        monkeypatch.setattr(multipartite, "_sector_spectrum", counting)
+        monkeypatch.setattr(multipartite, "_sector_spectra", counting)
         odd = odd_subset_audit(state, max_size=5)
         even = even_subset_audit(state, max_size=4)
         assert len(odd.verdicts) + len(even.verdicts) == 6884
@@ -583,11 +601,12 @@ class TestRepresentativeTable:
 
         def checked(scan, subsets, k):
             subsets = list(subsets)
-            fill(scan, subsets, k)
-            for subset in subsets:
+            reps = fill(scan, subsets, k)
+            for subset, rep in zip(subsets, reps, strict=True):
                 assert len(subset) == k
-                assert scan.reps[_mask(subset)] == _per_subset_rep(support, subset)
+                assert scan.reps[_mask(subset)] == rep == _per_subset_rep(support, subset)
             seen.extend(subsets)
+            return reps
 
         monkeypatch.setattr(multipartite, "_map_representatives", checked)
         report = genuine_multipartite_certificate(state)
@@ -634,18 +653,31 @@ class TestRepresentativeTable:
     )
     def test_exception_mid_scan_resets_the_memo(self, scan, state23, monkeypatch):
         expected = scan(state23)
-        spectrum = multipartite._sector_spectrum
+        eigvalsh = np.linalg.eigvalsh
         calls = []
 
-        def failing(support, n, sites):
-            calls.append(sites)
+        def failing(a):
+            calls.append(a.shape)
             if len(calls) == 3:
                 raise RuntimeError("spectrum failed")
-            return spectrum(support, n, sites)
+            return eigvalsh(a)
 
-        monkeypatch.setattr(multipartite, "_sector_spectrum", failing)
+        # one subset per chunk, each chunk at least one eigensolve
+        monkeypatch.setattr(multipartite, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(multipartite.np.linalg, "eigvalsh", failing)
+        batches = []
+        spectra = multipartite._sector_spectra
+
+        def recording(support, n, masks, k):
+            batches.append((len(calls), len(masks)))
+            return spectra(support, n, masks, k)
+
+        monkeypatch.setattr(multipartite, "_sector_spectra", recording)
         with pytest.raises(RuntimeError, match="spectrum failed"):
             scan(state23)
+        # the failing batch had finished a chunk and had subsets left
+        solved_before, size = batches[-1]
+        assert solved_before < len(calls) - 1 and len(calls) - solved_before < size
         assert multipartite._SCAN_MEMO.get() is None
         monkeypatch.undo()
         # the next scan starts from empty memos
@@ -661,6 +693,75 @@ class TestRepresentativeTable:
         cert = genuine_multipartite_certificate(assemble(enumerate_liquid(lattice)))
         got = (cert.genuine, cert.n_cuts, cert.min_cut, repr(cert.min_entropy_bits))
         assert got == CERTIFICATE_PINS[(lattice.rows, lattice.cols, lattice.boundary.value)]
+
+
+def _nudged(state):
+    """``state`` with one amplitude one ulp up: no flip symmetry, no group."""
+    amps = state.amplitudes.copy()
+    index = int(np.flatnonzero(amps)[0])
+    amps[index] = np.nextafter(amps[index], np.inf)
+    return StateVector(n_qubits=state.n_qubits, amplitudes=amps)
+
+
+def _every_subset_mask(state):
+    n = state.n_qubits
+    return {k: [_mask(s) for s in itertools.combinations(range(n), k)] for k in range(1, n)}
+
+
+def _audit_representatives(state):
+    n = state.n_qubits
+    return {
+        k: sorted({_per_subset_rep(state._support, s) for s in itertools.combinations(range(n), k)})
+        for k in range(1, 6)
+    }
+
+
+class TestBatchedKernel:
+    """The batched sector kernel, pinned bit for bit to the one-subset kernel."""
+
+    @pytest.mark.parametrize(
+        "fixture, masks, flip, group, count",
+        [
+            ("state44", _audit_representatives, 1, True, 920),
+            ("state44_periodic", _audit_representatives, 1, True, 102),
+            ("state23", _every_subset_mask, -1, True, 2**6 - 2),
+            ("state34", _every_subset_mask, 1, True, 2**12 - 2),
+            ("state26_periodic", _every_subset_mask, 1, True, 2**12 - 2),
+            # the flip, but no lattice group to reduce by
+            ("gas_state4", _every_subset_mask, 1, False, 2**8 - 2),
+            # no flip: every block is diagonalised
+            ("nudged24", _every_subset_mask, None, False, 2**8 - 2),
+        ],
+        ids=["open44-reps", "periodic44-reps", "open23", "open34", "periodic26", "gas4", "nudged24"],
+    )
+    def test_equals_the_one_subset_kernel(
+        self, fixture, masks, flip, group, count, request, monkeypatch
+    ):
+        if fixture == "nudged24":
+            state = _nudged(request.getfixturevalue("state24"))
+        else:
+            state = request.getfixturevalue(fixture)
+        support = state._support
+        n = state.n_qubits
+        assert support.flip == flip
+        assert (support.orbit_bits is not None) == group
+        by_size = masks(state)
+        assert sum(map(len, by_size.values())) == count
+        for k, ks in by_size.items():
+            expected = [
+                sector_spectrum_oracle(support, n, tuple(s for s in range(n) if m >> s & 1))
+                for m in ks
+            ]
+            single = [multipartite._sector_spectra(support, n, [m], k) for m in ks]
+            assert [got.shape for got in single] == [(1, ref.size) for ref in expected]
+            assert [got.tobytes() for got in single] == [ref.tobytes() for ref in expected]
+            size = multipartite._sector_layout(n, k, support.down, flip is not None)[2]
+            # one chunk, chunks of three, one subset per chunk
+            for per_chunk in (len(ks), 3, 1):
+                monkeypatch.setattr(multipartite, "_CHUNK_BYTES", 8 * size * per_chunk)
+                got = multipartite._sector_spectra(support, n, np.array(ks), k)
+                assert got.shape == (len(ks), expected[0].size)
+                assert [row.tobytes() for row in got] == [ref.tobytes() for ref in expected]
 
 
 class TestBipartitionVerdict:
@@ -709,6 +810,26 @@ class TestAudits:
         monkeypatch.setattr(multipartite, "subset_spectrum", no_spectrum)
         with pytest.raises(CapExceeded, match="20000 subsets; requested 27824"):
             odd_subset_audit(state44, max_size=9)
+
+    def test_each_subset_reaches_subset_spectrum_once(self, state44, monkeypatch):
+        # the benchmark counts these calls on the open 4x4 (6,884 in all)
+        calls = []
+        spectrum = multipartite.subset_spectrum
+
+        def counting(state, subset):
+            calls.append(tuple(subset))
+            return spectrum(state, subset)
+
+        monkeypatch.setattr(multipartite, "subset_spectrum", counting)
+        for audit, max_size, sizes, total in [
+            (odd_subset_audit, 5, (1, 3, 5), 4944),
+            (even_subset_audit, 4, (2, 4), 1940),
+        ]:
+            calls.clear()
+            result = audit(state44, max_size)
+            expected = [s for k in sizes for s in itertools.combinations(range(16), k)]
+            assert len(calls) == len(expected) == total
+            assert calls == expected == [v.subset for v in result.verdicts]
 
     def test_subsets_are_valid(self, state23):
         result = odd_subset_audit(state23, max_size=3)

@@ -88,6 +88,23 @@ def test_booleans_rejected_at_every_entry_point(grid22, liquid23, state23):
     _rejects(lambda: DimerCovering.from_pairs(grid22, [(False, 1), (3, 2)]))
 
 
+@pytest.mark.parametrize("site", [True, np.True_], ids=["True", "np.True_"])
+def test_custom_ensemble_rejects_a_boolean_among_integers(grid22, site):
+    # stacked into one integer array, True would read as 1: the covering (0, 1), (3, 2)
+    assert np.array([[(0, site), (3, 2)]]).dtype.kind == "i"
+    with pytest.raises(ValueError, match="^covering sites must be integers, got a boolean$"):
+        custom_ensemble(grid22, [[(0, site), (3, 2)]])
+
+
+def test_ensemble_from_json_rejects_true_as_a_site(liquid22):
+    doc = json.loads(ensemble_to_json(liquid22))
+    doc["coverings"][0][0][1] = True
+    text = json.dumps(doc)
+    assert "[0, true]" in text
+    with pytest.raises(ValueError, match="^covering sites must be integers, got a boolean$"):
+        ensemble_from_json(text)
+
+
 def test_numpy_integers_pass(grid23, liquid23, state23):
     i, j = np.int64(0), np.int32(1)
     assert reduced_density_matrix(state23, (i, j)).sites == (0, 1)
