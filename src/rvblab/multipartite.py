@@ -48,19 +48,25 @@ A symmetry permutes the sites and leaves every reduced spectrum fixed, so
 ``subset_spectrum`` maps a subset to its orbit representative, the image
 with the smallest bitmask ``min_g sum_s 2**g(s)``, and returns that
 subset's spectrum.  The result depends on the state and the subset alone.
-The audits and the certificate each keep a memo from representative to
-spectrum for the length of one scan, so they compute one spectrum per
-orbit: 920 instead of 6,884 on the open 4x4 audit, 102 on the periodic
-one.  For each subset size, a scan first maps all the subsets to their
-representatives in one array pass, a running minimum over the group's
-rows, into a table indexed by subset bitmask, and then fills the memo
-with every new representative in one kernel batch.  Each subset still
-goes through ``subset_spectrum``, which reads the table and the memo; it
-falls back to the same minimum, and to a batch of one, for a subset the
-scan has not mapped.  The scan keeps (purity, entropy) per
-representative, computed once with the same expressions as a bare
-``bipartition_verdict``.  The gas, hand-built states and loaded states
-carry no generators: they take one batch of one per subset.
+
+The spectra are memoised on the state's support, like the support itself
+and the reduced density matrices.  The memo maps representatives to
+spectra and holds one subset size at a time: a call or a batch of another
+size empties it first.  A table indexed by subset bitmask holds each
+subset's representative once an array pass has mapped it; an entry never
+goes stale.  What stays on a state is thus one size's spectra and the
+table, 128 KB at 16 sites.  The 4x4 audits compute one spectrum per
+orbit: 920 instead of 6,884 on the open 4x4, 102 on the periodic one.
+For each size, the audits and the certificate walk the subsets twice.
+The first walk maps them all to their representatives in one array
+pass, a running minimum over the group's rows, and enters every new
+representative's spectrum in one kernel batch.  The second sends each
+subset through ``subset_spectrum``, which reads the table and the memo,
+and computes (purity, entropy) once per representative with the same
+expressions as a bare ``bipartition_verdict``.  A bare call of a size the
+table has not mapped takes the same minimum itself.  The gas, hand-built
+states and loaded states carry no generators: each subset is its own
+representative, and they keep no table.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
@@ -73,12 +79,10 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,72 +118,48 @@ class AuditResult:
         return all(v.entangled for v in self.verdicts)
 
 
-class _Scan:
-    """Memos of one audit or certificate scan of ``state``, dropped when it ends.
-
-    ``reps[mask]`` is the orbit representative of the subset with bitmask
-    ``mask``, or 0 (the mask of no proper nonempty subset) where no array
-    pass has filled it in; ``reps`` is None until the first pass and for
-    states with no verified group.  ``spectra`` maps a representative to
-    its spectrum and ``stats`` maps it to its (purity, entropy, entangled).
-    """
-
-    __slots__ = ("state", "reps", "spectra", "stats")
-
-    def __init__(self, state: StateVector) -> None:
-        self.state = state
-        self.reps: np.ndarray | None = None
-        self.spectra: dict[int, np.ndarray] = {}
-        self.stats: dict[int, tuple[float, float, bool]] = {}
-
-
-# the scan in progress; set only while an audit or the certificate runs, so
-# a bare subset_spectrum call computes its representative directly
-_SCAN_MEMO: ContextVar[_Scan | None] = ContextVar("_SCAN_MEMO", default=None)
-
-
-@contextmanager
-def _orbit_memo(state: StateVector) -> Iterator[_Scan]:
-    """One scan of ``state`` with empty memos, dropped on exit."""
-    scan = _Scan(state)
-    token = _SCAN_MEMO.set(scan)
-    try:
-        yield scan
-    finally:
-        _SCAN_MEMO.reset(token)
-
-
-def _scan_of(state: StateVector) -> _Scan:
-    """The scan in progress over ``state``, or an empty one for a single call."""
-    scan = _SCAN_MEMO.get()
-    return scan if scan is not None and scan.state is state else _Scan(state)
-
-
 def _map_representatives(
-    scan: _Scan, subsets: Iterable[tuple[int, ...]], k: int
-) -> np.ndarray | None:
-    """Enter the representative of every k-site subset in ``scan``'s table.
+    support: _SectorSupport, subsets: Iterable[tuple[int, ...]], k: int
+) -> np.ndarray:
+    """Orbit representatives of the k-site ``subsets``, entered in the support's table.
 
     One pass over arrays: the image bitmasks under each group element are
     one gather and a row sum, and a running ``np.minimum`` keeps the
-    smallest, so no (group, subsets, k) array is formed.  Returns the
-    representatives in the order of ``subsets``.  States with no verified
-    group keep no table and return None.
+    smallest, so no (group, subsets, k) array is formed.  A support with
+    no verified group keeps no table: each subset is its own
+    representative.  Returns the representatives in the order of
+    ``subsets``.
     """
-    support = scan.state._support
-    if support is None or support.orbit_bits is None:
-        return None
     sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
-    orbit_bits = support.orbit_bits
-    rep = orbit_bits[0][sites].sum(axis=1)
-    for row in orbit_bits[1:]:
+    masks = np.left_shift(1, sites).sum(axis=1)
+    if support.reps is None:
+        return masks
+    rep = masks.copy()
+    # row 0 is the identity, whose images are the masks themselves
+    for row in support.orbit_bits[1:]:
         np.minimum(rep, row[sites].sum(axis=1), out=rep)
-    if scan.reps is None:
-        # the narrowest unsigned type that holds every bitmask: 128 KB at 16 sites
-        top = (1 << scan.state.n_qubits) - 1
-        scan.reps = np.zeros(top + 1, dtype=np.min_scalar_type(top))
-    scan.reps[np.left_shift(1, sites).sum(axis=1)] = rep
+    support.reps[masks] = rep
     return rep
+
+
+def _memo_spectra(
+    support: _SectorSupport, n: int, reps: list[int], k: int
+) -> dict[int, np.ndarray]:
+    """The support's spectrum memo, holding every one of the k-site ``reps``.
+
+    The memo keeps one subset size: a request of another size empties it
+    first.  The missing representatives go to the kernel in one batch,
+    entered only once the whole batch has returned.
+    """
+    memo = support.spectra
+    if memo and next(iter(memo)).bit_count() != k:
+        memo.clear()
+    # a set, not np.unique: NumPy 2's first np.unique call in a process (a
+    # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
+    new = sorted(set(reps).difference(memo))
+    if new:
+        memo.update(zip(new, _sector_spectra(support, n, new, k)))
+    return memo
 
 
 def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
@@ -189,27 +169,28 @@ def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     checked before any block is built.  The result has length
     ``min(2**k, 2**(n-k))``.  A state with a verified symmetry group
     returns the spectrum of the subset's orbit representative, so every
-    member of an orbit gets the same bits.
+    member of an orbit gets the same bits.  A state with a sector support
+    keeps the spectra of the last subset size asked for, and each call
+    returns a fresh copy.
     """
     sites = _check_sites(state, subset)
     n = state.n_qubits
-    if not 0 < len(sites) < n:
+    k = len(sites)
+    if not 0 < k < n:
         raise ValueError("subset must be a proper nonempty subset")
     support = state._support
     if support is None:
         return _dense_spectrum(state, sites)
-    if support.orbit_bits is None:
-        return _sector_spectra(support, n, [_bitmask(sites)], len(sites))[0]
-    scan = _scan_of(state)
-    rep = 0
-    if scan.reps is not None:
-        rep = scan.reps.item(_bitmask(sites))
-    if not rep:
-        # the representative is the image with the smallest bitmask
-        rep = int(support.orbit_bits[:, list(sites)].sum(axis=1).min())
-    memo = scan.spectra
+    rep = _bitmask(sites)
+    if support.reps is not None:
+        # the table's entry, or for a size it has not mapped the image with
+        # the smallest bitmask
+        rep = support.reps.item(rep) or int(
+            support.orbit_bits[:, list(sites)].sum(axis=1).min()
+        )
+    memo = support.spectra
     if rep not in memo:
-        memo[rep] = _sector_spectra(support, n, [rep], len(sites))[0]
+        _memo_spectra(support, n, [rep], k)
     # one memo entry serves the whole orbit, so no caller may write it
     return memo[rep].copy()
 
@@ -377,27 +358,24 @@ def _mixedness(w: np.ndarray) -> tuple[float, float, bool]:
 
 
 def _scan_verdicts(
-    scan: _Scan, subsets: Iterable[tuple[int, ...]], reps: np.ndarray | None, k: int
+    state: StateVector, subsets: Callable[[], Iterable[tuple[int, ...]]], k: int
 ) -> Iterator[BipartitionVerdict]:
-    """Verdicts of the k-site ``subsets``, whose representatives are ``reps``.
+    """Verdicts of the k-site subsets that each ``subsets()`` call walks.
 
-    The spectra of all the representatives are computed in one batch
-    first; each subset then still goes through ``subset_spectrum``, and
-    its mixedness is computed once per representative.  With no
-    representatives (no verified group) each subset is its own.
+    The first walk maps the subsets to their representatives, whose
+    spectra then enter the memo in one batch; the second sends each subset
+    through ``subset_spectrum`` and computes its mixedness once per
+    representative.  Walking twice keeps no list of the subsets.
     """
-    state = scan.state
-    if reps is None:
-        for subset in subsets:
+    support = state._support
+    if support is None:
+        for subset in subsets():
             yield BipartitionVerdict(subset, *_mixedness(subset_spectrum(state, subset)))
         return
-    # a set, not np.unique: NumPy 2's first np.unique call in a process (a
-    # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
-    new = sorted(set(reps.tolist()).difference(scan.spectra))
-    if new:
-        scan.spectra.update(zip(new, _sector_spectra(state._support, state.n_qubits, new, k)))
-    stats = scan.stats
-    for subset, rep in zip(subsets, map(int, reps)):
+    reps = _map_representatives(support, subsets(), k).tolist()
+    _memo_spectra(support, state.n_qubits, reps, k)
+    stats: dict[int, tuple[float, float, bool]] = {}
+    for subset, rep in zip(subsets(), reps):
         w = subset_spectrum(state, subset)
         if rep not in stats:
             stats[rep] = _mixedness(w)
@@ -413,11 +391,8 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
     verdicts: list[BipartitionVerdict] = []
-    with _orbit_memo(state) as scan:
-        for k in sizes:
-            # two passes over the subsets; keeping them in a list costs memory
-            reps = _map_representatives(scan, combinations(range(n), k), k)
-            verdicts.extend(_scan_verdicts(scan, combinations(range(n), k), reps, k))
+    for k in sizes:
+        verdicts.extend(_scan_verdicts(state, partial(combinations, range(n), k), k))
     return AuditResult(verdicts=tuple(verdicts))
 
 
@@ -462,6 +437,11 @@ class CertificateReport:
     min_cut: tuple[int, ...]
 
 
+def _cuts(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-site subsets that contain site 0, in enumeration order."""
+    return ((0, *rest) for rest in combinations(range(1, n), k - 1))
+
+
 def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     """Exhaustive check that every bipartition of a pure state is entangled.
 
@@ -481,17 +461,14 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     best_cut: tuple[int, ...] = ()
     genuine = True
     n_cuts = 0
-    with _orbit_memo(state) as scan:
-        for k in range(1, n):
-            cuts = [(0,) + rest for rest in combinations(range(1, n), k - 1)]
-            reps = _map_representatives(scan, cuts, k)
-            for verdict in _scan_verdicts(scan, cuts, reps, k):
-                n_cuts += 1
-                if verdict.entropy_bits < best_entropy:
-                    best_entropy = verdict.entropy_bits
-                    best_cut = verdict.subset
-                if not verdict.entangled:
-                    genuine = False
+    for k in range(1, n):
+        for verdict in _scan_verdicts(state, partial(_cuts, n, k), k):
+            n_cuts += 1
+            if verdict.entropy_bits < best_entropy:
+                best_entropy = verdict.entropy_bits
+                best_cut = verdict.subset
+            if not verdict.entangled:
+                genuine = False
     return CertificateReport(
         genuine=genuine,
         n_cuts=n_cuts,

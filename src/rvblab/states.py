@@ -133,9 +133,10 @@ class _SectorSupport:
     superposition has ``flip == (-1)**(n_qubits // 2)``.
 
     ``orbit_bits`` holds one row per element g of the state's verified
-    site-symmetry group, with ``2**g(s)`` in column ``s``, so a subset's
-    image masks are one gather and a row sum.  It is read-only, and None
-    when no candidate generator maps the state to plus or minus itself.
+    site-symmetry group, with ``2**g(s)`` in column ``s`` (the identity
+    first), so a subset's image masks are one gather and a row sum.  It is
+    read-only, and None when no candidate generator maps the state to plus
+    or minus itself.  ``reps`` and ``spectra`` are memos of ``multipartite``.
     """
 
     bits: np.ndarray
@@ -143,6 +144,22 @@ class _SectorSupport:
     down: int
     flip: int | None
     orbit_bits: np.ndarray | None
+
+    @cached_property
+    def reps(self) -> np.ndarray | None:
+        # the orbit representative of each subset bitmask, or 0 (no proper
+        # nonempty subset's mask) until one is entered; an entry never goes
+        # stale.  The narrowest unsigned type: 128 KB at 16 sites.  None
+        # with no group, where each subset is its own representative
+        if self.orbit_bits is None:
+            return None
+        top = (1 << self.bits.shape[1]) - 1
+        return np.zeros(top + 1, dtype=np.min_scalar_type(top))
+
+    @cached_property
+    def spectra(self) -> dict[int, np.ndarray]:
+        # Schmidt spectra by representative, for one subset size at a time
+        return {}
 
 
 def _sector_support(state: StateVector) -> _SectorSupport | None:

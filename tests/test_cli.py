@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,33 @@ class TestDeterminism:
         assert main([*args, "--out", str(out2)]) == 0
         for name in ("report.json", "summary.txt", "distance_profile.csv", "werner_pairs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of report.json from reproduce-paper, pinned so that a change to the
+# multipartite scans (or anything else in the bundle) that moves one byte fails
+REPORT_PINS = {
+    "open-3x4": (
+        ("--lattice", "square-grid", "--rows", "3", "--cols", "4"),
+        "e186b3004a698d0c6b13bed8eac54603e82611e091d1d40d7465e329cdc316fb",
+    ),
+    "periodic-2x6": (
+        ("--lattice", "square-grid", "--rows", "2", "--cols", "6", "--boundary", "periodic"),
+        "06f1e006f387907ee08aff7310814eb76eebfea1c4a57521f51b918ab42ae6c0",
+    ),
+    # the gas carries no symmetry group
+    "gas-6": (
+        ("--lattice", "complete-bipartite", "--n", "6"),
+        "9d1fe9745435e22a0ffcc177b2fac895331d7c62f46dd37d314789d26735ad8f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_reproduce_paper_report_is_pinned(tmp_path, name):
+    args, digest = REPORT_PINS[name]
+    code, out = run_cli(tmp_path, *args, "--tasks", "reproduce-paper")
+    assert code == 1  # the reference EoF anchor fails by design
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
 
 
 class TestBlasThreads:

@@ -413,7 +413,7 @@ class TestOrbits:
     def test_audit_computes_one_spectrum_per_orbit(
         self, fixture, lattice_fixture, orbits, request, monkeypatch
     ):
-        state = request.getfixturevalue(fixture)
+        state = _fresh(request.getfixturevalue(fixture))
         lattice = request.getfixturevalue(lattice_fixture)
         assert _orbit_count_oracle(lattice, (1, 2, 3, 4, 5)) == orbits
         computed = []
@@ -428,8 +428,8 @@ class TestOrbits:
         even = even_subset_audit(state, max_size=4)
         assert len(odd.verdicts) + len(even.verdicts) == 6884
         assert len(computed) == len(set(computed)) == orbits
-        # the memo lives for one scan
-        assert multipartite._SCAN_MEMO.get() is None
+        # the memo keeps the last size only
+        assert {rep.bit_count() for rep in state._support.spectra} == {4}
 
     def test_one_ulp_leaves_no_group(self, state44, grid44):
         amps = state44.amplitudes.copy()
@@ -490,12 +490,13 @@ class TestOrbits:
         assert len({subset_spectrum(state44, (s,)).tobytes() for s in (5, 6, 9, 10)}) == 1
 
     def test_scan_hands_out_copies(self, state44):
-        with multipartite._orbit_memo(state44):
-            first = subset_spectrum(state44, (0, 1))
-            first[:] = -1.0
-            # (2, 3) is the column mirror image of (0, 1)
-            second = subset_spectrum(state44, (2, 3))
-        _assert_matches_oracle(state44, (2, 3), second)
+        state = _fresh(state44)
+        first = subset_spectrum(state, (0, 1))
+        first[:] = -1.0
+        # (2, 3) is the column mirror image of (0, 1): one memo entry serves both
+        second = subset_spectrum(state, (2, 3))
+        assert len(state._support.spectra) == 1
+        _assert_matches_oracle(state, (2, 3), second)
 
     @pytest.mark.parametrize(
         "lattice",
@@ -571,6 +572,13 @@ def _mask(subset):
     return sum(1 << s for s in subset)
 
 
+def _fresh(state):
+    """A new state with ``state``'s amplitudes and generators: no memo filled yet."""
+    return StateVector(
+        state.n_qubits, state.amplitudes, _site_generators=state._site_generators
+    )
+
+
 def _per_subset_rep(support, subset):
     """The smallest image bitmask of one subset under the verified group."""
     return int(support.orbit_bits[:, list(subset)].sum(axis=1).min())
@@ -581,16 +589,14 @@ class TestRepresentativeTable:
 
     @pytest.mark.parametrize("fixture", ["state44", "state44_periodic"])
     def test_table_equals_the_per_subset_minimum(self, fixture, request):
-        state = request.getfixturevalue(fixture)
-        support = state._support
-        with multipartite._orbit_memo(state) as scan:
-            assert scan.reps is None
-            for k in range(1, 6):
-                multipartite._map_representatives(scan, itertools.combinations(range(16), k), k)
-                for subset in itertools.combinations(range(16), k):
-                    assert scan.reps[_mask(subset)] == _per_subset_rep(support, subset)
-            filled = sum(math.comb(16, k) for k in range(1, 6))
-            assert np.count_nonzero(scan.reps) == filled
+        support = _fresh(request.getfixturevalue(fixture))._support
+        assert support.reps.shape == (2**16,) and not np.any(support.reps)
+        for k in range(1, 6):
+            multipartite._map_representatives(support, itertools.combinations(range(16), k), k)
+            for subset in itertools.combinations(range(16), k):
+                assert support.reps[_mask(subset)] == _per_subset_rep(support, subset)
+        filled = sum(math.comb(16, k) for k in range(1, 6))
+        assert np.count_nonzero(support.reps) == filled
 
     def test_certificate_cuts_map_to_the_per_subset_minimum(self, monkeypatch):
         state = assemble(enumerate_liquid(LatticeSpec.square_grid(3, 4)))
@@ -599,12 +605,12 @@ class TestRepresentativeTable:
         fill = multipartite._map_representatives
         seen = []
 
-        def checked(scan, subsets, k):
+        def checked(support_, subsets, k):
             subsets = list(subsets)
-            reps = fill(scan, subsets, k)
+            reps = fill(support_, subsets, k)
             for subset, rep in zip(subsets, reps, strict=True):
                 assert len(subset) == k
-                assert scan.reps[_mask(subset)] == rep == _per_subset_rep(support, subset)
+                assert support_.reps[_mask(subset)] == rep == _per_subset_rep(support, subset)
             seen.extend(subsets)
             return reps
 
@@ -614,33 +620,40 @@ class TestRepresentativeTable:
         assert all(cut[0] == 0 for cut in seen)
 
     @pytest.mark.parametrize("fixture", ["state44", "state44_periodic", "copy44"])
-    def test_audit_verdicts_equal_the_per_subset_route(self, fixture, request, monkeypatch):
+    def test_audit_verdicts_equal_the_per_subset_route(self, fixture, request):
         if fixture == "copy44":
             state = StateVector(16, request.getfixturevalue("state44").amplitudes)
         else:
             state = request.getfixturevalue(fixture)
-        tabled = odd_subset_audit(state, 5).verdicts + even_subset_audit(state, 4).verdicts
-        monkeypatch.setattr(multipartite, "_map_representatives", lambda scan, subsets, k: None)
-        plain = odd_subset_audit(state, 5).verdicts + even_subset_audit(state, 4).verdicts
+        audited, plain = _fresh(state), _fresh(state)
+        tabled = odd_subset_audit(audited, 5).verdicts + even_subset_audit(audited, 4).verdicts
+        # bare calls on a state whose table is never filled: each subset
+        # takes the direct minimum and its own mixedness
+        per_subset = tuple(bipartition_verdict(plain, v.subset) for v in tabled)
+        assert (plain._support.reps is None) == (fixture == "copy44")
+        if plain._support.reps is not None:
+            assert not np.any(plain._support.reps)
         assert len(tabled) == 6884
-        assert tabled == plain
+        assert tabled == per_subset
 
     def test_scan_verdicts_equal_bare_calls(self, state44):
         # purity and entropy come from the scan's memo, computed once per spectrum
         scanned = odd_subset_audit(state44, 5).verdicts + even_subset_audit(state44, 4).verdicts
         assert scanned == tuple(bipartition_verdict(state44, v.subset) for v in scanned)
 
-    def test_scan_without_a_table_takes_the_per_subset_route(self, state44):
+    def test_unmapped_size_falls_back_to_the_direct_minimum(self, state44):
         subsets = [(0,), (15,), (1, 2), (4, 8), (0, 5, 10), (3, 6, 9, 12), (1, 2, 7, 11, 13)]
-        bare = [subset_spectrum(state44, s).tobytes() for s in subsets]
-        with multipartite._orbit_memo(state44) as scan:
-            assert [subset_spectrum(state44, s).tobytes() for s in subsets] == bare
-            assert scan.reps is None
-            # a table of another size holds none of these
-            multipartite._map_representatives(scan, itertools.combinations(range(16), 6), 6)
-            assert [subset_spectrum(state44, s).tobytes() for s in subsets] == bare
-        for subset in subsets:
-            _assert_matches_oracle(state44, subset, subset_spectrum(state44, subset))
+        bare = [subset_spectrum(_fresh(state44), s).tobytes() for s in subsets]
+        state = _fresh(state44)
+        support = state._support
+        # a table of another size holds none of these
+        multipartite._map_representatives(support, itertools.combinations(range(16), 6), 6)
+        assert not any(support.reps[_mask(s)] for s in subsets)
+        for subset, expected in zip(subsets, bare):
+            assert subset_spectrum(state, subset).tobytes() == expected
+            # the spectrum was entered under the direct minimum
+            assert _per_subset_rep(support, subset) in support.spectra
+            _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
 
     @pytest.mark.parametrize(
         "scan",
@@ -651,8 +664,9 @@ class TestRepresentativeTable:
         ],
         ids=["odd", "even", "certificate"],
     )
-    def test_exception_mid_scan_resets_the_memo(self, scan, state23, monkeypatch):
-        expected = scan(state23)
+    def test_failed_batch_enters_nothing(self, scan, state23, monkeypatch):
+        expected = scan(_fresh(state23))
+        state = _fresh(state23)
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -669,19 +683,20 @@ class TestRepresentativeTable:
         spectra = multipartite._sector_spectra
 
         def recording(support, n, masks, k):
-            batches.append((len(calls), len(masks)))
+            batches.append((len(calls), [int(m) for m in masks]))
             return spectra(support, n, masks, k)
 
         monkeypatch.setattr(multipartite, "_sector_spectra", recording)
         with pytest.raises(RuntimeError, match="spectrum failed"):
-            scan(state23)
+            scan(state)
         # the failing batch had finished a chunk and had subsets left
-        solved_before, size = batches[-1]
-        assert solved_before < len(calls) - 1 and len(calls) - solved_before < size
-        assert multipartite._SCAN_MEMO.get() is None
+        solved_before, masks = batches[-1]
+        assert solved_before < len(calls) - 1 and len(calls) - solved_before < len(masks)
+        # ...and entered none of its spectra, not even the finished chunk's
+        assert not state._support.spectra.keys() & set(masks)
         monkeypatch.undo()
-        # the next scan starts from empty memos
-        assert scan(state23) == expected
+        # the next scan equals the first
+        assert scan(state) == expected
 
     @pytest.mark.parametrize(
         "lattice",
@@ -693,6 +708,57 @@ class TestRepresentativeTable:
         cert = genuine_multipartite_certificate(assemble(enumerate_liquid(lattice)))
         got = (cert.genuine, cert.n_cuts, cert.min_cut, repr(cert.min_entropy_bits))
         assert got == CERTIFICATE_PINS[(lattice.rows, lattice.cols, lattice.boundary.value)]
+
+
+class TestSpectrumMemo:
+    """The spectra of one subset size, kept on the state's support."""
+
+    def test_second_bare_pass_computes_no_spectrum(self, state44, monkeypatch):
+        state = _fresh(state44)
+        computed = []
+        spectra = multipartite._sector_spectra
+
+        def counting(support, n, masks, k):
+            computed.extend(int(mask) for mask in masks)
+            return spectra(support, n, masks, k)
+
+        monkeypatch.setattr(multipartite, "_sector_spectra", counting)
+        first = second = walked = 0
+        # the audits' sizes, in their order; the memo keeps one size at a time
+        for k in (1, 3, 5, 2, 4):
+            before = len(computed)
+            for subset in itertools.combinations(range(16), k):
+                subset_spectrum(state, subset)
+            first += len(computed) - before
+            before = len(computed)
+            for subset in itertools.combinations(range(16), k):
+                subset_spectrum(state, subset)
+                walked += 1
+            second += len(computed) - before
+        assert walked == 6884
+        # one spectrum per orbit, then none
+        assert (first, second) == (920, 0)
+
+    def test_certificate_leaves_one_size(self):
+        state = assemble(enumerate_liquid(LatticeSpec.square_grid(3, 4)))
+        genuine_multipartite_certificate(state)
+        assert {rep.bit_count() for rep in state._support.spectra} == {11}
+
+    def test_states_share_no_memo(self, state44, monkeypatch):
+        one, other = _fresh(state44), _fresh(state44)
+        expected = subset_spectrum(one, (0, 1))
+        assert one._support is not other._support
+        assert not other._support.spectra and not np.any(other._support.reps)
+        computed = []
+        spectra = multipartite._sector_spectra
+
+        def counting(support, n, masks, k):
+            computed.append(support)
+            return spectra(support, n, masks, k)
+
+        monkeypatch.setattr(multipartite, "_sector_spectra", counting)
+        assert subset_spectrum(other, (0, 1)).tobytes() == expected.tobytes()
+        assert len(computed) == 1 and computed[0] is other._support
 
 
 def _nudged(state):
