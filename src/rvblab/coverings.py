@@ -13,6 +13,15 @@ by validation, serialization, assembly and the loop sums alike;
 table and the JSON text are built in array operations as well, with no
 Python object per covering.
 
+The table is the one way in: ``CoveringEnsemble(lattice, variant,
+partners, weights)`` checks it in array operations and keeps an int64
+C-contiguous table and float64 weights without copying them, so the
+ensemble aliases the caller's arrays and marks them read-only.  The
+enumerators and :func:`ensemble_from_json` build tables; pair lists,
+such as the ``pairs`` of ``DimerCovering`` objects, go through
+:func:`custom_ensemble`, which checks each covering as
+:meth:`DimerCovering.from_pairs` does before the table is built.
+
 Two enumerations are provided: the gas (every A-B pairing of a complete
 bipartite lattice, ``N!`` coverings) and the liquid (nearest-neighbor
 pairings of a grid).  Both are deterministic: repeated calls yield the
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -87,7 +97,11 @@ class DimerCovering:
         Every pair must be (A-site, B-site); pass pairs A-first, since the
         reversed orientation denotes a different (sign-flipped) state.
         """
-        plist = [site_indices((a, b)) for a, b in pairs]
+        try:
+            plist = [(a, b) for a, b in pairs]
+        except (TypeError, ValueError):  # not an iterable of 2-item pairs
+            raise ValueError(f"covering {pairs!r} is not a list of (A, B) pairs") from None
+        plist = [site_indices(pair) for pair in plist]
         seen: set[int] = set()
         for a, b in plist:
             if lattice.sublattice_of(a) is not Sublattice.A:
@@ -109,13 +123,24 @@ class DimerCovering:
         )
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CoveringEnsemble:
     """A lattice plus a weighted, ordered table of its coverings.
 
     Read-only ``partners[k, i]`` is covering ``k``'s partner of the
-    lattice's ``i``-th A site and ``weights[k]`` its weight.  Coverings
-    passed in become table rows; :attr:`coverings` rebuilds them on demand.
+    lattice's ``i``-th A site and ``weights[k]`` its weight; the variant
+    may be given as its value string.  The constructor checks the table in
+    array operations: integer entries, one column per A site, at least one
+    row, one finite weight per row, each row a permutation of the B sites,
+    equal weights for the gas and the liquid, and nearest-neighbor pairs
+    for the liquid.  Each fault raises a one-line ``ValueError``.
+    :attr:`coverings` rebuilds the rows as :class:`DimerCovering` objects
+    on demand; code that holds such objects goes through
+    :func:`custom_ensemble`, which checks them as ``from_pairs`` does.
+
+    A C-contiguous int64 table and a float64 weight array are not copied:
+    the ensemble aliases them and marks them read-only, so the caller must
+    not write to them through any other view afterwards.
     """
 
     lattice: LatticeSpec
@@ -123,48 +148,26 @@ class CoveringEnsemble:
     partners: np.ndarray
     weights: np.ndarray
 
-    def __init__(
-        self, lattice: LatticeSpec, coverings: Sequence[DimerCovering], variant: Variant
-    ) -> None:
-        if not coverings:
+    def __post_init__(self) -> None:
+        lattice = self.lattice
+        variant = Variant(self.variant)
+        partners = np.asarray(self.partners)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        width = lattice.sublattice_size
+        if not np.issubdtype(partners.dtype, np.integer):
+            raise ValueError(f"partner table must hold integers, got dtype {partners.dtype}")
+        if partners.ndim != 2 or partners.shape[1] != width:
+            raise ValueError(
+                f"partner table must have shape (coverings, {width}), one column per A site; "
+                f"got {partners.shape}"
+            )
+        if not len(partners):
             raise ValueError("ensemble must contain at least one covering")
-        n = coverings[0].n_pairs
-        if any(c.n_pairs != n for c in coverings):
-            raise ValueError("coverings must all cover the same lattice")
-        if n != lattice.sublattice_size:
+        if weights.shape != (len(partners),):
             raise ValueError(
-                f"covering n_pairs {n} differs from the lattice's sublattice "
-                f"size {lattice.sublattice_size}"
+                f"one weight per covering required; got {len(partners)} coverings "
+                f"and {weights.size} weights"
             )
-        # row k is covering k's A sites then its B partners, so the first
-        # bad site in row-major order is the first bad covering's
-        sites = np.array([c.a_sites + c.b_partners for c in coverings], dtype=np.int64)
-        bad = (sites < 0) | (sites >= lattice.site_count)
-        if bad.any():
-            raise ValueError(
-                f"covering site {sites.flat[np.argmax(bad)]} out of range "
-                f"[0, {lattice.site_count})"
-            )
-        off_a = ~np.isin(sites[:, :n], lattice.a_sites())
-        if off_a.any():
-            k, i = np.argwhere(off_a)[0]
-            raise ValueError(f"pair ({sites[k, i]}, {sites[k, n + i]}) is not ordered A-first")
-        weights = np.array([c.weight for c in coverings], dtype=np.float64)
-        self._set_table(lattice, variant, sites[:, n:], weights)
-
-    @classmethod
-    def _from_table(
-        cls, lattice: LatticeSpec, variant: Variant, partners: np.ndarray, weights: np.ndarray
-    ) -> "CoveringEnsemble":
-        """Ensemble that takes ownership of ``partners`` and ``weights``."""
-        self = cls.__new__(cls)
-        self._set_table(lattice, variant, partners, weights)
-        return self
-
-    def _set_table(
-        self, lattice: LatticeSpec, variant: Variant, partners: np.ndarray, weights: np.ndarray
-    ) -> None:
-        """Validate the table in array operations, then freeze and store it."""
         partners = np.ascontiguousarray(partners, dtype=np.int64)
         if not np.all(np.isfinite(weights)):
             raise ValueError("covering weights must be finite")
@@ -187,8 +190,7 @@ class CoveringEnsemble:
                 )
         partners.setflags(write=False)
         weights.setflags(write=False)
-        fields = {"lattice": lattice, "variant": variant, "partners": partners, "weights": weights}
-        for name, value in fields.items():
+        for name, value in (("variant", variant), ("partners", partners), ("weights", weights)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -238,7 +240,7 @@ def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     if n > GAS_MAX_N:
         raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
     table = np.array(lattice.b_sites(), dtype=np.int64)[_permutation_table(n)]
-    return CoveringEnsemble._from_table(lattice, Variant.GAS, table, np.ones(len(table)))
+    return CoveringEnsemble(lattice, Variant.GAS, table, np.ones(len(table)))
 
 
 def _permutation_table(m: int) -> np.ndarray:
@@ -324,7 +326,7 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
     if not found:
         raise ValueError("lattice admits no nearest-neighbor perfect matching")
     table = np.array(found, dtype=np.int64)
-    return CoveringEnsemble._from_table(lattice, Variant.LIQUID, table, np.ones(len(table)))
+    return CoveringEnsemble(lattice, Variant.LIQUID, table, np.ones(len(table)))
 
 
 def custom_ensemble(
@@ -347,19 +349,17 @@ def _ensemble_from_pairs(
 
     The lists are read as one integer array; a boolean among the sites,
     which the array would read as 0 or 1, is refused before the array is
-    used.  A list passes when its first sites are the lattice's A sites
-    and its second sites its B sites, each once, which is exactly what
+    used, and so is a weight that is not a number, a boolean included.  A
+    list passes when its first sites are the lattice's A sites and its
+    second sites its B sites, each once, which is exactly what
     ``from_pairs`` accepts.  The first list that fails, or every list when
     they do not stack into one (coverings, pairs, 2) integer array, goes
-    through ``from_pairs``, which names the fault.
+    through ``from_pairs``, which names the fault.  The constructor checks
+    the counts and the weights' values.
     """
-    if len(weights) != len(pair_lists):
-        raise ValueError(
-            f"one weight per covering required; got {len(pair_lists)} coverings "
-            f"and {len(weights)} weights"
-        )
-    if not pair_lists:
-        raise ValueError("ensemble must contain at least one covering")
+    not_numbers = [w for w in weights if isinstance(w, bool) or not isinstance(w, numbers.Real)]
+    if not_numbers:
+        raise ValueError(f"covering weight {not_numbers[0]!r} is not a number")
     n = lattice.sublattice_size
     try:
         pairs = np.array(pair_lists)
@@ -382,10 +382,14 @@ def _ensemble_from_pairs(
         partners = pairs[:, :, 1]
     else:
         partners = np.array(
-            [DimerCovering.from_pairs(lattice, pairs).b_partners for pairs in pair_lists]
-        )
-    weights = np.array([float(w) for w in weights])
-    return CoveringEnsemble._from_table(lattice, variant, partners, weights)
+            [DimerCovering.from_pairs(lattice, pairs).b_partners for pairs in pair_lists],
+            dtype=np.int64,
+        ).reshape(-1, n)
+    try:
+        values = np.array([float(w) for w in weights])
+    except OverflowError:  # an int past the float range
+        raise ValueError("covering weights must be finite") from None
+    return CoveringEnsemble(lattice, variant, partners, values)
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +465,22 @@ def _unpadded(text: bytearray) -> bytearray:
 
 
 def ensemble_from_json(text: str) -> CoveringEnsemble:
+    """The ensemble whose text :func:`ensemble_to_json` writes.
+
+    The document must be a schema 1 object holding a lattice config object,
+    a variant, and lists of coverings and weights; the coverings and
+    weights are then checked as :func:`custom_ensemble` checks them.  Every
+    fault raises a one-line ``ValueError``.
+    """
     doc = json.loads(text)
+    keys = ("schema", "lattice", "variant", "coverings", "weights")
+    if not (isinstance(doc, dict) and all(key in doc for key in keys)):
+        raise ValueError(f"ensemble document must be an object with keys {', '.join(keys)}")
+    if type(doc["schema"]) is not int or doc["schema"] != 1:
+        raise ValueError(f"unsupported ensemble schema {doc['schema']!r}; expected 1")
+    if not isinstance(doc["lattice"], dict):
+        raise ValueError(f"ensemble lattice must be a config object, got {doc['lattice']!r}")
+    if not (isinstance(doc["coverings"], list) and isinstance(doc["weights"], list)):
+        raise ValueError("ensemble coverings and weights must be lists")
     lattice = lattice_from_config(doc["lattice"])
-    variant = Variant(doc["variant"])
-    return _ensemble_from_pairs(lattice, variant, doc["coverings"], doc["weights"])
+    return _ensemble_from_pairs(lattice, Variant(doc["variant"]), doc["coverings"], doc["weights"])

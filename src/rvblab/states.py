@@ -390,13 +390,11 @@ def _check_sites(state: StateVector, sites: Sequence[int]) -> tuple[int, ...]:
     return sites
 
 
-def _subset_block(state: StateVector, sites: Sequence[int]) -> np.ndarray:
-    """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention."""
-    return _checked_block(state, _check_sites(state, sites))
+def _subset_block(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
+    """(2**len(sites), rest) amplitude block; rows follow the reduced-index convention.
 
-
-def _checked_block(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
-    """:func:`_subset_block` for sites that already passed :func:`_check_sites`."""
+    ``sites`` must already have passed :func:`_check_sites`.
+    """
     n = state.n_qubits
     # tensor axis j holds site n-1-j; kept axes ordered so reduced qubit t
     # (bit t of the row index) is sites[t]
@@ -427,7 +425,7 @@ def reduced_density_matrix(state: StateVector, sites: Sequence[int]) -> DensityM
     memo = state._rdm_memo
     dm = memo.get(sites)
     if dm is None:
-        block = _checked_block(state, sites)
+        block = _subset_block(state, sites)
         rho = (block @ block.conj().T).astype(np.complex128)
         dm = DensityMatrix(sites=sites, matrix=rho)
         # 1 and 2 sites only: n(n+1)/2 matrices of at most 4x4, about 35 kB

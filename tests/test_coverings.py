@@ -219,12 +219,32 @@ class TestGasEnumeration:
         assert len(liquid) < len(gas_like)
 
 
+def ensemble_of(lattice, coverings, variant):
+    """``coverings`` as a ``variant`` ensemble, through the pair-list routes.
+
+    A custom ensemble goes through :func:`custom_ensemble`; the gas and the
+    liquid, which it cannot make, through an :func:`ensemble_from_json` document.
+    """
+    pairs = [c.pairs for c in coverings]
+    weights = [c.weight for c in coverings]
+    if variant is Variant.CUSTOM:
+        return custom_ensemble(lattice, pairs, weights)
+    doc = {
+        "schema": 1,
+        "lattice": lattice_to_config(lattice),
+        "variant": variant.value,
+        "coverings": pairs,
+        "weights": weights,
+    }
+    return ensemble_from_json(json.dumps(doc))
+
+
 class TestEnsembleValidation:
     def test_liquid_variant_rejects_long_bond(self, grid24):
         # valid matching, but (0, 6) spans distance 3: no liquid contains it
         bad = DimerCovering.from_pairs(grid24, ((0, 6), (2, 1), (5, 4), (7, 3)))
-        with pytest.raises(ValueError):
-            CoveringEnsemble(lattice=grid24, coverings=(bad,), variant=Variant.LIQUID)
+        with pytest.raises(ValueError, match=r"non-nearest-neighbor pair \(0, 6\)"):
+            ensemble_of(grid24, (bad,), Variant.LIQUID)
 
     def test_gas_variant_requires_equal_weights(self):
         lat = LatticeSpec.complete_bipartite(2)
@@ -232,8 +252,8 @@ class TestEnsembleValidation:
             DimerCovering(a_sites=(0, 1), b_partners=(2, 3), weight=1.0),
             DimerCovering(a_sites=(0, 1), b_partners=(3, 2), weight=2.0),
         )
-        with pytest.raises(ValueError):
-            CoveringEnsemble(lattice=lat, coverings=covs, variant=Variant.GAS)
+        with pytest.raises(ValueError, match="^gas ensembles carry equal weights$"):
+            ensemble_of(lat, covs, Variant.GAS)
 
     def test_custom_allows_weights(self, grid22):
         covs = enumerate_liquid(grid22).coverings
@@ -241,16 +261,29 @@ class TestEnsembleValidation:
         assert ens.variant is Variant.CUSTOM
         assert not ens.has_equal_weights
 
-    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "weight", [np.inf, -np.inf, np.nan, 10**400], ids=["inf", "-inf", "nan", "int-past-float"]
+    )
     def test_non_finite_weights_rejected(self, grid24, weight):
         # an equal-weight ensemble of infinite weights is no state
         pairs = [c.pairs for c in enumerate_liquid(grid24).coverings]
         with pytest.raises(ValueError, match="^covering weights must be finite$"):
             custom_ensemble(grid24, pairs, weights=[weight] * len(pairs))
 
+    @pytest.mark.parametrize(
+        "weight",
+        [True, np.True_, False, "1.0", None],
+        ids=["true", "np-true", "false", "text", "none"],
+    )
+    def test_weights_must_be_numbers(self, grid22, weight):
+        # float(True) is 1.0, but a flag is no weight, as it is no site
+        pairs = [c.pairs for c in enumerate_liquid(grid22).coverings]
+        with pytest.raises(ValueError, match=f"^covering weight {weight!r} is not a number$"):
+            custom_ensemble(grid22, pairs, weights=[1.0, weight])
+
     def test_empty_ensemble_rejected(self, grid22):
-        with pytest.raises(ValueError):
-            CoveringEnsemble(lattice=grid22, coverings=(), variant=Variant.LIQUID)
+        with pytest.raises(ValueError, match="^ensemble must contain at least one covering$"):
+            ensemble_of(grid22, (), Variant.LIQUID)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize(
@@ -260,13 +293,18 @@ class TestEnsembleValidation:
             (1, DimerCovering(a_sites=(-1,), b_partners=(1,)), "site -1 out of range"),
             (1, DimerCovering(a_sites=(0,), b_partners=(5,)), "site 5 out of range"),
             # one pair on a four-site lattice once failed inside NumPy
-            (2, DimerCovering(a_sites=(0,), b_partners=(2,)), "n_pairs 1 differs"),
+            (
+                2,
+                DimerCovering(a_sites=(0,), b_partners=(2,)),
+                r"not a perfect matching; uncovered sites \[1, 3\]",
+            ),
         ],
+        ids=["negative", "past-the-end", "one-pair"],
     )
     def test_coverings_checked_against_the_lattice(self, n, covering, message, variant):
         lat = LatticeSpec.complete_bipartite(n)
         with pytest.raises(ValueError, match=message) as info:
-            CoveringEnsemble(lattice=lat, coverings=(covering,), variant=variant)
+            ensemble_of(lat, (covering,), variant)
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -275,7 +313,7 @@ class TestEnsembleValidation:
         lat = LatticeSpec.complete_bipartite(1)
         cov = DimerCovering(a_sites=(1,), b_partners=(0,))
         with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
-            CoveringEnsemble(lattice=lat, coverings=(cov,), variant=variant)
+            ensemble_of(lat, (cov,), variant)
         with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
             DimerCovering.from_pairs(lat, cov.pairs)
 
@@ -283,7 +321,7 @@ class TestEnsembleValidation:
         # both bonds are nearest-neighbour, but 1 and 2 are B sites
         cov = DimerCovering(a_sites=(1, 2), b_partners=(0, 3))
         with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not ordered A-first$"):
-            CoveringEnsemble(lattice=grid22, coverings=(cov,), variant=Variant.LIQUID)
+            ensemble_of(grid22, (cov,), Variant.LIQUID)
 
     @pytest.mark.parametrize(
         "table", [[[2, 2]], [[0, 3]], [[2, 3], [3, 3]]], ids=["repeat", "a_site", "second_row"]
@@ -291,21 +329,76 @@ class TestEnsembleValidation:
     def test_table_rows_must_permute_b(self, table):
         lat = LatticeSpec.complete_bipartite(2)
         with pytest.raises(ValueError, match="distinct"):
-            CoveringEnsemble._from_table(lat, Variant.GAS, np.array(table), np.ones(len(table)))
+            CoveringEnsemble(lat, Variant.GAS, np.array(table), np.ones(len(table)))
 
     def test_table_liquid_bonds_checked(self, grid24):
         # partners of the A sites 0, 2, 5, 7: a permutation of B, but 2 and 4
         # are two columns apart
         table = np.array([[1, 4, 6, 3]])
         with pytest.raises(ValueError, match=r"non-nearest-neighbor pair \(2, 4\)"):
-            CoveringEnsemble._from_table(grid24, Variant.LIQUID, table, np.ones(1))
+            CoveringEnsemble(grid24, Variant.LIQUID, table, np.ones(1))
 
     def test_bad_site_found_past_good_coverings(self):
         lat = LatticeSpec.complete_bipartite(2)
         good = enumerate_gas(lat).coverings
         bad = DimerCovering(a_sites=(0, 1), b_partners=(2, 4))
         with pytest.raises(ValueError, match=r"site 4 out of range \[0, 4\)"):
-            CoveringEnsemble(lattice=lat, coverings=good + (bad,), variant=Variant.GAS)
+            ensemble_of(lat, good + (bad,), Variant.GAS)
+
+
+WIDTH_MESSAGE = r"partner table must have shape \(coverings, 2\), one column per A site; got "
+WEIGHTS_MESSAGE = "one weight per covering required; "
+
+
+class TestConstructor:
+    """``CoveringEnsemble(lattice, variant, partners, weights)`` checks its table."""
+
+    @pytest.mark.parametrize(
+        "partners, weights, message",
+        [
+            ([2, 3], [1.0], WIDTH_MESSAGE + r"\(2,\)"),
+            ([[2, 3, 3]], [1.0], WIDTH_MESSAGE + r"\(1, 3\)"),
+            (np.zeros((0, 2), dtype=np.int64), [], "ensemble must contain at least one covering"),
+            ([[2, 3], [3, 2]], [1.0], WEIGHTS_MESSAGE + "got 2 coverings and 1 weights"),
+            ([[2, 3]], [[1.0]], WEIGHTS_MESSAGE + "got 1 coverings and 1 weights"),
+            ([[2.0, 3.0]], [1.0], "partner table must hold integers, got dtype float64"),
+            ([[True, False]], [1.0], "partner table must hold integers, got dtype bool"),
+        ],
+        ids=["1-d", "width", "empty", "weight-count", "2-d-weights", "float", "bool"],
+    )
+    def test_bad_table_raises_one_line(self, partners, weights, message):
+        lat = LatticeSpec.complete_bipartite(2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoveringEnsemble(lat, Variant.CUSTOM, np.array(partners), weights)
+
+    def test_liquid_table_runs_the_bond_check(self, grid24):
+        # the variant as its value string still selects the liquid's checks
+        table = np.array([[1, 4, 6, 3]])
+        with pytest.raises(ValueError, match=r"non-nearest-neighbor pair \(2, 4\)"):
+            CoveringEnsemble(grid24, "liquid", table, np.ones(1))
+
+    def test_unknown_variant_rejected(self, grid22):
+        with pytest.raises(ValueError, match="^'bogus' is not a valid Variant$"):
+            CoveringEnsemble(grid22, "bogus", enumerate_liquid(grid22).partners, np.ones(2))
+
+    def test_variant_string_is_coerced(self, liquid24):
+        ens = CoveringEnsemble(liquid24.lattice, "liquid", liquid24.partners, liquid24.weights)
+        assert ens.variant is Variant.LIQUID
+        assert ens == liquid24
+        assert ensemble_to_json(ens) == ensemble_to_json(liquid24)
+
+    def test_table_is_aliased_and_frozen(self, grid22):
+        table = np.array([[1, 2], [2, 1]], dtype=np.int64)
+        weights = np.array([1.0, -2.0])
+        ens = CoveringEnsemble(grid22, Variant.CUSTOM, table, weights)
+        assert ens.partners is table and ens.weights is weights
+        for array in (table, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # another dtype or layout is copied, and the caller's array left writable
+        wide = np.array([[1, 2], [2, 1]], dtype=np.int32)
+        ens = CoveringEnsemble(grid22, Variant.CUSTOM, wide, [1.0, -2.0])
+        assert ens.partners.dtype == np.int64 and wide.flags.writeable
 
 
 class TestSerialization:
@@ -363,6 +456,44 @@ class TestSerialization:
             ValueError, match=r"^one weight per covering required; got 5 coverings and 2 weights$"
         ):
             ensemble_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {}, "ensemble document must be an object with keys"),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "coverings"},
+                "ensemble document must be an object with keys",
+            ),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "weights"},
+                "ensemble document must be an object with keys",
+            ),
+            (lambda doc: [], "ensemble document must be an object with keys"),
+            (lambda doc: {**doc, "lattice": [1]}, r"ensemble lattice must be a config object"),
+            (lambda doc: {**doc, "coverings": 5}, "ensemble coverings and weights must be lists"),
+            (lambda doc: {**doc, "schema": 7}, r"unsupported ensemble schema 7; expected 1"),
+            (lambda doc: {**doc, "schema": True}, r"unsupported ensemble schema True; expected 1"),
+            (lambda doc: {**doc, "weights": [True, True]}, "covering weight True is not a number"),
+            (
+                lambda doc: {**doc, "coverings": [5, 5]},
+                r"covering 5 is not a list of \(A, B\) pairs",
+            ),
+            (
+                lambda doc: {**doc, "coverings": [[[0, 1, 2]]] * 2},
+                r"covering \[\[0, 1, 2\]\] is not a list of \(A, B\) pairs",
+            ),
+        ],
+        ids=[
+            "empty", "no-coverings", "no-weights", "list", "lattice-list", "coverings-int",
+            "schema-7", "schema-true", "boolean-weights", "covering-int", "triple",
+        ],
+    )
+    def test_malformed_document_raises_one_line(self, liquid22, edit, message):
+        doc = edit(json.loads(ensemble_to_json(liquid22)))
+        with pytest.raises(ValueError, match=f"^{message}") as info:
+            ensemble_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
 
     # faults put into the 2x4 liquid's coverings by index; A = 0, 2, 5, 7
     @pytest.mark.parametrize(
@@ -505,15 +636,14 @@ class TestPartnerTable:
                 assert tuple(row) == cov.b_partners
 
     def test_objects_and_table_give_equal_ensembles(self, gas3):
-        rebuilt = CoveringEnsemble(
-            lattice=gas3.lattice, coverings=gas3.coverings, variant=Variant.GAS
-        )
+        rebuilt = ensemble_of(gas3.lattice, gas3.coverings, Variant.GAS)
         assert rebuilt == gas3
         assert hash(rebuilt) == hash(gas3)
         assert rebuilt.partners.tobytes() == gas3.partners.tobytes()
-        custom = CoveringEnsemble(
-            lattice=gas3.lattice, coverings=gas3.coverings, variant=Variant.CUSTOM
-        )
+        table = CoveringEnsemble(gas3.lattice, Variant.GAS, gas3.partners.copy(), gas3.weights)
+        assert table == gas3
+        assert hash(table) == hash(gas3)
+        custom = ensemble_of(gas3.lattice, gas3.coverings, Variant.CUSTOM)
         assert custom != gas3
 
     def test_gas_run_builds_no_covering_object(self, tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from functools import reduce
@@ -171,10 +170,11 @@ def _assert_pinned_to_oracle(ensemble):
 
 
 def _reweighted(ensemble, weights):
-    coverings = tuple(
-        dataclasses.replace(c, weight=float(w)) for c, w in zip(ensemble.coverings, weights)
+    """The first ``len(weights)`` coverings of ``ensemble`` with ``weights``, as a custom table."""
+    weights = np.array(weights, dtype=np.float64)
+    return CoveringEnsemble(
+        ensemble.lattice, Variant.CUSTOM, ensemble.partners[: len(weights)], weights
     )
-    return CoveringEnsemble(lattice=ensemble.lattice, coverings=coverings, variant=Variant.CUSTOM)
 
 
 @pytest.fixture(scope="module")
@@ -218,14 +218,8 @@ class TestPinnedToAssemblyOracle:
         _assert_pinned_to_oracle(_reweighted(gas3, [3.0, -0.5, 1e-3, 1.0, -1.0, 2.0**-40]))
 
     def test_cancelling_weights_raise(self, liquid44):
-        cov = liquid44.coverings[5]
-        opposed = CoveringEnsemble(
-            lattice=liquid44.lattice,
-            coverings=tuple(
-                dataclasses.replace(cov, weight=w) for w in (2.0, -1.0, 0.5, -1.5)
-            ),
-            variant=Variant.CUSTOM,
-        )
+        pairs = liquid44.coverings[5].pairs
+        opposed = custom_ensemble(liquid44.lattice, [pairs] * 4, [2.0, -1.0, 0.5, -1.5])
         for route in (assemble, assemble_oracle):
             with pytest.raises(ValueError, match="zero"):
                 route(opposed)
