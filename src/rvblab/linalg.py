@@ -10,22 +10,73 @@ the cyclic Jacobi iteration they once ran now lives in the test suite as
 the reference the LAPACK route is pinned to.  Bulk spectra of larger
 reshaped state tensors go through dedicated Schmidt-decomposition paths
 elsewhere.
+
+:func:`jacobi_eigh` (and so :func:`eigvalsh_jacobi`), :func:`operator_norm`
+and :func:`matrix_sqrt_psd` share one memo.  The pair pipeline asks the
+same small eigenproblems many times over: every cross pair of the gas,
+and every pair in one distance class of a symmetric lattice, has the same
+two-site density matrix.  The key is the function plus the shape and
+the ``complex128`` bytes of an input with at most 16 entries (up to
+4 x 4: one or two qubits); larger inputs are computed on every call.  The
+memo is a ``functools.lru_cache`` of 4,096 entries, at most about 1 kB
+each.  The input checks (finite entries, square, Hermitian) run on a miss
+only, and an input that raises is never stored, so it raises on every
+call.  A hit returns the very arrays the miss computed, so its bits are
+the miss's bits.  Every returned array is read-only, memoised or not.
+:func:`operator_norm` solves its own eigenproblems (of ``a``, ``1j * a``
+or a Gram matrix) without the memo: its own entry already covers them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 
+# inputs with at most 16 entries (up to 4 x 4: one or two qubits) are memoised
+_MEMO_MAX_ENTRIES = 16
+_MEMO_SIZE = 4096
 
+
+def _frozen(out):
+    """``out`` with every array in it made read-only."""
+    for part in out if isinstance(out, tuple) else (out,):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo(compute: Callable, shape: tuple[int, ...], data: bytes):
+    return _frozen(compute(np.frombuffer(data, dtype=np.complex128).reshape(shape)))
+
+
+def _memoised(compute: Callable) -> Callable:
+    """Serve ``compute`` on the ``complex128`` input, from the memo when small.
+
+    ``compute`` stays reachable, unmemoised, as ``__wrapped__``.
+    """
+
+    @functools.wraps(compute)
+    def seam(a: np.ndarray):
+        m = np.asarray(a, dtype=np.complex128)
+        if m.size <= _MEMO_MAX_ENTRIES:
+            return _memo(compute, m.shape, m.tobytes())
+        return _frozen(compute(m))
+
+    return seam
+
+
+@_memoised
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, LAPACK-backed.
 
-    The input must be square and Hermitian to a skew norm of 1e-10
-    relative to its Frobenius norm; the decomposition is that of its
-    Hermitian part ``(a + a^H) / 2``.  A zero matrix returns the identity
-    as its eigenvectors.
+    The input must have finite entries and be square and Hermitian to a
+    skew norm of 1e-10 relative to its Frobenius norm; the decomposition
+    is that of its Hermitian part ``(a + a^H) / 2``.  A zero matrix
+    returns the identity as its eigenvectors.
 
     Parameters
     ----------
@@ -33,58 +84,76 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    w : (n,) float64, eigenvalues ascending.
-    v : (n, n) complex128, unitary with ``a @ v[:, k] == w[k] * v[:, k]``.
+    w : (n,) float64, eigenvalues ascending, read-only.
+    v : (n, n) complex128, unitary with ``a @ v[:, k] == w[k] * v[:, k]``,
+        read-only.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.linalg.norm(a)
+    # the norm is finite unless an entry is not, or the squares overflow
+    if not math.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError("matrix has NaN or infinite entries")
+    n = a.shape[0]
     if n == 1:
-        return np.array([m[0, 0].real]), np.eye(1, dtype=np.complex128)
-
-    scale = np.linalg.norm(m)
+        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
     if scale == 0.0:
         return np.zeros(n), np.eye(n, dtype=np.complex128)
-    skew = np.linalg.norm(m - m.conj().T)
+    skew = np.linalg.norm(a - a.conj().T)
     if skew > 1e-10 * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian (skew norm {skew:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, v
 
 
+# the undecorated route, bound here so that a name rebound on jacobi_eigh
+# (a tracer's wrapper, say) cannot route operator_norm back into the memo
+_eigh = jacobi_eigh.__wrapped__
+
+
 def eigvalsh_jacobi(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, ascending; the same values as :func:`jacobi_eigh`."""
+    """Eigenvalues only, ascending; the same read-only array as :func:`jacobi_eigh`."""
     w, _ = jacobi_eigh(a)
     return w
 
 
+@_memoised
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value.
+    """Largest singular value of a matrix.
 
     Hermitian and anti-Hermitian inputs take the eigenvalue fast path
     (anti-Hermitian ``a`` via the Hermitian matrix ``1j * a``); anything
-    else goes through the Gram matrix.
+    else, rectangular inputs included, goes through the smaller Gram
+    matrix.  An empty matrix has norm 0.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.size == 0:
+    if a.size == 0:
         return 0.0
-    herm_err = np.max(np.abs(m - m.conj().T))
-    anti_err = np.max(np.abs(m + m.conj().T))
-    tiny = 1e-12 * max(1.0, float(np.max(np.abs(m))))
-    if herm_err <= tiny:
-        return float(np.max(np.abs(eigvalsh_jacobi(m))))
-    if anti_err <= tiny:
-        return float(np.max(np.abs(eigvalsh_jacobi(1j * m))))
-    w = eigvalsh_jacobi(m.conj().T @ m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    peak = float(np.max(np.abs(a)))
+    if not math.isfinite(peak):
+        raise ValueError("matrix has NaN or infinite entries")
+    # these eigenproblems are never asked again, so they skip the memo
+    if a.shape[0] == a.shape[1]:
+        herm_err = np.max(np.abs(a - a.conj().T))
+        anti_err = np.max(np.abs(a + a.conj().T))
+        tiny = 1e-12 * max(1.0, peak)
+        if herm_err <= tiny:
+            return float(np.max(np.abs(_eigh(a)[0])))
+        if anti_err <= tiny:
+            return float(np.max(np.abs(_eigh(1j * a)[0])))
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    w, _ = _eigh(gram)
     return float(math.sqrt(max(0.0, float(w[-1]))))
 
 
+@_memoised
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Small negative eigenvalues from rounding are clipped to zero.
+    Small negative eigenvalues from rounding are clipped to zero.  The
+    root is read-only.
     """
-    w, v = jacobi_eigh(np.asarray(a))
+    w, v = jacobi_eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

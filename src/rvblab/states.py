@@ -97,7 +97,8 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-10:
+        # written so that a NaN norm fails too
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
 
     def __eq__(self, other: object) -> bool:
@@ -257,16 +258,19 @@ class DensityMatrix:
         return len(self.sites)
 
     def validate(self) -> None:
-        """Raise ValueError unless Hermitian and unit-trace to 1e-12 and PSD to 1e-10."""
+        """Raise ValueError unless finite, Hermitian and unit-trace to 1e-12 and PSD to 1e-10."""
         m = self.matrix
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has NaN or infinite entries")
+        # each test is written so that a NaN fails it
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise ValueError(f"matrix is not Hermitian; deviation {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr}, expected 1")
         w_min = float(eigvalsh_jacobi((m + m.conj().T) / 2.0)[0])
-        if w_min < -1e-10:
+        if not w_min >= -1e-10:
             raise ValueError(f"matrix has negative eigenvalue {w_min:.3e}")
 
 

@@ -35,10 +35,21 @@ from rvblab import (
     enumerate_gas,
     enumerate_liquid,
 )
+from rvblab import linalg
 from rvblab.lattice import lattice_to_config
 
 # ----------------------------------------------------------------------
 # fixtures
+
+
+@pytest.fixture(autouse=True)
+def empty_linalg_memo():
+    """Start every test with an empty eigensolver memo.
+
+    A test that patches or counts ``np.linalg.eigh`` then sees the same
+    calls whichever tests ran before it.
+    """
+    linalg._memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import jacobi_eigh_oracle
 
 from rvblab import (
+    LatticeSpec,
+    assemble,
     eigvalsh_jacobi,
+    enumerate_gas,
     jacobi_eigh,
+    linalg,
     matrix_sqrt_psd,
+    monogamy_sum,
     operator_norm,
     reduced_density_matrix,
 )
+from rvblab.cli import main
+
+SEAM = [jacobi_eigh, eigvalsh_jacobi, operator_norm, matrix_sqrt_psd]
 
 
 def random_hermitian(n, seed, complex_entries=True):
@@ -148,3 +158,149 @@ class TestMatrixSqrt:
         a = np.diag([1.0, -1e-14])
         root = matrix_sqrt_psd(a)
         assert np.allclose(root, np.diag([1.0, 0.0]), atol=1e-7)
+
+
+class TestOperatorNormShapes:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_ones_rectangular(self, shape):
+        # the Gram route; a 2x3 once died in the Hermitian test's broadcast
+        assert operator_norm(np.ones(shape)) == pytest.approx(math.sqrt(6.0), abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (7, 2)], ids=["wide", "tall-past-the-memo"])
+    def test_rectangular_matches_svd(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert abs(operator_norm(a) - np.linalg.norm(a, 2)) < 1e-10
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+            operator_norm(np.ones(3))
+
+
+class TestNonFiniteRejected:
+    # operator_norm([[nan, 0], [0, 1]]) once returned 0.0, jacobi_eigh gave
+    # NaN eigenvalues with identity eigenvectors, and inf warned
+    @pytest.mark.parametrize("fn", SEAM, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "n, entry", [(1, (0, 0)), (2, (0, 0)), (4, (1, 3)), (5, (4, 4))],
+        ids=["1x1", "2x2-diagonal", "4x4-off-diagonal", "5x5-past-the-memo"],
+    )
+    def test_one_line_value_error(self, fn, value, n, entry):
+        a = np.eye(n, dtype=np.complex128) / n
+        a[entry] = value
+        a[entry[::-1]] = np.conj(value)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+                fn(a)
+        assert linalg._memo.cache_info().currsize == 0
+
+
+def _bits(out):
+    parts = out if isinstance(out, tuple) else (out,)
+    return [np.asarray(part).tobytes() for part in parts]
+
+
+class TestMemo:
+    @pytest.fixture
+    def seam_inputs(self, monkeypatch):
+        """Every memo call, each one's result checked bit for bit against
+        the undecorated route on a fresh copy of its input.  A repeated
+        input must get back the very objects of its first call."""
+        memo = linalg._memo
+        seen = []
+        first = {}
+
+        def pinned(compute, shape, data):
+            out = memo(compute, shape, data)
+            fresh = np.frombuffer(data, dtype=np.complex128).reshape(shape).copy()
+            assert _bits(out) == _bits(compute(fresh)), (compute.__name__, shape)
+            assert first.setdefault((compute, shape, data), out) is out
+            seen.append((compute.__name__, shape, data))
+            return out
+
+        monkeypatch.setattr(linalg, "_memo", pinned)
+        return seen
+
+    @pytest.mark.parametrize(
+        "lattice_args",
+        [("complete-bipartite", "--n", "6"), ("square-grid", "--rows", "4", "--cols", "4")],
+        ids=["gas-6", "open-4x4"],
+    )
+    def test_hits_match_the_undecorated_route(self, seam_inputs, lattice_args, tmp_path, state44):
+        args = ["--lattice", *lattice_args, "--tasks", "werner-scan", "bounds"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        state = state44 if "square-grid" in args else assemble(
+            enumerate_gas(LatticeSpec.complete_bipartite(6))
+        )
+        for anchor in range(state.n_qubits):
+            monogamy_sum(state, anchor, [s for s in range(state.n_qubits) if s != anchor])
+        names = {name for name, shape, _ in seam_inputs if shape == (4, 4)}
+        assert names == {"jacobi_eigh", "operator_norm", "matrix_sqrt_psd"}
+        # most calls repeat an earlier input
+        assert len(set(seam_inputs)) < len(seam_inputs) // 2
+
+    def test_gas_6_werner_scan_hits_and_misses(self, tmp_path):
+        # 66 pairs of two classes: 8 seam calls a pair plus the distance
+        # profile's, from 19 distinct inputs
+        args = ["--lattice", "complete-bipartite", "--n", "6", "--tasks", "werner-scan"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        info = linalg._memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (524, 19, 19)
+
+    def test_outputs_read_only_and_shared(self):
+        for n in (4, 5):  # memoised, and past the memo
+            a = random_hermitian(n, seed=n)
+            w, v = jacobi_eigh(a)
+            for out in (w, v, eigvalsh_jacobi(a), matrix_sqrt_psd(a @ a.conj().T)):
+                with pytest.raises(ValueError, match="read-only"):
+                    out[0] = 0.0
+        a = random_hermitian(4, seed=4)
+        w, v = jacobi_eigh(a)
+        # the same bytes hit, whatever the dtype or memory order
+        assert jacobi_eigh(np.asfortranarray(a))[0] is w
+        assert eigvalsh_jacobi(a.real.astype(np.complex128) + 1j * a.imag) is w
+        big = random_hermitian(5, seed=5)
+        assert jacobi_eigh(big)[0] is not jacobi_eigh(big)[0]
+
+    def test_key_holds_function_and_shape(self):
+        x = np.array([1.0, 0.0, 0.0, 1.0])
+        assert operator_norm(x.reshape(2, 2)) == 1.0
+        assert operator_norm(x.reshape(1, 4)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        eigvalsh_jacobi(x.reshape(2, 2))
+        info = linalg._memo.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((2, 3)),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["non-square", "non-hermitian", "nan"],
+    )
+    def test_raising_input_raises_every_call_and_is_never_stored(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                jacobi_eigh(bad)
+        info = linalg._memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_a_hit_runs_no_eigensolver(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        a = random_hermitian(4, seed=8)
+        for _ in range(3):
+            jacobi_eigh(a)
+            eigvalsh_jacobi(a)
+        assert calls == [(4, 4)]
+
+    def test_memo_is_bounded(self):
+        size = linalg._memo.cache_info().maxsize
+        assert size is not None
+        for k in range(size + 1):
+            eigvalsh_jacobi(np.diag([1.0, float(k)]))
+        info = linalg._memo.cache_info()
+        assert (info.misses, info.currsize) == (size + 1, size)

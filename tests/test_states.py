@@ -24,9 +24,11 @@ from rvblab import (
     Variant,
     assemble,
     check_rotational_invariance,
+    concurrence_two_qubit,
     custom_ensemble,
     enumerate_gas,
     enumerate_liquid,
+    extract_werner_p,
     inner,
     load_state,
     partial_trace,
@@ -551,3 +553,41 @@ class TestStateVectorValidation:
         assert amps.flags.writeable and not state.amplitudes.flags.writeable
         assert np.shares_memory(state.amplitudes, amps)
         assert np.array_equal(state.amplitudes, SINGLET_VEC)
+
+
+class TestNonFiniteRejected:
+    # StateVector(2, [nan, 0, 0, 0]) was once accepted and round-tripped
+    # through load_state; its 1-site RDM passed validate() and its 2-site
+    # measures ended in numpy's LinAlgError
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_state_vector(self, value):
+        message = r"^state vector must be normalized; \|psi\| = (nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            StateVector(2, [value, 0.0, 0.0, 0.0])
+
+    def test_load_state(self, state22, tmp_path):
+        blob = bytearray(state_to_bytes(state22))
+        blob[16:24] = np.array([math.nan], dtype="<f8").tobytes()
+        path = tmp_path / "nan.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"\|psi\| = nan$"):
+            load_state(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("sites", [(0,), (0, 1)], ids=["1-site", "2-site"])
+    def test_density_matrix_validate(self, sites, value):
+        dim = 2 ** len(sites)
+        m = np.eye(dim, dtype=np.complex128) / dim
+        m[0, dim - 1] = value
+        with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+            DensityMatrix(sites=sites, matrix=m).validate()
+
+    def test_pair_measures_raise_value_error(self):
+        m = np.eye(4, dtype=np.complex128) / 4
+        m[1, 2] = m[2, 1] = math.nan
+        dm = DensityMatrix(sites=(0, 1), matrix=m)
+        for measure in (
+            extract_werner_p, concurrence_two_qubit, entropy_bits, check_rotational_invariance
+        ):
+            with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+                measure(dm)
