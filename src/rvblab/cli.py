@@ -52,6 +52,12 @@ TASK_NAMES = (
     "reproduce-paper",
 )
 
+# each variant's lattice kind and enumerator, by name so that a rebound name is the one called
+_VARIANTS = {
+    Variant.GAS: (Kind.COMPLETE_BIPARTITE, "enumerate_gas"),
+    Variant.LIQUID: (Kind.SQUARE_GRID, "enumerate_liquid"),
+}
+
 REFERENCE_NN_P = 0.2004  # published value for the interior bond, 4x4 liquid
 REFERENCE_EOF = 0.023  # published EoF of rho_W(1/2), in ebits
 REFERENCE_EOF_TOL = 1e-3
@@ -96,10 +102,9 @@ class RunConfig:
             raise ConfigError(f"output path {existing} exists and is not a directory")
         if self.variant is Variant.CUSTOM:
             raise ConfigError("custom ensembles need explicit coverings; use the library API")
-        if self.variant is Variant.GAS and self.lattice.kind is not Kind.COMPLETE_BIPARTITE:
-            raise ConfigError("gas variant requires --lattice complete-bipartite")
-        if self.variant is Variant.LIQUID and self.lattice.kind is not Kind.SQUARE_GRID:
-            raise ConfigError("liquid variant requires --lattice square-grid")
+        kind, _ = _VARIANTS[self.variant]
+        if self.lattice.kind is not kind:
+            raise ConfigError(f"{self.variant.value} variant requires --lattice {kind.value}")
 
 
 @dataclass
@@ -124,10 +129,8 @@ class _Context:
 
     def ensemble(self) -> CoveringEnsemble:
         if self._ensemble is None:
-            if self.config.variant is Variant.GAS:
-                self._ensemble = enumerate_gas(self.config.lattice)
-            else:
-                self._ensemble = enumerate_liquid(self.config.lattice)
+            _, enumerator = _VARIANTS[self.config.variant]
+            self._ensemble = globals()[enumerator](self.config.lattice)
         return self._ensemble
 
     def state(self) -> states_mod.StateVector:
@@ -202,9 +205,7 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
         "n_pairs": ensemble.lattice.sublattice_size,
         "ensemble_sha256": digest,
     }
-    checks.add(
-        "enumerate/nonempty", len(ensemble) > 0, f"{len(ensemble)} coverings"
-    )
+    checks.add("enumerate/nonempty", len(ensemble) > 0, f"{len(ensemble)} coverings")
     return data
 
 
@@ -213,9 +214,7 @@ def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
     digest = hashlib.sha256(states_mod.state_to_bytes(state)).hexdigest()
     amps = state.amplitudes
     nrm = float(np.sqrt(np.sum(amps * amps)))  # fixed order, unlike a BLAS norm
-    checks.add(
-        "assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}"
-    )
+    checks.add("assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}")
     return {
         "n_qubits": state.n_qubits,
         "amplitude_count": int(state.amplitudes.size),
@@ -259,14 +258,12 @@ def _task_werner_scan(ctx: _Context, checks: _Checks) -> dict:
         max_rot <= ROT_INV_TOL,
         f"max commutator norm = {max_rot:.3e}",
     )
-    same_max = max(
-        (r["p"] for r in records if r["same_sublattice"]), default=float("-inf")
-    )
-    if same_max > float("-inf"):
+    same = [r["p"] for r in records if r["same_sublattice"]]
+    if same:
         checks.add(
             "werner/same-sublattice-nonpositive",
-            same_max <= SAME_SUBLATTICE_TOL,
-            f"max same-sublattice p = {same_max:.3e}",
+            max(same) <= SAME_SUBLATTICE_TOL,
+            f"max same-sublattice p = {max(same):.3e}",
         )
     return {"pairs": records, "distance_profile": _distance_profile(ctx)}
 
@@ -391,8 +388,7 @@ def _reference_nn_check(config: RunConfig, checks: _Checks) -> dict:
     Evaluated for both boundary conditions; the check passes when either
     is within tolerance, and every NN bond of both variants is reported.
     """
-    tables = {}
-    candidates = {}
+    tables, candidates = {}, {}
     for boundary in (Boundary.OPEN, Boundary.PERIODIC):
         lattice = LatticeSpec.square_grid(4, 4, boundary=boundary)
         state = states_mod.assemble(enumerate_liquid(lattice))
@@ -409,8 +405,7 @@ def _reference_nn_check(config: RunConfig, checks: _Checks) -> dict:
             "interior_p": _round(p),
             "all_nn_bonds": bond_rows,
         }
-    p_open = candidates["open"]
-    p_periodic = candidates["periodic"]
+    p_open, p_periodic = candidates["open"], candidates["periodic"]
     ok_open = abs(p_open - REFERENCE_NN_P) <= config.tol
     ok_periodic = abs(p_periodic - REFERENCE_NN_P) <= config.tol
     detail = (
@@ -509,9 +504,7 @@ def _task_reproduce(ctx: _Context, checks: _Checks) -> dict:
 
     if config.variant is Variant.GAS:
         n = config.lattice.n_per_sublattice
-        cross = [
-            ent.measure_pair(state, (0, t)).p for t in range(n, 2 * n)
-        ]
+        cross = [ent.measure_pair(state, (0, t)).p for t in range(n, 2 * n)]
         spread = max(cross) - min(cross)
         expected = (n + 2) / (3.0 * n)
         dev = max(abs(p - expected) for p in cross)
@@ -534,11 +527,7 @@ def _task_reproduce(ctx: _Context, checks: _Checks) -> dict:
             "max_deviation": _round(dev, 14),
         }
 
-    if (
-        config.variant is Variant.LIQUID
-        and config.lattice.rows == 4
-        and config.lattice.cols == 4
-    ):
+    if config.variant is Variant.LIQUID and (config.lattice.rows, config.lattice.cols) == (4, 4):
         data["reference_nn"] = _reference_nn_check(config, checks)
 
     return data
@@ -730,14 +719,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="key=value config file; flags override")
     parser.add_argument(
-        "--lattice", choices=["square-grid", "complete-bipartite"], help="lattice kind"
+        "--lattice", choices=[kind.value for kind in Kind], help="lattice kind"
     )
     parser.add_argument("--rows", type=int, help="grid rows")
     parser.add_argument("--cols", type=int, help="grid columns")
     parser.add_argument(
         "--boundary", choices=["open", "periodic"], help="grid boundary (default open)"
     )
-    parser.add_argument("--variant", choices=["gas", "liquid"], help="ensemble variant")
+    parser.add_argument("--variant", choices=[v.value for v in _VARIANTS], help="ensemble variant")
     parser.add_argument("--n", type=int, help="sublattice size for complete-bipartite")
     parser.add_argument(
         "--tasks",
@@ -775,7 +764,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     variant_name = args.variant
     if variant_name is None:
-        variant_name = "gas" if lattice.kind is Kind.COMPLETE_BIPARTITE else "liquid"
+        variant_name = {kind: v.value for v, (kind, _) in _VARIANTS.items()}[lattice.kind]
     try:
         variant = Variant(variant_name)
     except ValueError as exc:

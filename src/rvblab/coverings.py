@@ -180,8 +180,8 @@ class CoveringEnsemble:
         if variant is Variant.LIQUID:
             n = lattice.site_count
             a_sites = np.array(lattice.a_sites())
-            bonds = [a * n + b for a in a_sites.tolist() for b in lattice.neighbors(a)]
-            far = ~np.isin(a_sites * n + partners, bonds)
+            bonds = [i * n + j for i, j in lattice.nn_bonds()]
+            far = ~np.isin(np.minimum(a_sites, partners) * n + np.maximum(a_sites, partners), bonds)
             if far.any():
                 k, i = np.argwhere(far)[0]
                 raise ValueError(

@@ -4,21 +4,26 @@ Sites are plain integers in ``[0, site_count)``.  Square grids are indexed
 row-major (``index = row * cols + col``) and split into sublattices by the
 checkerboard rule ``(row + col) % 2 == 0 -> A``; complete bipartite
 lattices put the first ``n_per_sublattice`` indices in sublattice A and
-the rest in B.  Distances are graph distances: Manhattan on grids (with
-minimum-image wrap when periodic), and 1 or 2 hops on complete bipartite
-graphs.  Grids also name the generators of their reflection, transpose
-and translation symmetries; the gas names none.
+the rest in B.
 
-``LatticeSpec`` is immutable and every query is a pure function of it, so
-instances can be shared freely.
+A ``LatticeSpec`` is an immutable shape, shared freely, and one bond
+graph built from it on first use: the A/B split, the bonds, the
+neighbour lists and the site symmetries (a grid's reflections, transpose
+and translations; the gas has none).  Each kind has one private builder,
+the only code that knows its geometry; every query reads the graph.
+Distances are hop counts, from a table that breadth-first search fills
+on first use in O(sites x bonds).  Construction checks the shape in O(1)
+and the enumeration caps read only the shape, so an oversized lattice
+is refused before any graph is built.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 
 def site_indices(sites: Iterable[object]) -> tuple[int, ...]:
@@ -36,6 +41,13 @@ def site_indices(sites: Iterable[object]) -> tuple[int, ...]:
         raise ValueError(f"sites must be integers, got {sites}") from None
 
 
+def _size(name: str, value: object) -> int:
+    try:
+        return site_indices((value,))[0]
+    except ValueError:
+        raise ValueError(f"lattice {name} must be an integer, got {value!r}") from None
+
+
 class Kind(enum.Enum):
     SQUARE_GRID = "square-grid"
     COMPLETE_BIPARTITE = "complete-bipartite"
@@ -51,12 +63,20 @@ class Sublattice(enum.Enum):
     B = "B"
 
 
+class _Graph(NamedTuple):
+    sublattice: tuple[Sublattice, ...]  # of each site
+    bonds: tuple[tuple[int, int], ...]  # (i, j) with i < j, ascending
+    neighbors: tuple[tuple[int, ...], ...]  # of each site, ascending
+    generators: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Immutable description of a bipartite lattice.
+    """Immutable description of a bipartite lattice: a shape and its lazy bond graph.
 
-    Use :meth:`square_grid` or :meth:`complete_bipartite` instead of the
-    raw constructor; they fill in the fields that do not apply.
+    Use :meth:`square_grid` or :meth:`complete_bipartite`; fields that do not
+    apply must keep their defaults.  Construction and the enumeration caps read
+    the shape; the graph and its hop table (BFS, O(sites x bonds)) come on first use.
     """
 
     kind: Kind
@@ -67,11 +87,12 @@ class LatticeSpec:
 
     def __post_init__(self) -> None:
         # accept enum value strings so "periodic" cannot silently mean open
-        if not isinstance(self.kind, Kind):
-            object.__setattr__(self, "kind", Kind(self.kind))
-        if not isinstance(self.boundary, Boundary):
-            object.__setattr__(self, "boundary", Boundary(self.boundary))
+        object.__setattr__(self, "kind", Kind(self.kind))
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
+        for name in ("rows", "cols", "n_per_sublattice"):
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
         if self.kind is Kind.SQUARE_GRID:
+            unused: tuple[str, ...] = ("n_per_sublattice",)
             if self.rows < 1 or self.cols < 1:
                 raise ValueError("grid dimensions must be at least 1x1")
             if (self.rows * self.cols) % 2:
@@ -79,19 +100,20 @@ class LatticeSpec:
                     "site count must be even for equal sublattices; "
                     f"got {self.rows}x{self.cols}"
                 )
-            if self.boundary is Boundary.PERIODIC:
-                # wrap in a dimension of odd size > 1 joins same-color sites
-                for d in (self.rows, self.cols):
-                    if d > 1 and d % 2:
-                        raise ValueError(
-                            "periodic boundaries need even rows and cols; "
-                            f"got {self.rows}x{self.cols}"
-                        )
-        elif self.kind is Kind.COMPLETE_BIPARTITE:
+            # wrap in a dimension of odd size > 1 joins same-color sites
+            odd = any(d > 1 and d % 2 for d in (self.rows, self.cols))
+            if odd and self.boundary is Boundary.PERIODIC:
+                raise ValueError(
+                    f"periodic boundaries need even rows and cols; got {self.rows}x{self.cols}"
+                )
+        else:
+            unused = ("rows", "cols", "boundary")
             if self.n_per_sublattice < 1:
                 raise ValueError("complete bipartite lattice needs n >= 1")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown lattice kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in unused and value != f.default:
+                raise ValueError(f"a {self.kind.value} lattice takes no {f.name}; got {value!r}")
 
     @classmethod
     def square_grid(
@@ -104,7 +126,7 @@ class LatticeSpec:
         return cls(kind=Kind.COMPLETE_BIPARTITE, n_per_sublattice=n)
 
     # ------------------------------------------------------------------
-    # basic queries
+    # the shape
 
     @property
     def site_count(self) -> int:
@@ -135,81 +157,68 @@ class LatticeSpec:
             raise ValueError(f"coords ({row}, {col}) out of range")
         return row * self.cols + col
 
+    # ------------------------------------------------------------------
+    # the bond graph
+
+    @cached_property
+    def _graph(self) -> _Graph:
+        in_a, bonds, generators = _BUILDERS[self.kind](self)
+        sites = range(self.site_count)
+        adjacent: list[list[int]] = [[] for _ in sites]
+        for i, j in bonds:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        sublattice = tuple(Sublattice.A if s in in_a else Sublattice.B for s in sites)
+        neighbors = tuple(tuple(sorted(adj)) for adj in adjacent)
+        return _Graph(sublattice, tuple(sorted(bonds)), neighbors, generators)
+
+    @cached_property
+    def _hops(self) -> tuple[tuple[int, ...], ...]:
+        """Hop counts between every two sites, by breadth-first search from each."""
+        table = []
+        for source in range(self.site_count):
+            hops, order = [-1] * self.site_count, [source]
+            hops[source] = 0
+            for s in order:  # appending while iterating walks breadth-first
+                for t in self._graph.neighbors[s]:
+                    if hops[t] < 0:
+                        hops[t] = hops[s] + 1
+                        order.append(t)
+            table.append(tuple(hops))
+        return tuple(table)
+
     def sublattice_of(self, site: int) -> Sublattice:
         self._check_site(site)
-        if self.kind is Kind.SQUARE_GRID:
-            row, col = divmod(site, self.cols)
-            return Sublattice.A if (row + col) % 2 == 0 else Sublattice.B
-        return Sublattice.A if site < self.n_per_sublattice else Sublattice.B
+        return self._graph.sublattice[site]
 
     def a_sites(self) -> tuple[int, ...]:
-        return tuple(
-            s for s in range(self.site_count) if self.sublattice_of(s) is Sublattice.A
-        )
+        return tuple(s for s, x in enumerate(self._graph.sublattice) if x is Sublattice.A)
 
     def b_sites(self) -> tuple[int, ...]:
-        return tuple(
-            s for s in range(self.site_count) if self.sublattice_of(s) is Sublattice.B
-        )
-
-    # ------------------------------------------------------------------
-    # adjacency and distance
+        return tuple(s for s, x in enumerate(self._graph.sublattice) if x is Sublattice.B)
 
     def neighbors(self, site: int) -> tuple[int, ...]:
         """Nearest neighbors of ``site``, ascending, self-loops dropped."""
         self._check_site(site)
-        if self.kind is Kind.COMPLETE_BIPARTITE:
-            n = self.n_per_sublattice
-            return tuple(range(n, 2 * n)) if site < n else tuple(range(n))
-        row, col = divmod(site, self.cols)
-        out: set[int] = set()
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            r, c = row + dr, col + dc
-            if self.boundary is Boundary.PERIODIC:
-                r %= self.rows
-                c %= self.cols
-            elif not (0 <= r < self.rows and 0 <= c < self.cols):
-                continue
-            idx = r * self.cols + c
-            if idx != site:
-                out.add(idx)
-        return tuple(sorted(out))
+        return self._graph.neighbors[site]
 
     def nn_bonds(self) -> tuple[tuple[int, int], ...]:
         """All nearest-neighbor bonds as (i, j) with i < j, ascending."""
-        bonds = set()
-        for s in range(self.site_count):
-            for t in self.neighbors(s):
-                bonds.add((min(s, t), max(s, t)))
-        return tuple(sorted(bonds))
+        return self._graph.bonds
 
     def distance(self, i: int, j: int) -> int:
-        """Graph distance between two sites."""
+        """Graph distance between two sites: the fewest bonds joining them."""
         self._check_site(i)
         self._check_site(j)
-        if self.kind is Kind.COMPLETE_BIPARTITE:
-            if i == j:
-                return 0
-            return 1 if self.sublattice_of(i) is not self.sublattice_of(j) else 2
-        ri, ci = divmod(i, self.cols)
-        rj, cj = divmod(j, self.cols)
-        dr = abs(ri - rj)
-        dc = abs(ci - cj)
-        if self.boundary is Boundary.PERIODIC:
-            dr = min(dr, self.rows - dr)
-            dc = min(dc, self.cols - dc)
-        return dr + dc
+        return self._hops[i][j]
 
     def equidistant_class(self, site: int, r: int) -> tuple[int, ...]:
         """Opposite-sublattice sites at graph distance ``r``, ascending."""
         if r <= 0:
             raise ValueError("distance r must be positive")
-        own = self.sublattice_of(site)
-        return tuple(
-            t
-            for t in range(self.site_count)
-            if t != site and self.sublattice_of(t) is not own and self.distance(site, t) == r
-        )
+        own, sublattice = self.sublattice_of(site), self._graph.sublattice
+        hops = self._hops[site]
+        return tuple(t for t, d in enumerate(hops) if d == r and sublattice[t] is not own)
 
     def equidistant_count(self, site: int, r: int) -> int:
         """Number of opposite-sublattice sites at graph distance ``r``."""
@@ -217,35 +226,50 @@ class LatticeSpec:
 
     def max_distance(self) -> int:
         """Largest pairwise graph distance on this lattice."""
-        if self.kind is Kind.COMPLETE_BIPARTITE:
-            return 1 if self.n_per_sublattice == 1 else 2
-        if self.boundary is Boundary.PERIODIC:
-            return self.rows // 2 + self.cols // 2
-        return (self.rows - 1) + (self.cols - 1)
+        return max(map(max, self._hops))
 
     def symmetry_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Site permutations that generate a symmetry group of the grid.
+        """Site permutations that generate a symmetry group of the lattice.
 
-        Entry ``s`` of a permutation is the image of site ``s``.  The
-        generators are the row reflection, the column reflection, the
-        transpose when rows = cols and the two unit translations when
-        periodic, with identities and repeats dropped.  Each one maps
-        bonds to bonds, so it maps the covering set onto itself.  The gas
-        gets none.
+        Entry ``s`` of a permutation is the image of site ``s``; each maps
+        bonds to bonds, so it maps the covering set onto itself.  A grid
+        has its row and column reflections, its transpose when square and
+        its two unit translations when periodic, identities and repeats
+        dropped; the gas has none.
         """
-        if self.kind is not Kind.SQUARE_GRID:
-            return ()
-        rows, cols = self.rows, self.cols
-        maps = [lambda r, c: (rows - 1 - r, c), lambda r, c: (r, cols - 1 - c)]
-        if rows == cols:
-            maps.append(lambda r, c: (c, r))
-        if self.boundary is Boundary.PERIODIC:
-            maps += [lambda r, c: ((r + 1) % rows, c), lambda r, c: (r, (c + 1) % cols)]
-        identity = tuple(range(self.site_count))
-        perms = (
-            tuple(self.index(*f(*divmod(s, cols))) for s in identity) for f in maps
-        )
-        return tuple(p for p in dict.fromkeys(perms) if p != identity)
+        return self._graph.generators
+
+
+def _grid_graph(lattice: LatticeSpec):
+    """A/B split, bonds and generators of a square grid."""
+    rows, cols = lattice.rows, lattice.cols
+    wrap = lattice.boundary is Boundary.PERIODIC
+    sites = range(rows * cols)
+    bonds = set()
+    for s in sites:
+        row, col = divmod(s, cols)
+        for r, c in ((row + 1, col), (row, col + 1)):
+            t = r % rows * cols + c % cols
+            # a periodic dimension of size 1 or 2 loops back or repeats a bond
+            if (wrap or (r < rows and c < cols)) and t != s:
+                bonds.add((min(s, t), max(s, t)))
+    maps = [lambda r, c: (rows - 1 - r, c), lambda r, c: (r, cols - 1 - c)]
+    if rows == cols:
+        maps.append(lambda r, c: (c, r))
+    if wrap:
+        maps += [lambda r, c: ((r + 1) % rows, c), lambda r, c: (r, (c + 1) % cols)]
+    perms = (tuple(lattice.index(*f(*divmod(s, cols))) for s in sites) for f in maps)
+    generators = tuple(p for p in dict.fromkeys(perms) if p != tuple(sites))
+    return {s for s in sites if sum(divmod(s, cols)) % 2 == 0}, bonds, generators
+
+
+def _gas_graph(lattice: LatticeSpec):
+    """A/B split, bonds and generators of K_{N,N}: every A site bonds to every B site."""
+    n = lattice.n_per_sublattice
+    return range(n), [(a, b) for a in range(n) for b in range(n, 2 * n)], ()
+
+
+_BUILDERS = {Kind.SQUARE_GRID: _grid_graph, Kind.COMPLETE_BIPARTITE: _gas_graph}
 
 
 def interior_nn_bond(lattice: LatticeSpec) -> tuple[int, int]:
@@ -258,15 +282,12 @@ def interior_nn_bond(lattice: LatticeSpec) -> tuple[int, int]:
     lattice every bond ties too, so the gas gets ``(0, n)``: site 0 and
     the first site of sublattice B.
     """
-    bonds = lattice.nn_bonds()
-    if not bonds:
-        raise ValueError("lattice has no nearest-neighbor bonds")
 
     def rank(bond: tuple[int, int]) -> tuple[int, int, int, int]:
         degs = sorted(len(lattice.neighbors(s)) for s in bond)
         return (-degs[0], -degs[1], bond[0], bond[1])
 
-    return min(bonds, key=rank)
+    return min(lattice.nn_bonds(), key=rank)
 
 
 def _config_size(cfg: Mapping[str, object], key: str) -> int:
@@ -289,7 +310,13 @@ def lattice_from_config(cfg: Mapping[str, object]) -> LatticeSpec:
     strings.  Every bad input raises a one-line ``ValueError``.
     """
     kind = cfg.get("kind", cfg.get("lattice"))
-    if kind == Kind.SQUARE_GRID.value:
+    if kind is None:
+        raise ValueError("missing lattice kind")
+    try:
+        kind = Kind(kind)
+    except ValueError:
+        raise ValueError(f"unknown lattice kind {kind!r}") from None
+    if kind is Kind.SQUARE_GRID:
         if cfg.get("rows") is None or cfg.get("cols") is None:
             raise ValueError("square-grid lattice needs rows and cols")
         boundary = cfg.get("boundary")
@@ -298,13 +325,9 @@ def lattice_from_config(cfg: Mapping[str, object]) -> LatticeSpec:
             _config_size(cfg, "cols"),
             boundary=Boundary.OPEN if boundary is None else boundary,
         )
-    if kind == Kind.COMPLETE_BIPARTITE.value:
-        if cfg.get("n") is None:
-            raise ValueError("complete-bipartite lattice needs n")
-        return LatticeSpec.complete_bipartite(_config_size(cfg, "n"))
-    if kind is None:
-        raise ValueError("missing lattice kind")
-    raise ValueError(f"unknown lattice kind {kind!r}")
+    if cfg.get("n") is None:
+        raise ValueError("complete-bipartite lattice needs n")
+    return LatticeSpec.complete_bipartite(_config_size(cfg, "n"))
 
 
 def lattice_to_config(lattice: LatticeSpec) -> dict[str, object]:

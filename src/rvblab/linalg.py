@@ -90,18 +90,18 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    # the norm is finite unless an entry is not, or the squares overflow
-    if not math.isfinite(scale) and not np.isfinite(a).all():
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if not math.isfinite(peak):
         raise ValueError("matrix has NaN or infinite entries")
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    if scale == 0.0:
+    if peak == 0.0:
         return np.zeros(n), np.eye(n, dtype=np.complex128)
-    skew = np.linalg.norm(a - a.conj().T)
-    if skew > 1e-10 * max(1.0, scale):
-        raise ValueError(f"matrix is not Hermitian (skew norm {skew:.3e})")
+    unit = a / peak  # whose squares, unlike those of a, cannot overflow
+    skew = float(np.linalg.norm(unit - unit.conj().T))
+    if skew > 1e-10 * max(1.0 / peak, float(np.linalg.norm(unit))):
+        raise ValueError(f"matrix is not Hermitian (skew norm {skew * peak:.3e})")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, v
 

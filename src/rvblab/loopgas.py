@@ -53,12 +53,14 @@ keeps nothing.  ``loop_formula_p`` reads one entry of the scan.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .coverings import CoveringEnsemble
 from .errors import CapExceeded
 from .lattice import LatticeSpec, Sublattice, site_indices
-from .states import assemble, reduced_density_matrix
+from .states import reduced_density_matrix  # noqa: F401 - perfbench's tracer tests patch it
 
 MAX_GRAPH_PAIRS = 100_000
 
@@ -193,9 +195,7 @@ def _loop_sum(ensemble: CoveringEnsemble) -> np.ndarray:
         inv = np.argsort(maps, axis=1)
         numerator += row[inv[:, :, None], inv[:, None, :]].sum(axis=0)
         denominator += weights.sum() * len(maps)
-    a_mask = np.array(
-        [lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)]
-    )
+    a_mask = np.array([lattice.sublattice_of(s) is Sublattice.A for s in range(n_sites)])
     sign = np.where(a_mask[:, None] == a_mask[None, :], -1.0, 1.0)
     p_matrix = sign * numerator / denominator
     np.fill_diagonal(p_matrix, 0.0)
@@ -206,25 +206,15 @@ def loop_formula_p(ensemble: CoveringEnsemble, i: int, j: int) -> float:
     """Werner parameter of one site pair: entry (i, j) of :func:`loop_formula_scan`.
 
     The scan's matrix is kept on the ensemble, so only the first call
-    sums it; later calls copy it and read one entry.
-
-    Ensembles above ``MAX_GRAPH_PAIRS`` ordered pairs, where the scan
-    raises :class:`CapExceeded`, are routed to the exact state-vector
-    oracle instead (assemble, reduce, fit), which has its own qubit cap.
+    sums it; later calls copy it and read one entry.  Like the scan, it
+    raises :class:`CapExceeded` above ``MAX_GRAPH_PAIRS`` ordered pairs.
     """
     _check_scannable(ensemble)
     i, j = site_indices((i, j))
     n_sites = ensemble.lattice.site_count
     if not (0 <= i < n_sites and 0 <= j < n_sites) or i == j:
         raise ValueError(f"need two distinct sites in [0, {n_sites}), got ({i}, {j})")
-    try:
-        return float(loop_formula_scan(ensemble)[i, j])
-    except CapExceeded:
-        from .entanglement import extract_werner_p
-
-        state = assemble(ensemble)
-        dm = reduced_density_matrix(state, tuple(sorted((i, j))))
-        return extract_werner_p(dm).p
+    return float(loop_formula_scan(ensemble)[i, j])
 
 
 def same_sublattice_scan(ensemble: CoveringEnsemble) -> list[tuple[tuple[int, int], float]]:
@@ -234,10 +224,6 @@ def same_sublattice_scan(ensemble: CoveringEnsemble) -> list[tuple[tuple[int, in
     a positive singlet weight in an equal-weight covering superposition.
     """
     p_matrix = loop_formula_scan(ensemble)
-    lattice = ensemble.lattice
-    out: list[tuple[tuple[int, int], float]] = []
-    for i in range(lattice.site_count):
-        for j in range(i + 1, lattice.site_count):
-            if lattice.sublattice_of(i) is lattice.sublattice_of(j):
-                out.append(((i, j), float(p_matrix[i, j])))
-    return out
+    side = [ensemble.lattice.sublattice_of(s) for s in range(len(p_matrix))]
+    pairs = combinations(range(len(p_matrix)), 2)
+    return [((i, j), float(p_matrix[i, j])) for i, j in pairs if side[i] is side[j]]

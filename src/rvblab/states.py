@@ -97,9 +97,11 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         nrm = float(np.linalg.norm(amps))
-        # written so that a NaN norm fails too
+        # both written so that NaN fails too
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
+        if not 0.0 < self.norm < float("inf"):
+            raise ValueError(f"state norm must be finite and positive, got {self.norm}")
 
     def __eq__(self, other: object) -> bool:
         # the generated __eq__ would ask an ndarray comparison for one bool

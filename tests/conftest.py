@@ -10,7 +10,8 @@ loop, dense Gram matrices for subset spectra, one subset and one
 covering for state assembly, one ``DimerCovering`` object per covering
 for the partner table, ``itertools.permutations`` for the gas table, one
 ``%`` format over every site for the ensemble JSON, the whole symmetry
-group applied to every covering for the covering orbits) so that
+group applied to every covering for the covering orbits, the closed-form
+grid and gas geometry for the lattice's bond graph) so that
 agreement is evidence, not tautology.
 """
 
@@ -26,7 +27,9 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from rvblab import (
+    Boundary,
     DimerCovering,
+    Kind,
     LatticeSpec,
     StateVector,
     Sublattice,
@@ -238,6 +241,74 @@ def biadjacency(lattice, nn_only):
             if not nn_only or b in lattice.neighbors(a):
                 mat[i, j] = 1
     return mat
+
+
+# ----------------------------------------------------------------------
+# oracle: the closed forms each lattice kind once answered its queries with
+
+
+def closed_form_a_sites(lattice):
+    """Sublattice A: the checkerboard rule on a grid, the first N sites of the gas."""
+    if lattice.kind is Kind.COMPLETE_BIPARTITE:
+        return tuple(range(lattice.n_per_sublattice))
+    return tuple(s for s in range(lattice.site_count) if sum(divmod(s, lattice.cols)) % 2 == 0)
+
+
+def closed_form_neighbors(lattice, site):
+    """The four grid steps, wrapped when periodic; every other-side site on the gas."""
+    if lattice.kind is Kind.COMPLETE_BIPARTITE:
+        n = lattice.n_per_sublattice
+        return tuple(range(n, 2 * n)) if site < n else tuple(range(n))
+    rows, cols = lattice.rows, lattice.cols
+    row, col = divmod(site, cols)
+    out = set()
+    for r, c in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+        if lattice.boundary is Boundary.PERIODIC:
+            r, c = r % rows, c % cols
+        elif not (0 <= r < rows and 0 <= c < cols):
+            continue
+        if r * cols + c != site:
+            out.add(r * cols + c)
+    return tuple(sorted(out))
+
+
+def closed_form_distance(lattice, i, j):
+    """Manhattan distance, min-image when periodic; 1 or 2 hops on the gas."""
+    if lattice.kind is Kind.COMPLETE_BIPARTITE:
+        n = lattice.n_per_sublattice
+        return 0 if i == j else 1 if (i < n) != (j < n) else 2
+    (ri, ci), (rj, cj) = divmod(i, lattice.cols), divmod(j, lattice.cols)
+    dr, dc = abs(ri - rj), abs(ci - cj)
+    if lattice.boundary is Boundary.PERIODIC:
+        dr, dc = min(dr, lattice.rows - dr), min(dc, lattice.cols - dc)
+    return dr + dc
+
+
+def closed_form_max_distance(lattice):
+    if lattice.kind is Kind.COMPLETE_BIPARTITE:
+        return 1 if lattice.n_per_sublattice == 1 else 2
+    if lattice.boundary is Boundary.PERIODIC:
+        return lattice.rows // 2 + lattice.cols // 2
+    return lattice.rows - 1 + lattice.cols - 1
+
+
+def closed_form_generators(lattice):
+    """Row and column reflections, the square's transpose, the torus's two shifts."""
+    if lattice.kind is Kind.COMPLETE_BIPARTITE:
+        return ()
+    rows, cols = lattice.rows, lattice.cols
+    maps = [lambda r, c: (rows - 1 - r, c), lambda r, c: (r, cols - 1 - c)]
+    if rows == cols:
+        maps.append(lambda r, c: (c, r))
+    if lattice.boundary is Boundary.PERIODIC:
+        maps += [lambda r, c: ((r + 1) % rows, c), lambda r, c: (r, (c + 1) % cols)]
+    identity = tuple(range(rows * cols))
+    out = []
+    for f in maps:
+        perm = tuple(r * cols + c for r, c in (f(*divmod(s, cols)) for s in identity))
+        if perm != identity and perm not in out:
+            out.append(perm)
+    return tuple(out)
 
 
 def bfs_distances(lattice, start):

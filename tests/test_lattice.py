@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bfs_distances
-from rvblab import Boundary, Kind, LatticeSpec, Sublattice, interior_nn_bond
+from conftest import (
+    PROPERTY_SETTINGS,
+    bfs_distances,
+    closed_form_a_sites,
+    closed_form_distance,
+    closed_form_generators,
+    closed_form_max_distance,
+    closed_form_neighbors,
+)
+from rvblab import (
+    Boundary, CapExceeded, Kind, LatticeSpec, Sublattice, enumerate_gas, enumerate_liquid,
+    interior_nn_bond,
+)
 from rvblab.lattice import lattice_from_config, lattice_to_config
 
 
@@ -40,6 +53,72 @@ class TestConstruction:
     def test_zero_sublattice_rejected(self):
         with pytest.raises(ValueError):
             LatticeSpec.complete_bipartite(0)
+
+
+class TestConstructorInput:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "square-grid", "rows": 4, "cols": 4, "n_per_sublattice": 3},
+             "^a square-grid lattice takes no n_per_sublattice; got 3$"),
+            ({"kind": "complete-bipartite", "n_per_sublattice": 2, "boundary": "periodic"},
+             "^a complete-bipartite lattice takes no boundary; got <Boundary.PERIODIC"),
+            ({"kind": "complete-bipartite", "n_per_sublattice": 2, "rows": 3},
+             "^a complete-bipartite lattice takes no rows; got 3$"),
+            ({"kind": "complete-bipartite", "n_per_sublattice": 2.5},
+             "^lattice n_per_sublattice must be an integer, got 2.5$"),
+            ({"kind": "square-grid", "rows": 2.0, "cols": 2},
+             "^lattice rows must be an integer, got 2.0$"),
+            ({"kind": "square-grid", "rows": True, "cols": 2},
+             "^lattice rows must be an integer, got True$"),
+            ({"kind": "square-grid", "rows": "2", "cols": 2},
+             "^lattice rows must be an integer, got '2'$"),
+            ({"kind": "square-grid", "rows": 2, "cols": None},
+             "^lattice cols must be an integer, got None$"),
+            ({"kind": "triangular", "rows": 2, "cols": 2}, "is not a valid Kind$"),
+        ],
+    )
+    def test_bad_fields_rejected_in_one_line(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            LatticeSpec(**fields)
+
+    def test_numpy_sizes_become_ints(self):
+        lat = LatticeSpec.square_grid(np.int64(2), np.int32(4))
+        assert lat == LatticeSpec.square_grid(2, 4)
+        assert type(lat.rows) is int and type(lat.cols) is int
+        assert type(LatticeSpec.complete_bipartite(np.uint8(3)).n_per_sublattice) is int
+
+    @staticmethod
+    @st.composite
+    def _fields(draw):
+        """Constructor fields, each valid for the kind or, one time in four, anything."""
+        kind = draw(st.sampled_from(list(Kind)))
+        grid = kind is Kind.SQUARE_GRID
+        valid = {
+            "rows": st.integers(1, 6) if grid else st.just(0),
+            "cols": st.integers(1, 6) if grid else st.just(0),
+            "n_per_sublattice": st.just(0) if grid else st.integers(1, 10**40),
+            "boundary": st.sampled_from(list(Boundary)) if grid else st.just(Boundary.OPEN),
+        }
+        anything = st.one_of(
+            st.integers(-1, 10**40),
+            st.sampled_from([True, False, 2.0, 2.5, "2", None, np.int64(4), *Boundary]),
+        )
+        fields = {"kind": draw(st.sampled_from([kind, kind.value]))}
+        for name, strategy in valid.items():
+            fields[name] = draw(anything if draw(st.integers(0, 3)) == 0 else strategy)
+        return fields
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(fields=_fields())
+    def test_config_roundtrip_of_every_lattice_that_constructs(self, fields):
+        try:
+            lat = LatticeSpec(**fields)
+        except ValueError:
+            return
+        assert lattice_from_config(lattice_to_config(lat)) == lat
+        # constructing is O(1): nothing above built the graph
+        assert "_graph" not in vars(lat)
 
 
 class TestIndexing:
@@ -302,3 +381,57 @@ class TestSymmetryGenerators:
 
     def test_gas_has_none(self):
         assert LatticeSpec.complete_bipartite(4).symmetry_generators() == ()
+
+
+def _legal_lattices():
+    grids = []
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for boundary in Boundary:
+                try:
+                    grids.append(LatticeSpec.square_grid(rows, cols, boundary))
+                except ValueError:
+                    pass
+    return grids + [LatticeSpec.complete_bipartite(n) for n in range(1, 9)]
+
+
+def _lattice_id(lat):
+    if lat.kind is Kind.COMPLETE_BIPARTITE:
+        return f"gas-{lat.n_per_sublattice}"
+    return f"{lat.boundary.value}-{lat.rows}x{lat.cols}"
+
+
+@pytest.mark.parametrize("lat", _legal_lattices(), ids=_lattice_id)
+def test_bond_graph_matches_the_closed_forms(lat):
+    # every legal grid up to 6x6 under both boundaries, and the gas to N = 8
+    sites = range(lat.site_count)
+    a_sites = closed_form_a_sites(lat)
+    assert lat.a_sites() == a_sites
+    assert lat.b_sites() == tuple(s for s in sites if s not in a_sites)
+    assert [lat.sublattice_of(s) is Sublattice.A for s in sites] == [s in a_sites for s in sites]
+    neighbors = [closed_form_neighbors(lat, s) for s in sites]
+    assert [lat.neighbors(s) for s in sites] == neighbors
+    assert lat.nn_bonds() == tuple((s, t) for s in sites for t in neighbors[s] if s < t)
+    assert [[lat.distance(i, j) for j in sites] for i in sites] == [
+        [closed_form_distance(lat, i, j) for j in sites] for i in sites
+    ]
+    assert lat.max_distance() == closed_form_max_distance(lat)
+    assert lat.symmetry_generators() == closed_form_generators(lat)
+
+
+def test_graph_queries_check_the_site(grid44):
+    for query in (grid44.neighbors, grid44.sublattice_of, lambda s: grid44.distance(0, s)):
+        with pytest.raises(ValueError, match=r"^site 16 out of range \[0, 16\)$"):
+            query(16)
+
+
+def test_the_caps_read_only_the_shape():
+    # a graph built before the cap would take O(sites) time and memory
+    gas = LatticeSpec.complete_bipartite(10**30)
+    with pytest.raises(CapExceeded, match="capped at N=8"):
+        enumerate_gas(gas)
+    ladder = LatticeSpec.square_grid(2, 10**30)
+    with pytest.raises(CapExceeded, match="stored pairs"):
+        enumerate_liquid(ladder)
+    assert "_graph" not in vars(gas) and "_graph" not in vars(ladder)
+    assert gas.site_count == 2 * 10**30 and ladder.sublattice_size == 10**30

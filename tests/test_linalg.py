@@ -196,6 +196,30 @@ class TestNonFiniteRejected:
         assert linalg._memo.cache_info().currsize == 0
 
 
+class TestExtremeScales:
+    # the Hermitian check once took np.linalg.norm of the raw entries, whose
+    # squares overflow past about 1e154 (a RuntimeWarning, an error here)
+    # and underflow below about 1e-162 (a zero norm, so a zero spectrum)
+    @pytest.mark.parametrize("fn", SEAM, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_diagonal_kept_exactly(self, fn, scale):
+        a = np.diag([scale, 2 * scale])
+        out = fn(a)
+        if fn is operator_norm:
+            assert out == 2 * scale
+        elif fn is matrix_sqrt_psd:
+            assert np.allclose(np.diag(out), np.sqrt([scale, 2 * scale]), rtol=1e-15, atol=0)
+        else:
+            w = out[0] if fn is jacobi_eigh else out
+            assert w.tolist() == [scale, 2 * scale]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_skew_still_rejected(self, scale):
+        a = np.array([[1.0, 1.0], [0.0, 1.0]]) * scale
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(skew norm 1.414e"):
+            jacobi_eigh(a)
+
+
 def _bits(out):
     parts = out if isinstance(out, tuple) else (out,)
     return [np.asarray(part).tobytes() for part in parts]

@@ -134,13 +134,11 @@ class TestLoopFormula:
         assert loop_formula_p(liquid23, 1, 4) == pytest.approx(p_matrix[1, 4], abs=1e-14)
         assert loop_formula_p(liquid23, 0, 2) == pytest.approx(p_matrix[0, 2], abs=1e-14)
 
-    def test_oversized_ensemble_falls_back(self, liquid44, state44, monkeypatch):
-        # force the ordered-pair cap below the ensemble size: the pointwise
-        # route must switch to the state-vector path, not fail
+    def test_oversized_ensemble_raises(self, liquid44, monkeypatch):
+        # past the ordered-pair cap the pointwise route raises like the scan
         monkeypatch.setattr(loopgas, "MAX_GRAPH_PAIRS", 10)
-        p_direct = loop_formula_p(liquid44, 5, 6)
-        dm = reduced_density_matrix(state44, (5, 6))
-        assert p_direct == pytest.approx(extract_werner_p(dm).p, abs=1e-12)
+        with pytest.raises(CapExceeded, match="capped at 10 ordered covering pairs"):
+            loop_formula_p(liquid44, 5, 6)
 
     def test_weights_stay_finite_past_1023_loops(self):
         # 2**1024 overflows a float; the scan scales every weight by 2**-pairs
@@ -277,16 +275,15 @@ class TestScanMemo:
         assert loop_formula_scan(rebuilt).tobytes() == loop_formula_scan(liquid).tobytes()
         assert loop_formula_scan(liquid).tobytes() == loop_formula_scan_oracle(liquid).tobytes()
 
-    def test_lowered_cap_after_a_scan_still_applies(self, liquid44, state44, monkeypatch):
+    def test_lowered_cap_after_a_scan_still_applies(self, liquid44, monkeypatch):
         loop_formula_scan(liquid44)
         monkeypatch.setattr(loopgas, "MAX_GRAPH_PAIRS", 10)
         with pytest.raises(CapExceeded, match="capped at 10"):
             loop_formula_scan(liquid44)
         with pytest.raises(CapExceeded):
             same_sublattice_scan(liquid44)
-        # loop_formula_p takes the state-vector route, to the last ulp its own
-        dm = reduced_density_matrix(state44, (5, 6))
-        assert loop_formula_p(liquid44, 5, 6) == extract_werner_p(dm).p
+        with pytest.raises(CapExceeded, match="capped at 10"):
+            loop_formula_p(liquid44, 5, 6)
 
     def test_a_scan_that_raises_keeps_nothing(self, monkeypatch):
         liquid = _periodic44()

@@ -573,6 +573,19 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=r"\|psi\| = nan$"):
             load_state(path)
 
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, -3.0, 0.0, -0.0])
+    def test_raw_norm(self, norm):
+        with pytest.raises(ValueError, match="^state norm must be finite and positive, got "):
+            StateVector(2, SINGLET_VEC, norm=norm)
+
+    @pytest.mark.parametrize("norm", [math.nan, -3.0])
+    def test_raw_norm_in_a_blob(self, state22, norm):
+        # the header's norm once round-tripped to the assemble task's raw_norm
+        blob = bytearray(state_to_bytes(state22))
+        blob[8:16] = np.array([norm], dtype="<f8").tobytes()
+        with pytest.raises(ValueError, match="^state norm must be finite and positive, got "):
+            state_from_bytes(bytes(blob))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
     @pytest.mark.parametrize("sites", [(0,), (0, 1)], ids=["1-site", "2-site"])
     def test_density_matrix_validate(self, sites, value):
