@@ -34,7 +34,7 @@ from .coverings import (
     Variant,
     enumerate_gas,
     enumerate_liquid,
-    ensemble_to_json,
+    ensemble_sha256,
 )
 from .errors import CapExceeded
 from .lattice import (
@@ -145,6 +145,13 @@ def _round(x: float, digits: int = 12) -> float:
     return 0.0 if v == 0.0 else v  # canonical zero, avoids -0.0
 
 
+def _state_sha256(state: states_mod.StateVector) -> str:
+    """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place."""
+    digest = hashlib.sha256(states_mod._state_header(state))
+    digest.update(state.amplitudes.astype("<f8", copy=False))
+    return digest.hexdigest()
+
+
 def _pair_records(ctx: _Context) -> list[dict]:
     state = ctx.state()
     lattice = ctx.config.lattice
@@ -198,7 +205,7 @@ def _distance_profile(ctx: _Context) -> list[dict]:
 
 def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
     ensemble = ctx.ensemble()
-    digest = hashlib.sha256(ensemble_to_json(ensemble).encode()).hexdigest()
+    digest = ensemble_sha256(ensemble)
     data = {
         "variant": ensemble.variant.value,
         "covering_count": len(ensemble),
@@ -211,7 +218,7 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
 
 def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
     state = ctx.state()
-    digest = hashlib.sha256(states_mod.state_to_bytes(state)).hexdigest()
+    digest = _state_sha256(state)
     amps = state.amplitudes
     nrm = float(np.sqrt(np.sum(amps * amps)))  # fixed order, unlike a BLAS norm
     checks.add("assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}")

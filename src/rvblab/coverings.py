@@ -11,7 +11,11 @@ An ensemble stores its coverings in this form as one partner table, read
 by validation, serialization, assembly and the loop sums alike;
 :class:`DimerCovering` objects are built from it only on request.  The gas
 table and the JSON text are built in array operations as well, with no
-Python object per covering.
+Python object per covering.  The gas table is written in place into the
+one array the ensemble keeps, and the constructor's check and the JSON
+text run ``_ROW_BLOCK`` rows at a time, so no pass holds a second
+table-sized temporary: :func:`ensemble_sha256` hashes the text block by
+block without ever holding all of it.
 
 The table is the one way in: ``CoveringEnsemble(lattice, variant,
 partners, weights)`` checks it in array operations and keeps an int64
@@ -31,7 +35,9 @@ same coverings in the same order.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +55,9 @@ GAS_MAX_N = 8
 # Coverings x pairs held by one liquid enumeration (the 8x8 grid would
 # need 12,988,816 x 32).
 LIQUID_MAX_STORED_PAIRS = 1_000_000
+# partner-table rows per block of the constructor's check and of the JSON
+# text: at N = 8 a block sorts 256 kB and writes about 400 kB of text
+_ROW_BLOCK = 4096
 
 
 class Variant(enum.Enum):
@@ -172,9 +181,12 @@ class CoveringEnsemble:
         if not np.all(np.isfinite(weights)):
             raise ValueError("covering weights must be finite")
         # every covering holds every A site, so a repeated site or an A site
-        # among the partners leaves a row that is not a permutation of B
-        if np.any(np.sort(partners, axis=1) != lattice.b_sites()):
-            raise ValueError("covering sites must be distinct: each site lies in one pair")
+        # among the partners leaves a row that is not a permutation of B;
+        # sorted a block at a time, so no sorted copy of the whole table
+        b_sites = np.array(lattice.b_sites(), dtype=np.int64)
+        for block in _row_blocks(partners):
+            if np.any(np.sort(block, axis=1) != b_sites):
+                raise ValueError("covering sites must be distinct: each site lies in one pair")
         if variant in (Variant.GAS, Variant.LIQUID) and np.any(weights != weights[0]):
             raise ValueError(f"{variant.value} ensembles carry equal weights")
         if variant is Variant.LIQUID:
@@ -232,14 +244,16 @@ def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     Coverings are emitted in lexicographic order of the partner
     permutation, the order of ``itertools.permutations(lattice.b_sites())``;
     the partner table is built in array operations, not one tuple per
-    covering.  Raises :class:`CapExceeded` when ``N > GAS_MAX_N``.
+    covering, and in the one array the ensemble keeps.  Raises
+    :class:`CapExceeded` when ``N > GAS_MAX_N``.
     """
     if lattice.kind is not Kind.COMPLETE_BIPARTITE:
         raise ValueError("gas enumeration is defined on complete bipartite lattices")
     n = lattice.n_per_sublattice
     if n > GAS_MAX_N:
         raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
-    table = np.array(lattice.b_sites(), dtype=np.int64)[_permutation_table(n)]
+    table = _permutation_table(n)
+    table += n  # the B sites are n .. 2n - 1
     return CoveringEnsemble(lattice, Variant.GAS, table, np.ones(len(table)))
 
 
@@ -248,14 +262,23 @@ def _permutation_table(m: int) -> np.ndarray:
 
     The table of size ``k`` is ``k`` blocks of the table of size ``k - 1``:
     block ``v`` leads with ``v`` and moves every entry ``>= v`` up by one,
-    a map that keeps each block in lexicographic order.
+    a map that keeps each block in lexicographic order.  Every size is
+    built in place: the size-``k`` table fills the first ``k!`` rows of the
+    last ``k`` columns, and its blocks are written from the last back to
+    the first, so the size-``k - 1`` table in the first ``(k - 1)!`` rows
+    is read by every block before block 0 overwrites it.
     """
-    table = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, m + 1):
-        lead = np.repeat(np.arange(k, dtype=np.int64), len(table))
-        rest = np.tile(table, (k, 1))
-        rest += rest >= lead[:, None]
-        table = np.column_stack([lead, rest])
+    table = np.empty((math.factorial(m), m), dtype=np.int64)
+    table[:1, m - 1 :] = 0
+    rows = 1  # (k - 1)!
+    for k in range(2, m + 1):
+        col = m - k
+        prev = table[:rows, col + 1 :]
+        for v in range(k - 1, -1, -1):
+            block = table[v * rows : (v + 1) * rows]
+            block[:, col] = v
+            np.add(prev, prev >= v, out=block[:, col + 1 :])
+        rows *= k
     return table
 
 
@@ -404,33 +427,57 @@ def ensemble_to_json(ensemble: CoveringEnsemble) -> str:
     per covering; the text is the same, byte for byte, as that of
     ``json.dumps`` on the nested lists.
     """
+    return b"".join(_json_blocks(ensemble)).decode("ascii")
+
+
+def ensemble_sha256(ensemble: CoveringEnsemble) -> str:
+    """Hex sha256 of the UTF-8 text of :func:`ensemble_to_json`.
+
+    The text is hashed as it is written, ``_ROW_BLOCK`` rows at a time, so
+    the whole text is never held.
+    """
+    digest = hashlib.sha256()
+    for block in _json_blocks(ensemble):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _json_blocks(ensemble: CoveringEnsemble) -> Iterator[bytes | bytearray]:
+    """The text of :func:`ensemble_to_json` as ASCII bytes, in row blocks."""
     doc = {
         "schema": 1,
         "lattice": lattice_to_config(ensemble.lattice),
         "variant": ensemble.variant.value,
     }
     # "coverings" sorts before the other keys and "weights" after them
-    return b"".join(
-        [
-            b'{"coverings": [',
-            _coverings_text(ensemble),
-            b"], ",
-            json.dumps(doc, sort_keys=True)[1:-1].encode(),
-            b', "weights": [',
-            _weights_text(ensemble.weights),
-            b"]}",
-        ]
-    ).decode("ascii")
+    yield b'{"coverings": ['
+    yield from _joined(_coverings_texts(ensemble))
+    yield b"], " + json.dumps(doc, sort_keys=True)[1:-1].encode() + b', "weights": ['
+    yield from _joined(map(_weights_text, _row_blocks(ensemble.weights)))
+    yield b"]}"
 
 
-def _coverings_text(ensemble: CoveringEnsemble) -> bytearray:
-    """Every covering as ``[[a, b], ...]``, joined by ``", "``.
+def _row_blocks(array: np.ndarray) -> Iterator[np.ndarray]:
+    for start in range(0, len(array), _ROW_BLOCK):
+        yield array[start : start + _ROW_BLOCK]
+
+
+def _joined(texts: Iterable[bytearray]) -> Iterator[bytes | bytearray]:
+    """``texts`` with ``", "`` between each and the next."""
+    for i, text in enumerate(texts):
+        if i:
+            yield b", "
+        yield text
+
+
+def _coverings_texts(ensemble: CoveringEnsemble) -> Iterator[bytearray]:
+    """Each row block's coverings as ``[[a, b], ...]``, joined by ``", "``.
 
     Each pair is one record of three byte strings: the text up to its B
     site, the B site's digits gathered from a per-site table, and the text
     after it.  NumPy pads each to its field's width with NUL bytes, which
     :func:`_unpadded` drops.  The records are written straight into the
-    buffer that is filtered, so the text is copied once.
+    buffer that is filtered, so each block's text is copied once.
     """
     a_sites = ensemble.lattice.a_sites()
     last = len(a_sites) - 1
@@ -438,12 +485,13 @@ def _coverings_text(ensemble: CoveringEnsemble) -> bytearray:
     digits = np.array([str(s) for s in range(ensemble.lattice.site_count)], dtype=bytes)
     after = np.array(["]"] * last + ["]], "], dtype=bytes)
     fields = np.dtype([("before", before.dtype), ("b", digits.dtype), ("after", after.dtype)])
-    text = bytearray(ensemble.partners.size * fields.itemsize)
-    records = np.frombuffer(text, dtype=fields).reshape(ensemble.partners.shape)
-    records["before"] = before
-    records["b"] = digits[ensemble.partners]
-    records["after"] = after
-    return _unpadded(text)
+    for partners in _row_blocks(ensemble.partners):
+        text = bytearray(partners.size * fields.itemsize)
+        records = np.frombuffer(text, dtype=fields).reshape(partners.shape)
+        records["before"] = before
+        records["b"] = digits[partners]
+        records["after"] = after
+        yield _unpadded(text)
 
 
 def _weights_text(weights: np.ndarray) -> bytearray:

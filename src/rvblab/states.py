@@ -13,16 +13,19 @@ Basis and sign conventions, fixed once here and relied on everywhere:
   is lattice site ``s_t``.
 
 Assembly sums covering products with their weights and normalizes once at
-the end; the pre-normalization norm is preserved on the result.  One index
-kernel serves both :func:`singlet_product` and :func:`assemble`: for a
-slice of ``ASSEMBLY_CHUNK`` rows of the ensemble's partner table it
-builds every covering's 2**N nonzero basis indices at once, and one
-``np.add.at`` scatters the chunk's weighted amplitudes covering-major and
-pattern-minor.  Each amplitude thus sums its terms in ensemble order, a
-fixed-order deterministic reduction, so identical ensembles yield
-bit-identical state vectors.  A chunk holds two (chunk, 2**N)
-temporaries, 256 kB each at N = 8; nothing is kept across chunks but the
-state.
+the end, in place; the pre-normalization norm is preserved on the result.
+One index kernel serves both :func:`singlet_product` and :func:`assemble`:
+for a slice of ``ASSEMBLY_CHUNK`` rows of the ensemble's partner table it
+builds every covering's 2**N nonzero basis indices at once, one row per
+spin pattern, and one ``np.add.at`` scatters the chunk's weighted
+amplitudes pattern-major and covering-minor.  The A sites are the same in
+every covering, so a basis index fixes the pattern of its A spins: every
+term that lands on an amplitude comes from one row, and within a row the
+coverings run in ensemble order.  Each amplitude thus sums its terms in
+ensemble order, a fixed-order deterministic reduction, so identical
+ensembles yield bit-identical state vectors.  A chunk holds two
+(2**N, chunk) temporaries, 256 kB each at N = 8; nothing is kept across
+chunks but the state.
 """
 
 from __future__ import annotations
@@ -293,24 +296,24 @@ def _pattern_amplitudes(n_pairs: int) -> np.ndarray:
 
 
 def _chunk_indices(a_sites: np.ndarray, b_partners: np.ndarray) -> np.ndarray:
-    """Basis indices of a chunk of coverings' nonzero entries.
+    """Basis indices of a chunk of coverings' nonzero entries, pattern-major.
 
     ``a_sites`` is the (n_pairs,) A sites shared by the chunk and
     ``b_partners`` a (chunk, n_pairs) int64 slice of the partner table.
-    Entry ``[c, u]`` is
+    Entry ``[u, c]`` is
     ``sum_k 2**b_k + bit_k(u) * (2**a_k - 2**b_k)`` over covering ``c``'s
     pairs: pattern ``u`` in the order of :func:`_pattern_amplitudes`.
-    Built by doubling, so columns ``[2**k, 2**(k+1))`` are columns
-    ``[0, 2**k)`` plus pair ``k``'s term.
+    Built by doubling whole contiguous rows, so rows ``[2**k, 2**(k+1))``
+    are rows ``[0, 2**k)`` plus pair ``k``'s term.
     """
     n_chunk, n_pairs = b_partners.shape
     pow_b = np.left_shift(1, b_partners)
-    step = np.left_shift(1, a_sites) - pow_b
-    idx = np.empty((n_chunk, 2**n_pairs), dtype=np.int64)
-    idx[:, 0] = np.sum(pow_b, axis=1)
+    step = np.ascontiguousarray((np.left_shift(1, a_sites) - pow_b).T)
+    idx = np.empty((2**n_pairs, n_chunk), dtype=np.int64)
+    np.sum(pow_b, axis=1, out=idx[0])
     for k in range(n_pairs):
         width = 1 << k
-        np.add(idx[:, :width], step[:, k, None], out=idx[:, width : 2 * width])
+        np.add(idx[:width], step[k], out=idx[width : 2 * width])
     return idx
 
 
@@ -328,7 +331,7 @@ def singlet_product(covering: DimerCovering) -> StateVector:
     # a one-row chunk of the assembly kernel
     idx = _chunk_indices(np.array(covering.a_sites), np.array([covering.b_partners]))
     psi = np.zeros(2**n_qubits)
-    psi[idx[0]] = _pattern_amplitudes(covering.n_pairs)
+    psi[idx[:, 0]] = _pattern_amplitudes(covering.n_pairs)
     return StateVector(n_qubits=n_qubits, amplitudes=psi, norm=1.0)
 
 
@@ -336,10 +339,10 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
     """Weighted superposition of an ensemble's covering products.
 
     Deterministic: coverings are scattered ``ASSEMBLY_CHUNK`` at a time,
-    covering-major and pattern-minor, so every amplitude receives its
-    terms in ensemble order.  Raises :class:`CapExceeded` above
-    ``ASSEMBLY_MAX_QUBITS`` sites and ValueError when the weighted sum
-    cancels to zero norm.
+    pattern-major and covering-minor; an amplitude's terms all share its
+    A-spin pattern, so it receives them in ensemble order.  Raises
+    :class:`CapExceeded` above ``ASSEMBLY_MAX_QUBITS`` sites and ValueError
+    when the weighted sum cancels to zero norm.
     """
     n_qubits = ensemble.lattice.site_count
     if n_qubits > ASSEMBLY_MAX_QUBITS:
@@ -353,18 +356,20 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
     for start in range(0, len(ensemble), ASSEMBLY_CHUNK):
         stop = start + ASSEMBLY_CHUNK
         idx = _chunk_indices(a_sites, ensemble.partners[start:stop])
-        # one covering's indices are distinct, and ufunc.at adds in order,
-        # so each amplitude sums its terms in ensemble order
-        np.add.at(psi, idx.ravel(), (weights[start:stop, None] * amps).ravel())
+        # an amplitude's terms all lie in its pattern's row, one per
+        # covering, and ufunc.at adds in order, so each amplitude sums its
+        # terms in ensemble order
+        np.add.at(psi, idx.ravel(), (amps[:, None] * weights[start:stop]).ravel())
     # fixed-order reduction: a BLAS norm sums in an order that follows the
     # BLAS thread count, which would leak into the report bytes
     nrm = float(np.sqrt(np.sum(psi * psi)))
     weight_scale = float(np.sum(np.abs(weights)))
     if nrm <= 1e-12 * max(1.0, weight_scale):
         raise ValueError("ensemble sum cancels to the zero vector")
+    psi /= nrm  # the same bits as psi / nrm
     return StateVector(
         n_qubits=n_qubits,
-        amplitudes=psi / nrm,
+        amplitudes=psi,
         norm=nrm,
         _site_generators=ensemble.lattice.symmetry_generators(),
     )
@@ -518,8 +523,12 @@ _BIN_MAGIC = b"RVBS"
 
 
 def state_to_bytes(state: StateVector) -> bytes:
-    header = _BIN_MAGIC + struct.pack("<Id", state.n_qubits, state.norm)
-    return header + state.amplitudes.astype("<f8").tobytes()
+    return _state_header(state) + state.amplitudes.astype("<f8").tobytes()
+
+
+def _state_header(state: StateVector) -> bytes:
+    """The first 16 bytes of :func:`state_to_bytes`: magic, qubit count and norm."""
+    return _BIN_MAGIC + struct.pack("<Id", state.n_qubits, state.norm)
 
 
 def state_from_bytes(blob: bytes) -> StateVector:

@@ -18,6 +18,7 @@ agreement is evidence, not tautology.
 import itertools
 import json
 import math
+import tracemalloc
 from collections import deque
 from functools import lru_cache
 
@@ -695,3 +696,23 @@ def covering_orbits_oracle(ensemble):
         group |= frontier
     orbits = {frozenset(image(g, row) for g in group) for row in rows}
     return kept, orbits
+
+
+# ----------------------------------------------------------------------
+# allocation peaks
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced during the call above those held before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rvblab import loopgas
+from conftest import traced_peak
+from rvblab import LatticeSpec, assemble, cli, enumerate_gas, enumerate_liquid, loopgas
 from rvblab.cli import CONFIG_KEYS, RunConfig, build_config, emit_plot_data, main
+from rvblab.states import state_to_bytes
 
 
 def run_cli(tmp_path, *args):
@@ -307,6 +309,56 @@ def test_reproduce_paper_report_is_pinned(tmp_path, name):
     code, out = run_cli(tmp_path, *args, "--tasks", "reproduce-paper")
     assert code == 1  # the reference EoF anchor fails by design
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
+# the benchmark's three workloads at the default seed, pinned whole: the
+# benchmark compares numbers to 1e-12 and skips the state digest
+BENCHMARK_REPORT_PINS = {
+    "liquid-open-4x4-reproduce": (
+        ("--lattice", "square-grid", "--rows", "4", "--cols", "4", "--tasks", "reproduce-paper"),
+        1,
+        "13e9ad282bc3d1ce8f47c334f7075310ba2fb3dad2b1f2d48266df45b8ef4dd3",
+    ),
+    "liquid-periodic-4x4-loopcf": (
+        ("--lattice", "square-grid", "--rows", "4", "--cols", "4", "--boundary", "periodic",
+         "--tasks", "loop-cf"),
+        0,
+        "4ef4cbd66845cceb8f7b8cd3ee2ccf6f08f6a83f43358d732afdc9b4571461e6",
+    ),
+    "gas-8-scan": (
+        ("--lattice", "complete-bipartite", "--n", "8",
+         "--tasks", "enumerate", "assemble", "werner-scan"),
+        0,
+        "3ebbdd661937c67052d9d0a8f98823e96e3d580a0312b5c5717099d0b7edd5bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_REPORT_PINS))
+def test_benchmark_report_is_pinned(tmp_path, name):
+    args, exit_code, digest = BENCHMARK_REPORT_PINS[name]
+    code, out = run_cli(tmp_path, *args)
+    assert code == exit_code
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
+class TestStateDigest:
+    """The assemble task hashes the state's bytes without building them."""
+
+    def test_reported_digest_is_that_of_the_state_bytes(self, tmp_path):
+        args = ("--lattice", "square-grid", "--rows", "2", "--cols", "4", "--tasks", "assemble")
+        code, out = run_cli(tmp_path, *args)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        state = assemble(enumerate_liquid(LatticeSpec.square_grid(2, 4)))
+        want = hashlib.sha256(state_to_bytes(state)).hexdigest()
+        assert report["tasks"][0]["data"]["state_sha256"] == want
+
+    def test_gas8_digest_holds_no_copy(self):
+        state = assemble(enumerate_gas(LatticeSpec.complete_bipartite(8)))
+        digest, peak = traced_peak(cli._state_sha256, state)
+        assert peak < 64 * 2**10, peak
+        assert digest == hashlib.sha256(state_to_bytes(state)).hexdigest()
 
 
 class TestBlasThreads:

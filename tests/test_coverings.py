@@ -16,6 +16,7 @@ from conftest import (
     liquid_coverings_oracle,
     partner_array,
     ryser_permanent,
+    traced_peak,
 )
 from rvblab import (
     CapExceeded,
@@ -25,6 +26,7 @@ from rvblab import (
     Variant,
     custom_ensemble,
     ensemble_from_json,
+    ensemble_sha256,
     ensemble_to_json,
     enumerate_gas,
     enumerate_liquid,
@@ -654,3 +656,112 @@ class TestPartnerTable:
         args = ["--lattice", "complete-bipartite", "--n", "4"]
         tasks = ["--tasks", "enumerate", "assemble", "werner-scan"]
         assert main([*args, *tasks, "--out", str(tmp_path / "out")]) == 0
+
+
+def text_sha256(ensemble):
+    """The digest the streamed one replaced: sha256 of the whole JSON text."""
+    return hashlib.sha256(ensemble_to_json(ensemble).encode()).hexdigest()
+
+
+def gas_rows(n, count, weights=None):
+    """The first ``count`` gas-N coverings as a custom table, weights 1 by default."""
+    gas = enumerate_gas(LatticeSpec.complete_bipartite(n))
+    weights = np.ones(count) if weights is None else np.array(weights, dtype=np.float64)
+    return CoveringEnsemble(gas.lattice, Variant.CUSTOM, gas.partners[:count], weights)
+
+
+DISTINCT_MESSAGE = "^covering sites must be distinct: each site lies in one pair$"
+
+
+class TestEnsembleDigest:
+    """``ensemble_sha256`` hashes the JSON text block by block; it is pinned
+    with ``==`` to the sha256 of the whole text."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in range(1, 9)]
+        + [
+            partial(enumerate_liquid, LatticeSpec.square_grid(r, c, boundary=b))
+            for r, c, b in ((4, 4, "open"), (4, 4, "periodic"), (2, 6, "open"))
+        ]
+        + [custom_weighted, reversed_custom],
+        ids=[f"gas{n}" for n in range(1, 9)]
+        + ["open44", "periodic44", "open26", "custom_weighted", "reversed_custom"],
+    )
+    def test_equals_the_text_digest(self, make):
+        ens = make()
+        assert ensemble_sha256(ens) == text_sha256(ens)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (-0.0, 0.0, -0.0, 1.0, -0.0, 0.0),
+            (5e-324, -5e-324, 5e-324, 1.0, 2.0, 5e-324),
+            (1e308, -1e308, 1e308, 1.0, 1e308, 1e-308),
+            (0.1, 0.1, 0.1, 0.1, 0.1, 0.1),
+        ],
+        ids=["signed_zeros", "subnormal", "huge", "repeated"],
+    )
+    def test_custom_weights(self, weights):
+        ens = gas_rows(3, 6, weights)
+        assert ensemble_sha256(ens) == text_sha256(ens)
+        assert ensemble_to_json(ens) == ensemble_json_oracle(ens)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_block_boundaries(self, monkeypatch, blocks, offset):
+        monkeypatch.setattr(coverings_mod, "_ROW_BLOCK", 5)
+        count = 5 * blocks + offset
+        rng = np.random.default_rng(count)
+        ens = gas_rows(4, count, rng.normal(size=count))
+        assert ensemble_to_json(ens) == ensemble_json_oracle(ens)
+        assert ensemble_sha256(ens) == text_sha256(ens)
+
+    def test_enumerate_task_reports_it(self, tmp_path):
+        lattice = LatticeSpec.complete_bipartite(5)
+        args = ["--lattice", "complete-bipartite", "--n", "5", "--tasks", "enumerate"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        reported = report["tasks"][0]["data"]["ensemble_sha256"]
+        assert reported == text_sha256(enumerate_gas(lattice))
+
+
+class TestRowBlockCheck:
+    """The constructor sorts the table ``_ROW_BLOCK`` rows at a time."""
+
+    @pytest.mark.parametrize("row", [0, 4, 5, 12, 19, 20, 23])
+    @pytest.mark.parametrize("fault", ["repeat", "a_site"])
+    def test_bad_row_found_in_any_block(self, monkeypatch, row, fault):
+        # 24 rows in blocks of 5: the first, three middle ones and a short last
+        monkeypatch.setattr(coverings_mod, "_ROW_BLOCK", 5)
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(4))
+        table = ens.partners.copy()
+        table[row, 1] = table[row, 0] if fault == "repeat" else 0
+        with pytest.raises(ValueError, match=DISTINCT_MESSAGE):
+            CoveringEnsemble(ens.lattice, Variant.CUSTOM, table, np.ones(len(table)))
+
+    @pytest.mark.parametrize("block", [5, 24])
+    def test_table_of_exactly_whole_blocks_passes(self, monkeypatch, block):
+        monkeypatch.setattr(coverings_mod, "_ROW_BLOCK", block)
+        ens = gas_rows(4, block)
+        assert len(ens) == block
+        assert np.array_equal(ens.partners, enumerate_gas(ens.lattice).partners[:block])
+
+
+class TestAllocationGuards:
+    """Peaks traced by ``tracemalloc``, which counts NumPy buffers: unlike
+    the resident set, they do not move with the allocator."""
+
+    def test_gas8_table_is_built_in_place(self):
+        lattice = LatticeSpec.complete_bipartite(8)
+        enumerate_gas(lattice)  # builds the lattice's lazy tables
+        ens, peak = traced_peak(enumerate_gas, lattice)
+        kept = ens.partners.nbytes + ens.weights.nbytes
+        assert peak < 1.25 * kept, (peak, kept)
+
+    def test_gas8_digest_holds_no_whole_text(self):
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(8))
+        ensemble_sha256(ens)
+        digest, peak = traced_peak(ensemble_sha256, ens)
+        assert peak < 2 * 2**20, peak
+        assert digest == text_sha256(ens)

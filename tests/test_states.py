@@ -99,6 +99,17 @@ class TestSingletProduct:
         with pytest.raises(ValueError, match="out of range"):
             singlet_product(DimerCovering(a_sites=a_sites, b_partners=b_partners))
 
+    def test_kernel_rows_are_patterns_and_columns_coverings(self, liquid44, gas3):
+        for ens in (liquid44, gas3):
+            a_sites = np.array(ens.lattice.a_sites())
+            idx = states_mod._chunk_indices(a_sites, ens.partners[:7])
+            n_pairs = ens.lattice.sublattice_size
+            assert idx.shape == (2**n_pairs, min(7, len(ens)))
+            for c, covering in enumerate(ens.coverings[:7]):
+                want, amps = covering_terms_oracle(covering)
+                assert np.array_equal(idx[:, c], want)
+                assert np.array_equal(amps, states_mod._pattern_amplitudes(n_pairs))
+
     def test_cap_checked_before_the_kernel(self, monkeypatch):
         def no_kernel(*args):
             raise AssertionError("index array built before the qubit cap check")
