@@ -16,16 +16,25 @@ Assembly sums covering products with their weights and normalizes once at
 the end, in place; the pre-normalization norm is preserved on the result.
 One index kernel serves both :func:`singlet_product` and :func:`assemble`:
 for a slice of ``ASSEMBLY_CHUNK`` rows of the ensemble's partner table it
-builds every covering's 2**N nonzero basis indices at once, one row per
-spin pattern, and one ``np.add.at`` scatters the chunk's weighted
-amplitudes pattern-major and covering-minor.  The A sites are the same in
-every covering, so a basis index fixes the pattern of its A spins: every
-term that lands on an amplitude comes from one row, and within a row the
+builds every covering's basis indices at once, one row per spin pattern,
+and one ``np.add.at`` scatters the chunk's weighted amplitudes
+pattern-major and covering-minor.  The A sites are the same in every
+covering, so a basis index fixes the pattern of its A spins: every term
+that lands on an amplitude comes from one row, and within a row the
 coverings run in ensemble order.  Each amplitude thus sums its terms in
 ensemble order, a fixed-order deterministic reduction, so identical
-ensembles yield bit-identical state vectors.  A chunk holds two
-(2**N, chunk) temporaries, 256 kB each at N = 8; nothing is kept across
-chunks but the state.
+ensembles yield bit-identical state vectors.
+
+On N pairs (2N sites), :func:`assemble` scatters only the 2**(N-1)
+patterns in which the last pair's A site is up, and fills the other half
+from the global spin flip.  Flipping every spin sends basis index ``x`` to
+``2**(2N) - 1 - x`` and each covering's term to ``(-1)**N`` times itself:
+the same coverings reach both indices, in the same order, with terms that
+are exact copies or exact negations.  Rounding is symmetric under
+negation, so the flipped amplitude is exactly ``(-1)**N`` times the
+scattered one, for any weights.  A chunk holds two (2**(N-1), chunk)
+temporaries, 128 kB each at N = 8; nothing is kept across chunks but the
+state and, while the chunk weights repeat, the block of terms.
 """
 
 from __future__ import annotations
@@ -44,10 +53,10 @@ from .lattice import site_indices
 from .linalg import eigvalsh_jacobi, operator_norm
 
 ASSEMBLY_MAX_QUBITS = 16
-# coverings per scatter call: at 8 pairs, 256 kB of indices and 256 kB of
-# terms.  1,024 per call saved about 20 ms on the gas at N = 8 but left the
-# open 4x4 run's peak RSS 0.4 MB higher: the allocator keeps the freed
-# temporaries.
+# coverings per scatter call: at 8 pairs, 128 kB of indices and 128 kB of
+# terms, for half the spin patterns.  1,024 per call saved about 20 ms on
+# the gas at N = 8 but left the open 4x4 run's peak RSS 0.4 MB higher: the
+# allocator keeps the freed temporaries.
 ASSEMBLY_CHUNK = 128
 RDM_MAX_SITES = 8
 
@@ -340,26 +349,51 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
 
     Deterministic: coverings are scattered ``ASSEMBLY_CHUNK`` at a time,
     pattern-major and covering-minor; an amplitude's terms all share its
-    A-spin pattern, so it receives them in ensemble order.  Raises
-    :class:`CapExceeded` above ``ASSEMBLY_MAX_QUBITS`` sites and ValueError
-    when the weighted sum cancels to zero norm.
+    A-spin pattern, so it receives them in ensemble order.  Only the
+    patterns with the last pair's A site up are scattered; the other half
+    of the state is ``(-1)**N`` times the reversed first half, which is
+    exactly what scattering it would give (see the module docstring).
+    Raises :class:`CapExceeded` above ``ASSEMBLY_MAX_QUBITS`` sites and
+    ValueError when the weighted sum cancels to zero norm.
     """
     n_qubits = ensemble.lattice.site_count
     if n_qubits > ASSEMBLY_MAX_QUBITS:
         raise CapExceeded(
             f"state assembly capped at {ASSEMBLY_MAX_QUBITS} qubits; lattice has {n_qubits}"
         )
-    amps = _pattern_amplitudes(ensemble.lattice.sublattice_size)
+    n_pairs = ensemble.lattice.sublattice_size
+    # the patterns with the last pair's A site up: the first half of rows
+    amps = _pattern_amplitudes(n_pairs)[: 2 ** (n_pairs - 1)]
     a_sites = np.array(ensemble.lattice.a_sites(), dtype=np.int64)
     weights = ensemble.weights
     psi = np.zeros(2**n_qubits)
+    terms = kept = None
     for start in range(0, len(ensemble), ASSEMBLY_CHUNK):
         stop = start + ASSEMBLY_CHUNK
-        idx = _chunk_indices(a_sites, ensemble.partners[start:stop])
+        partners = ensemble.partners[start:stop]
+        idx = _chunk_indices(a_sites[:-1], partners[:, :-1])
+        idx += np.left_shift(1, partners[:, -1])
+        # the terms depend on the weights' bits alone, so a chunk whose
+        # weights repeat the last chunk's reuses its block
+        chunk_weights = weights[start:stop]
+        weight_bits = chunk_weights.view(np.uint64)
+        if kept is None or not np.array_equal(weight_bits, kept):
+            terms = (amps[:, None] * chunk_weights).ravel()
+            kept = weight_bits
         # an amplitude's terms all lie in its pattern's row, one per
         # covering, and ufunc.at adds in order, so each amplitude sums its
         # terms in ensemble order
-        np.add.at(psi, idx.ravel(), (amps[:, None] * weights[start:stop]).ravel())
+        np.add.at(psi, idx.ravel(), terms)
+        del idx  # not alive next to the next chunk's
+    del terms
+    # the spin flip sends index x to 2**n - 1 - x and each term to
+    # (-1)**n_pairs times itself, in the same order: the other half is the
+    # reversed first half, exactly.  Written as 0.0 + v or 0.0 - v into
+    # that half's zeros, not as -v: an amplitude that cancels to +0.0 must
+    # stay +0.0, as scattering gives
+    halves = psi.reshape(-1, 2, 1 << int(a_sites[-1]))
+    mirror = np.subtract if n_pairs % 2 else np.add
+    mirror(halves[:, 1], halves[::-1, 0, ::-1], out=halves[:, 1])
     # fixed-order reduction: a BLAS norm sums in an order that follows the
     # BLAS thread count, which would leak into the report bytes
     nrm = float(np.sqrt(np.sum(psi * psi)))

@@ -342,6 +342,32 @@ def test_benchmark_report_is_pinned(tmp_path, name):
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
 
 
+# enumerate and assemble at odd pair counts, where assembly subtracts the
+# spin-flip half of the state; no BLAS call, so no thread dependence
+ASSEMBLY_REPORT_PINS = {
+    "gas-3": (
+        ("--lattice", "complete-bipartite", "--n", "3"),
+        "51d7d109d0d028b6de5ae06537d14273610f40dc6fc1870b88fac39ec642aaae",
+    ),
+    "gas-7": (
+        ("--lattice", "complete-bipartite", "--n", "7"),
+        "3e5c49efa8f8537432616ff8fed5d5a77a7633f7be7197150be90d915e85ca33",
+    ),
+    "open-2x5": (
+        ("--lattice", "square-grid", "--rows", "2", "--cols", "5"),
+        "de3d141129636e0fdebf866f0cab3d9f0731813fc70bb833f55f15198aff52df",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ASSEMBLY_REPORT_PINS))
+def test_assembly_report_is_pinned(tmp_path, name):
+    args, digest = ASSEMBLY_REPORT_PINS[name]
+    code, out = run_cli(tmp_path, *args, "--tasks", "enumerate", "assemble")
+    assert code == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
 class TestStateDigest:
     """The assemble task hashes the state's bytes without building them."""
 

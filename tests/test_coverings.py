@@ -24,6 +24,7 @@ from rvblab import (
     DimerCovering,
     LatticeSpec,
     Variant,
+    assemble,
     custom_ensemble,
     ensemble_from_json,
     ensemble_sha256,
@@ -758,6 +759,16 @@ class TestAllocationGuards:
         ens, peak = traced_peak(enumerate_gas, lattice)
         kept = ens.partners.nbytes + ens.weights.nbytes
         assert peak < 1.25 * kept, (peak, kept)
+
+    def test_gas8_assembly_peak(self):
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(8))
+        assemble(ens)  # builds the lattice's lazy tables
+        state, peak = traced_peak(assemble, ens)
+        # scattering all 2**8 patterns peaked at 1,314,448 bytes (1.254 MiB,
+        # 2.51 times the state's 524,288): the state, the norm's square and
+        # the last chunk's indices.  The half-pattern route must not exceed it
+        assert state.amplitudes.nbytes == 524_288
+        assert peak <= 1_314_448, peak
 
     def test_gas8_digest_holds_no_whole_text(self):
         ens = enumerate_gas(LatticeSpec.complete_bipartite(8))

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -182,6 +182,13 @@ def _assert_pinned_to_oracle(ensemble):
     assert got.norm == want.norm
 
 
+# odd and even pair counts for the spin-flip half of assembly
+MIRROR_CASES = {
+    **{f"gas{n}": partial(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in (3, 5, 7, 6)},
+    "open-2x3": partial(enumerate_liquid, LatticeSpec.square_grid(2, 3)),
+}
+
+
 def _reweighted(ensemble, weights):
     """The first ``len(weights)`` coverings of ``ensemble`` with ``weights``, as a custom table."""
     weights = np.array(weights, dtype=np.float64)
@@ -249,6 +256,66 @@ class TestPinnedToAssemblyOracle:
     def test_small_chunks(self, liquid44, monkeypatch, chunk):
         monkeypatch.setattr(states_mod, "ASSEMBLY_CHUNK", chunk)
         _assert_pinned_to_oracle(liquid44)
+
+    @pytest.mark.parametrize("name", list(MIRROR_CASES))
+    def test_mirror_keeps_cancelled_zeros_positive(self, name):
+        # the spin-flip half is written from the scattered half: at odd N a
+        # negation there would turn every exact zero into -0.0
+        source = MIRROR_CASES[name]()
+        rng = np.random.default_rng(2)
+        weights = rng.integers(-2, 3, size=len(source)).astype(float)
+        weights[rng.random(len(source)) >= 12 / len(source)] = 0.0
+        weights[weights == 0] = -0.0
+        ensemble = _reweighted(source, weights)
+        _assert_pinned_to_oracle(ensemble)
+        psi = assemble(ensemble).amplitudes
+        live = [c for c, w in zip(ensemble.coverings, weights) if w]
+        reached = np.concatenate([covering_terms_oracle(c)[0] for c in live])
+        assert np.count_nonzero(psi[reached] == 0) > 0  # some terms cancel
+        assert not np.signbit(psi[psi == 0]).any()
+        assert np.signbit(weights).any()
+
+    @pytest.mark.parametrize("name", list(MIRROR_CASES))
+    def test_tiny_weights_raise_on_both_routes(self, name):
+        source = MIRROR_CASES[name]()
+        tiny = _reweighted(source, np.full(len(source), 1e-300))
+        for route in (assemble, assemble_oracle):
+            with pytest.raises(ValueError, match="zero"):
+                route(tiny)
+
+    def test_repeated_chunk_weights(self, monkeypatch, gas3):
+        # chunk weights that repeat, change, differ only in a zero's sign,
+        # and a shorter last chunk
+        monkeypatch.setattr(states_mod, "ASSEMBLY_CHUNK", 2)
+        partners = np.repeat(gas3.partners, 2, axis=0)
+        weights = np.array([1.0, 2.0, 1.0, 2.0, 0.0, 2.0, -0.0, 2.0, 1.0, 2.0, 1.0])
+        _assert_pinned_to_oracle(
+            CoveringEnsemble(gas3.lattice, Variant.CUSTOM, partners[: len(weights)], weights)
+        )
+
+
+class TestHalfPatternKernel:
+    """``assemble`` builds indices for half the spin patterns only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_kernel_rows_per_chunk(self, monkeypatch, n):
+        kernel = states_mod._chunk_indices
+        calls = []
+
+        def spy(a_sites, b_partners):
+            idx = kernel(a_sites, b_partners)
+            calls.append(idx.shape)
+            return idx
+
+        monkeypatch.setattr(states_mod, "_chunk_indices", spy)
+        ens = enumerate_gas(LatticeSpec.complete_bipartite(n))
+        assemble(ens)
+        chunk = states_mod.ASSEMBLY_CHUNK
+        sizes = [min(chunk, len(ens) - start) for start in range(0, len(ens), chunk)]
+        assert calls == [(2 ** (n - 1), size) for size in sizes]
+        calls.clear()
+        singlet_product(ens.coverings[-1])
+        assert calls == [(2**n, 1)]
 
 
 class TestGasDigest:
