@@ -15,7 +15,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from .coverings import (
     enumerate_gas,
     enumerate_liquid,
     ensemble_sha256,
+    _sha256_hex,
 )
 from .errors import CapExceeded
 from .lattice import (
@@ -146,10 +146,12 @@ def _round(x: float, digits: int = 12) -> float:
 
 
 def _state_sha256(state: states_mod.StateVector) -> str:
-    """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place."""
-    digest = hashlib.sha256(states_mod._state_header(state))
-    digest.update(state.amplitudes.astype("<f8", copy=False))
-    return digest.hexdigest()
+    """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place.
+
+    Through :func:`coverings._sha256_hex`, which loads OpenSSL on first use.
+    """
+    amplitudes = state.amplitudes.astype("<f8", copy=False)
+    return _sha256_hex((states_mod._state_header(state), amplitudes))
 
 
 def _pair_records(ctx: _Context) -> list[dict]:

@@ -135,12 +135,11 @@ def operator_norm(a: np.ndarray) -> float:
         raise ValueError("matrix has NaN or infinite entries")
     # these eigenproblems are never asked again, so they skip the memo
     if a.shape[0] == a.shape[1]:
-        herm_err = np.max(np.abs(a - a.conj().T))
-        anti_err = np.max(np.abs(a + a.conj().T))
         tiny = 1e-12 * max(1.0, peak)
-        if herm_err <= tiny:
+        if np.max(np.abs(a - a.conj().T)) <= tiny:
             return float(np.max(np.abs(_eigh(a)[0])))
-        if anti_err <= tiny:
+        # most inputs are Hermitian, so this residual waits for that test to fail
+        if np.max(np.abs(a + a.conj().T)) <= tiny:
             return float(np.max(np.abs(_eigh(1j * a)[0])))
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     w, _ = _eigh(gram)

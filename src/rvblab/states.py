@@ -422,7 +422,10 @@ def inner(left: StateVector, right: StateVector) -> float:
 
 def _check_sites(state: StateVector, sites: Sequence[int]) -> tuple[int, ...]:
     """``sites`` as ints; ValueError unless integers, strictly ascending and in range."""
-    sites = site_indices(sites)
+    # a tuple of plain ints (the subset scans' own) is already what
+    # site_indices returns; bools and NumPy ints still go through it
+    if type(sites) is not tuple or not all(type(s) is int for s in sites):
+        sites = site_indices(sites)
     if sites:
         # one pairwise pass; once ascending, the ends bound the range
         last = sites[0]

@@ -387,6 +387,58 @@ class TestStateDigest:
         assert digest == hashlib.sha256(state_to_bytes(state)).hexdigest()
 
 
+# Run in a fresh interpreter, since pytest itself has loaded hashlib.  The
+# script prints, after each step, whether OpenSSL (``_hashlib``) is loaded.
+_HASHLIB_SCRIPT = """
+import json, sys
+
+out = sys.argv[1]
+grid = ["--lattice", "square-grid", "--rows", "2", "--cols", "4", "--boundary", "periodic"]
+gas3 = ["--lattice", "complete-bipartite", "--n", "3"]
+seen = []
+import rvblab
+seen.append(["import rvblab", None, "_hashlib" in sys.modules])
+import rvblab.cli
+seen.append(["import rvblab.cli", None, "_hashlib" in sys.modules])
+for name, args in [
+    ("loop-cf", grid + ["--tasks", "loop-cf"]),
+    ("werner-scan bounds", grid + ["--tasks", "werner-scan", "bounds"]),
+    ("multipartite", grid + ["--tasks", "multipartite"]),
+    ("enumerate assemble", gas3 + ["--tasks", "enumerate", "assemble"]),
+]:
+    code = rvblab.cli.main(args + ["--out", out + "/" + name.replace(" ", "-")])
+    seen.append([name, code, "_hashlib" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+class TestOpenSSLLoadedOnlyToHash:
+    """Only the tasks that report a digest load OpenSSL: ``hashlib`` is
+    imported where the digests are taken, not with the package."""
+
+    def test_fresh_interpreter(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHLIB_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["import rvblab", None, False],
+            ["import rvblab.cli", None, False],
+            ["loop-cf", 0, False],
+            ["werner-scan bounds", 0, False],
+            ["multipartite", 0, False],
+            ["enumerate assemble", 0, True],
+        ]
+        report = (tmp_path / "enumerate-assemble" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == ASSEMBLY_REPORT_PINS["gas-3"][1]
+
+
 class TestBlasThreads:
     def test_report_bytes_independent_of_blas_threads(self, tmp_path):
         # 4x4 is large enough that a BLAS norm splits its sum across threads

@@ -140,6 +140,85 @@ class TestOperatorNorm:
         assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
+def _operator_norm_reference(a):
+    """The route before the anti-Hermitian residual was deferred: both
+    residuals on every call, then the same eigensolver inputs."""
+    eigh = linalg.jacobi_eigh.__wrapped__
+    a = np.asarray(a, dtype=np.complex128)
+    peak = float(np.max(np.abs(a)))
+    if a.shape[0] == a.shape[1]:
+        herm_err = np.max(np.abs(a - a.conj().T))
+        anti_err = np.max(np.abs(a + a.conj().T))
+        tiny = 1e-12 * max(1.0, peak)
+        if herm_err <= tiny:
+            return float(np.max(np.abs(eigh(a)[0]))), a
+        if anti_err <= tiny:
+            return float(np.max(np.abs(eigh(1j * a)[0]))), 1j * a
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    w = eigh(gram)[0]
+    return float(math.sqrt(max(0.0, float(w[-1])))), gram
+
+
+def _operator_norm_cases():
+    rng = np.random.default_rng(31)
+    general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    herm = random_hermitian(4, seed=32)
+    return {
+        "1x1": np.array([[-3.0]]),
+        "1x1-complex": np.array([[3.0 - 4.0j]]),
+        "zero": np.zeros((3, 3)),
+        "hermitian": herm,
+        "hermitian-past-the-memo": random_hermitian(6, seed=33),
+        "hermitian-within-tolerance": herm + 1e-13 * general,
+        "anti-hermitian": 1j * herm,
+        "anti-hermitian-real": np.array([[0.0, 2.0], [-2.0, 0.0]]),
+        "general": general,
+        "general-real": np.array([[1.0, 2.0], [0.0, 1.0]]),
+        "wide": rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)),
+        "tall": rng.standard_normal((5, 3)),
+    }
+
+
+class TestOperatorNormPinned:
+    """Bit for bit, and on the same eigensolver input, as the route that
+    computed both residuals on every call."""
+
+    @pytest.mark.parametrize("name", list(_operator_norm_cases()))
+    def test_same_bits_and_eigensolver_input(self, monkeypatch, name):
+        a = _operator_norm_cases()[name]
+        want, want_input = _operator_norm_reference(a)
+        inputs = []
+
+        def spy(m):
+            inputs.append(m.copy())
+            return eigh(m)
+
+        eigh = linalg._eigh
+        monkeypatch.setattr(linalg, "_eigh", spy)
+        got = operator_norm(a)
+        assert type(got) is float and got.hex() == want.hex()
+        assert len(inputs) == 1
+        assert inputs[0].tobytes() == want_input.tobytes()
+
+    def test_values(self):
+        cases = _operator_norm_cases()
+        assert operator_norm(cases["1x1"]) == 3.0
+        assert operator_norm(cases["1x1-complex"]) == 5.0
+        assert operator_norm(cases["zero"]) == 0.0
+        assert operator_norm(cases["anti-hermitian-real"]) == 2.0
+        assert operator_norm(cases["general-real"]) == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-15)
+        for name in ("hermitian", "anti-hermitian", "general", "wide", "tall"):
+            a = cases[name]
+            assert abs(operator_norm(a) - np.linalg.norm(a, 2)) < 1e-12
+
+    @pytest.mark.parametrize("shape, entry", [((1, 1), (0, 0)), ((3, 3), (2, 0)), ((2, 4), (1, 3))])
+    def test_nan_raises_before_any_residual(self, shape, entry):
+        a = np.ones(shape, dtype=np.complex128)
+        a[entry] = math.nan
+        with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+            operator_norm(a)
+
+
 class TestMatrixSqrt:
     def test_square_recovers(self):
         a = random_hermitian(6, seed=21)

@@ -36,6 +36,7 @@ from rvblab import (
     save_state,
     singlet_product,
 )
+from rvblab.lattice import site_indices
 from rvblab.states import (
     SINGLET_VEC,
     entropy_bits,
@@ -385,6 +386,81 @@ class TestReducedDensityMatrix:
         dm = reduced_density_matrix(state, (0, 1))
         expected = np.outer(SINGLET_VEC, SINGLET_VEC)
         assert np.max(np.abs(dm.matrix - expected)) < 1e-14
+
+
+class TestCheckSites:
+    """``_check_sites`` takes a tuple of plain ints as it is; every other
+    input goes through ``site_indices`` first, with the same messages."""
+
+    @pytest.mark.parametrize(
+        "sites, want",
+        [
+            ((), ()),
+            ((0, 2, 5), (0, 2, 5)),
+            ([0, 2, 5], (0, 2, 5)),
+            ((np.int64(1), 4), (1, 4)),
+            ((0, np.int64(3)), (0, 3)),
+            (np.array([2, 3]), (2, 3)),
+            (range(6), (0, 1, 2, 3, 4, 5)),
+        ],
+        ids=["empty", "tuple", "list", "np-int64", "mixed", "ndarray", "range"],
+    )
+    def test_result(self, state23, sites, want):
+        got = states_mod._check_sites(state23, sites)
+        assert type(got) is tuple and got == want
+        assert all(type(s) is int for s in got)
+
+    @pytest.mark.parametrize(
+        "sites, message",
+        [
+            ((0, True), "sites must be integers, got (0, True)"),
+            ((False,), "sites must be integers, got (False,)"),
+            ([np.int64(0), True], f"sites must be integers, got {(np.int64(0), True)}"),
+            ((0, 1.0), "sites must be integers, got (0, 1.0)"),
+            ([0.5], "sites must be integers, got (0.5,)"),
+            ((3, 1), "sites must be strictly ascending and distinct"),
+            ([0, 4, 2], "sites must be strictly ascending and distinct"),
+            ((2, 2), "sites must be strictly ascending and distinct"),
+            ((np.int64(1), np.int64(1)), "sites must be strictly ascending and distinct"),
+            ((0, 6), "sites (0, 6) out of range for 6 qubits"),
+            ((-1, 2), "sites (-1, 2) out of range for 6 qubits"),
+            ([5, np.int64(9)], "sites (5, 9) out of range for 6 qubits"),
+        ],
+        ids=[
+            "bool", "bool-only", "np-int64-bool", "float", "float-list", "unsorted",
+            "unsorted-list", "duplicate", "duplicate-np-int64", "past-the-end",
+            "negative", "past-the-end-mixed",
+        ],
+    )
+    def test_message(self, state23, sites, message):
+        with pytest.raises(ValueError) as info:
+            states_mod._check_sites(state23, sites)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "sites, converted",
+        [
+            ((0, 2, 5), False),
+            ((), False),
+            ([0, 2, 5], True),
+            ((np.int64(0), 2), True),
+            ((0, True), True),
+            ((0, 1.0), True),
+        ],
+    )
+    def test_only_plain_int_tuples_skip_the_conversion(self, monkeypatch, state23, sites, converted):
+        calls = []
+
+        def spy(arg):
+            calls.append(arg)
+            return site_indices(arg)
+
+        monkeypatch.setattr(states_mod, "site_indices", spy)
+        try:
+            states_mod._check_sites(state23, sites)
+        except ValueError:
+            pass
+        assert bool(calls) is converted
 
 
 def _pair_and_single_keys(n):
