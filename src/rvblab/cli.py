@@ -221,8 +221,7 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
 def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
     state = ctx.state()
     digest = _state_sha256(state)
-    amps = state.amplitudes
-    nrm = float(np.sqrt(np.sum(amps * amps)))  # fixed order, unlike a BLAS norm
+    nrm = states_mod._fixed_order_norm(state.amplitudes)
     checks.add("assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}")
     return {
         "n_qubits": state.n_qubits,

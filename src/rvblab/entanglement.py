@@ -51,6 +51,9 @@ _Y_KRON_Y = np.array(
     ],
     dtype=np.complex128,
 )
+# the two terms of rho_W(p), built once
+_SINGLET_PROJECTOR = np.outer(SINGLET_VEC, SINGLET_VEC)
+_IDENTITY = np.eye(4)
 
 
 def _check_p(p: float) -> float:
@@ -64,10 +67,14 @@ def _check_two_qubit(dm: DensityMatrix) -> None:
         raise ValueError(f"expected a two-qubit density matrix, got shape {dm.matrix.shape}")
 
 
+def _werner_matrix(p: float) -> np.ndarray:
+    """rho_W(p) as a real (4, 4) array, for a ``p`` already checked."""
+    return p * _SINGLET_PROJECTOR + (1.0 - p) * _IDENTITY / 4.0
+
+
 def werner_state(p: float) -> DensityMatrix:
     """rho_W(p) on sites (0, 1)."""
-    p = _check_p(p)
-    mat = p * np.outer(SINGLET_VEC, SINGLET_VEC) + (1.0 - p) * np.eye(4) / 4.0
+    mat = _werner_matrix(_check_p(p))
     return DensityMatrix(sites=(0, 1), matrix=mat.astype(np.complex128))
 
 
@@ -90,7 +97,8 @@ def extract_werner_p(dm: DensityMatrix) -> WernerFit:
     dm.validate()
     fidelity = float(np.real(SINGLET_VEC @ dm.matrix @ SINGLET_VEC))
     p = (4.0 * fidelity - 1.0) / 3.0
-    residual = operator_norm(dm.matrix - werner_state(p).matrix)
+    # a real rho_W subtracts from the imaginary parts the same zeros as a complex one
+    residual = operator_norm(dm.matrix - _werner_matrix(_check_p(p)))
     return WernerFit(pair=(dm.sites[0], dm.sites[1]), p=p, residual=residual)
 
 

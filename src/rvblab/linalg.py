@@ -11,6 +11,13 @@ the reference the LAPACK route is pinned to.  Bulk spectra of larger
 reshaped state tensors go through dedicated Schmidt-decomposition paths
 elsewhere.
 
+Each public call checks its input once and then hands it to
+:func:`_eigh`, the one LAPACK step, which checks nothing again.
+:func:`jacobi_eigh` checks for finite entries, a square shape and a
+Hermitian input, a 1 x 1 input included: its imaginary part is its skew.
+:func:`operator_norm` checks for finite entries and picks its route (the
+matrix, ``1j`` times it, or its Gram matrix, which must stay finite).
+
 :func:`jacobi_eigh` (and so :func:`eigvalsh_jacobi`), :func:`operator_norm`
 and :func:`matrix_sqrt_psd` share one memo.  The pair pipeline asks the
 same small eigenproblems many times over: every cross pair of the gas,
@@ -19,12 +26,11 @@ two-site density matrix.  The key is the function plus the shape and
 the ``complex128`` bytes of an input with at most 16 entries (up to
 4 x 4: one or two qubits); larger inputs are computed on every call.  The
 memo is a ``functools.lru_cache`` of 4,096 entries, at most about 1 kB
-each.  The input checks (finite entries, square, Hermitian) run on a miss
-only, and an input that raises is never stored, so it raises on every
-call.  A hit returns the very arrays the miss computed, so its bits are
-the miss's bits.  Every returned array is read-only, memoised or not.
-:func:`operator_norm` solves its own eigenproblems (of ``a``, ``1j * a``
-or a Gram matrix) without the memo: its own entry already covers them.
+each.  The input checks run on a miss only, and an input that raises is
+never stored, so it raises on every call.  A hit returns the very arrays
+the miss computed, so its bits are the miss's bits.  Every returned array
+is read-only, memoised or not.  :func:`operator_norm` solves its own
+eigenproblems without the memo: its own entry already covers them.
 """
 
 from __future__ import annotations
@@ -69,6 +75,30 @@ def _memoised(compute: Callable) -> Callable:
     return seam
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, bit for bit, without the wrapper's dispatch."""
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one LAPACK step: the eigendecomposition of ``(a + a^H) / 2``.
+
+    ``a`` is a square matrix with finite entries that its caller has
+    already found Hermitian; nothing is checked again here.  A 1 x 1
+    input returns its real part and a zero matrix returns the identity
+    as its eigenvectors, without LAPACK.
+    """
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
+    if not np.count_nonzero(a):
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return w, v
+
+
 @_memoised
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, LAPACK-backed.
@@ -90,25 +120,17 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    peak = float(np.max(np.abs(a), initial=0.0))
+    peak = float(np.abs(a).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValueError("matrix has NaN or infinite entries")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    if peak == 0.0:
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
-    unit = a / peak  # whose squares, unlike those of a, cannot overflow
-    skew = float(np.linalg.norm(unit - unit.conj().T))
-    if skew > 1e-10 * max(1.0 / peak, float(np.linalg.norm(unit))):
-        raise ValueError(f"matrix is not Hermitian (skew norm {skew * peak:.3e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, v
-
-
-# the undecorated route, bound here so that a name rebound on jacobi_eigh
-# (a tracer's wrapper, say) cannot route operator_norm back into the memo
-_eigh = jacobi_eigh.__wrapped__
+    # a 1 x 1 input is checked too: its imaginary part is its skew
+    if peak > 0.0:
+        unit = a / peak  # whose squares, unlike those of a, cannot overflow
+        skew = _frobenius(unit - unit.conj().T)
+        # skew > 1e-10 * max(1 / peak, |unit|), with |unit| taken only when needed
+        if skew > 1e-10 * (1.0 / peak) and skew > 1e-10 * _frobenius(unit):
+            raise ValueError(f"matrix is not Hermitian (skew norm {skew * peak:.3e})")
+    return _eigh(a)
 
 
 def eigvalsh_jacobi(a: np.ndarray) -> np.ndarray:
@@ -130,18 +152,21 @@ def operator_norm(a: np.ndarray) -> float:
         return 0.0
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    peak = float(np.max(np.abs(a)))
+    peak = float(np.abs(a).max())
     if not math.isfinite(peak):
         raise ValueError("matrix has NaN or infinite entries")
     # these eigenproblems are never asked again, so they skip the memo
     if a.shape[0] == a.shape[1]:
         tiny = 1e-12 * max(1.0, peak)
-        if np.max(np.abs(a - a.conj().T)) <= tiny:
-            return float(np.max(np.abs(_eigh(a)[0])))
+        if np.abs(a - a.conj().T).max() <= tiny:
+            return float(np.abs(_eigh(a)[0]).max())
         # most inputs are Hermitian, so this residual waits for that test to fail
-        if np.max(np.abs(a + a.conj().T)) <= tiny:
-            return float(np.max(np.abs(_eigh(1j * a)[0])))
+        if np.abs(a + a.conj().T).max() <= tiny:
+            return float(np.abs(_eigh(1j * a)[0]).max())
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    # the product of finite entries past about 1e154 can overflow
+    if not np.isfinite(gram).all():
+        raise ValueError("matrix has NaN or infinite entries")
     w, _ = _eigh(gram)
     return float(math.sqrt(max(0.0, float(w[-1]))))
 

@@ -277,13 +277,14 @@ class DensityMatrix:
         if not np.isfinite(m).all():
             raise ValueError("matrix has NaN or infinite entries")
         # each test is written so that a NaN fails it
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        mh = m.conj().T
+        herm = float(np.abs(m - mh).max())
         if not herm <= 1e-12:
             raise ValueError(f"matrix is not Hermitian; deviation {herm:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr}, expected 1")
-        w_min = float(eigvalsh_jacobi((m + m.conj().T) / 2.0)[0])
+        w_min = float(eigvalsh_jacobi((m + mh) / 2.0)[0])
         if not w_min >= -1e-10:
             raise ValueError(f"matrix has negative eigenvalue {w_min:.3e}")
 
@@ -344,6 +345,29 @@ def singlet_product(covering: DimerCovering) -> StateVector:
     return StateVector(n_qubits=n_qubits, amplitudes=psi, norm=1.0)
 
 
+def _fixed_order_norm(psi: np.ndarray) -> float:
+    """``float(np.sqrt(np.sum(psi * psi)))``, bit for bit, without its 2**n square.
+
+    A BLAS norm sums in an order that follows the BLAS thread count, which
+    would leak into the report bytes.  NumPy sums a contiguous float64
+    array pairwise, splitting it in halves at a multiple of 8; this walks
+    the same split down to blocks of at most 8,192 entries and squares and
+    sums each block in one reused buffer, so every partial sum is NumPy's.
+    """
+    block = np.empty(min(psi.size, 8192))
+
+    def pairwise(lo: int, hi: int) -> float:
+        if hi - lo <= block.size:
+            square = block[: hi - lo]
+            np.multiply(psi[lo:hi], psi[lo:hi], out=square)
+            return square.sum()
+        half = (hi - lo) // 2
+        half -= half % 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    return float(np.sqrt(pairwise(0, psi.size)))
+
+
 def assemble(ensemble: CoveringEnsemble) -> StateVector:
     """Weighted superposition of an ensemble's covering products.
 
@@ -394,9 +418,7 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
     halves = psi.reshape(-1, 2, 1 << int(a_sites[-1]))
     mirror = np.subtract if n_pairs % 2 else np.add
     mirror(halves[:, 1], halves[::-1, 0, ::-1], out=halves[:, 1])
-    # fixed-order reduction: a BLAS norm sums in an order that follows the
-    # BLAS thread count, which would leak into the report bytes
-    nrm = float(np.sqrt(np.sum(psi * psi)))
+    nrm = _fixed_order_norm(psi)
     weight_scale = float(np.sum(np.abs(weights)))
     if nrm <= 1e-12 * max(1.0, weight_scale):
         raise ValueError("ensemble sum cancels to the zero vector")

@@ -12,7 +12,9 @@ for the partner table, ``itertools.permutations`` for the gas table, one
 ``%`` format over every site for the ensemble JSON, the whole symmetry
 group applied to every covering for the covering orbits, the closed-form
 grid and gas geometry for the lattice's bond graph) so that
-agreement is evidence, not tautology.
+agreement is evidence, not tautology.  A few keep the route a fast path
+replaced instead, to pin it bit for bit: the Jacobi rotations above, and
+the eigensolver seam and pair measures that checked every input twice.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import json
 import math
 import tracemalloc
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -615,6 +617,124 @@ def jacobi_eigh_oracle(a, tol=1e-13, max_sweeps=100):
     w = np.diag(m).real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+# ----------------------------------------------------------------------
+# oracle: the seam routes that checked every input twice
+#
+# The eigensolver seam and the pair measures as they stood before each
+# public call checked its input once: ``operator_norm`` sent every
+# eigenproblem through the whole of ``jacobi_eigh``'s checks again,
+# ``extract_werner_p`` built ``werner_state(p)`` from fresh constants, and
+# a 1 x 1 input skipped the Hermitian check.  Unmemoised; the memo hands
+# back the bits of its miss, so these give the seam's bits.
+
+
+def seam_eigh_oracle(a):
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if not math.isfinite(peak):
+        raise ValueError("matrix has NaN or infinite entries")
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
+    if peak == 0.0:
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
+    unit = a / peak
+    skew = float(np.linalg.norm(unit - unit.conj().T))
+    if skew > 1e-10 * max(1.0 / peak, float(np.linalg.norm(unit))):
+        raise ValueError(f"matrix is not Hermitian (skew norm {skew * peak:.3e})")
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return w, v
+
+
+def seam_eigvalsh_oracle(a):
+    return seam_eigh_oracle(a)[0]
+
+
+def seam_operator_norm_oracle(a):
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return 0.0
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    peak = float(np.max(np.abs(a)))
+    if not math.isfinite(peak):
+        raise ValueError("matrix has NaN or infinite entries")
+    if a.shape[0] == a.shape[1]:
+        tiny = 1e-12 * max(1.0, peak)
+        if np.max(np.abs(a - a.conj().T)) <= tiny:
+            return float(np.max(np.abs(seam_eigh_oracle(a)[0])))
+        if np.max(np.abs(a + a.conj().T)) <= tiny:
+            return float(np.max(np.abs(seam_eigh_oracle(1j * a)[0])))
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    w, _ = seam_eigh_oracle(gram)
+    return float(math.sqrt(max(0.0, float(w[-1]))))
+
+
+def seam_matrix_sqrt_oracle(a):
+    w, v = seam_eigh_oracle(a)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def seam_validate_oracle(m):
+    """``DensityMatrix.validate`` on the matrix ``m``."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has NaN or infinite entries")
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    if not herm <= 1e-12:
+        raise ValueError(f"matrix is not Hermitian; deviation {herm:.3e}")
+    tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= 1e-12:
+        raise ValueError(f"trace is {tr}, expected 1")
+    w_min = float(seam_eigvalsh_oracle((m + m.conj().T) / 2.0)[0])
+    if not w_min >= -1e-10:
+        raise ValueError(f"matrix has negative eigenvalue {w_min:.3e}")
+
+
+_SINGLET = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
+
+
+def seam_werner_fit_oracle(rho):
+    """(p, residual) of ``extract_werner_p`` on the two-qubit matrix ``rho``."""
+    seam_validate_oracle(rho)
+    fidelity = float(np.real(_SINGLET @ rho @ _SINGLET))
+    p = (4.0 * fidelity - 1.0) / 3.0
+    clamped = float(min(max(p, -1.0 / 3.0), 1.0))
+    werner = clamped * np.outer(_SINGLET, _SINGLET) + (1.0 - clamped) * np.eye(4) / 4.0
+    return p, seam_operator_norm_oracle(rho - werner.astype(np.complex128))
+
+
+_Y_KRON_Y = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def seam_concurrence_oracle(rho):
+    seam_validate_oracle(rho)
+    rho_tilde = _Y_KRON_Y @ rho.conj() @ _Y_KRON_Y
+    root = seam_matrix_sqrt_oracle(rho)
+    core = root @ rho_tilde @ root
+    w = seam_eigvalsh_oracle((core + core.conj().T) / 2.0)
+    lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def seam_rotational_invariance_oracle(rho):
+    """Largest commutator norm with the total-spin generators, from Kronecker products."""
+    n = int(rho.shape[0]).bit_length() - 1
+    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    worst = 0.0
+    for pauli in paulis:
+        total = np.zeros((2**n, 2**n), dtype=np.complex128)
+        for t in range(n):
+            # site t is bit t of the index: the last Kronecker factor is site 0
+            factors = [pauli if u == t else np.eye(2) for u in range(n - 1, -1, -1)]
+            total = total + reduce(np.kron, factors)
+        comm = rho @ total - total @ rho
+        worst = max(worst, seam_operator_norm_oracle(comm))
+    return worst
 
 
 # ----------------------------------------------------------------------

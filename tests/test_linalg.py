@@ -1,14 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import jacobi_eigh_oracle
+from conftest import (
+    jacobi_eigh_oracle,
+    seam_concurrence_oracle,
+    seam_eigh_oracle,
+    seam_eigvalsh_oracle,
+    seam_matrix_sqrt_oracle,
+    seam_operator_norm_oracle,
+    seam_rotational_invariance_oracle,
+    seam_werner_fit_oracle,
+)
 
 from rvblab import (
     LatticeSpec,
     assemble,
+    check_rotational_invariance,
+    concurrence_two_qubit,
     eigvalsh_jacobi,
     enumerate_gas,
+    enumerate_liquid,
+    extract_werner_p,
     jacobi_eigh,
     linalg,
     matrix_sqrt_psd,
@@ -217,6 +231,155 @@ class TestOperatorNormPinned:
         a[entry] = math.nan
         with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
             operator_norm(a)
+
+
+class TestOneByOneChecked:
+    # the 1 x 1 shortcut once returned before the Hermitian check, so a
+    # complex entry gave its real part as the spectrum and the root
+    @pytest.mark.parametrize("fn", [jacobi_eigh, eigvalsh_jacobi], ids=lambda fn: fn.__name__)
+    def test_complex_entry_rejected(self, fn):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(skew norm 2\.000e\+00\)$"):
+                fn(np.array([[1.0 + 1.0j]]))
+        assert linalg._memo.cache_info().currsize == 0
+
+    def test_complex_entry_has_no_root(self):
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(skew norm 6\.000e\+00\)$"):
+            matrix_sqrt_psd(np.array([[4.0 + 3.0j]]))
+
+    @pytest.mark.parametrize("entry", [4.0, -2.5, 0.0, 1.0 + 1e-12j])
+    def test_real_entry_kept(self, entry):
+        # within the tolerance a tiny imaginary part is round-off, as for n > 1
+        w, v = jacobi_eigh(np.array([[entry]]))
+        assert w.tolist() == [complex(entry).real] and v.tolist() == [[1.0]]
+        if complex(entry).real >= 0.0:
+            assert matrix_sqrt_psd(np.array([[entry]])).tolist() == [[math.sqrt(complex(entry).real)]]
+
+    def test_operator_norm_unchanged(self):
+        # a singular value is defined for any entry: |1 + 1j|
+        assert operator_norm(np.array([[1.0 + 1.0j]])) == math.sqrt(2.0)
+
+
+def _pair_and_single_rdms(state):
+    n = state.n_qubits
+    singles = [reduced_density_matrix(state, (i,)) for i in range(n)]
+    pairs = [reduced_density_matrix(state, (i, j)) for i in range(n) for j in range(i + 1, n)]
+    return singles, pairs
+
+
+@pytest.fixture(
+    scope="module",
+    params=["open-4x4", "periodic-4x4", "gas-6"],
+)
+def seam_state(request):
+    lattice = {
+        "open-4x4": LatticeSpec.square_grid(4, 4),
+        "periodic-4x4": LatticeSpec.square_grid(4, 4, boundary="periodic"),
+        "gas-6": LatticeSpec.complete_bipartite(6),
+    }[request.param]
+    enumerate_ = enumerate_gas if request.param == "gas-6" else enumerate_liquid
+    return assemble(enumerate_(lattice))
+
+
+class TestPinnedToSeamOracle:
+    """Each public call checks its input once and hands it to one LAPACK
+    step; every number is the bits of the route that checked it twice."""
+
+    def test_every_pair_rdm(self, seam_state):
+        _, pairs = _pair_and_single_rdms(seam_state)
+        assert len(pairs) == seam_state.n_qubits * (seam_state.n_qubits - 1) // 2
+        for dm in pairs:
+            # the pipeline's order: the fit, then the concurrence, whose
+            # root hits the memo entry the fit's validation made
+            fit = extract_werner_p(dm)
+            want_p, want_residual = seam_werner_fit_oracle(dm.matrix)
+            assert (fit.p.hex(), fit.residual.hex()) == (want_p.hex(), want_residual.hex()), dm.sites
+            assert concurrence_two_qubit(dm).hex() == seam_concurrence_oracle(dm.matrix).hex()
+            got = check_rotational_invariance(dm)
+            assert got.hex() == seam_rotational_invariance_oracle(dm.matrix).hex(), dm.sites
+
+    def test_every_single_and_pair_spectrum_and_root(self, seam_state):
+        singles, pairs = _pair_and_single_rdms(seam_state)
+        for dm in singles + pairs:
+            m = dm.matrix
+            assert eigvalsh_jacobi(m).tobytes() == seam_eigvalsh_oracle(m).tobytes(), dm.sites
+            assert matrix_sqrt_psd(m).tobytes() == seam_matrix_sqrt_oracle(m).tobytes(), dm.sites
+        for dm in singles:
+            got = check_rotational_invariance(dm)
+            assert got.hex() == seam_rotational_invariance_oracle(dm.matrix).hex(), dm.sites
+
+
+def _outcome(fn, a):
+    """What ``fn(a)`` gives: its bits, or the type and text of what it raised,
+    with NumPy's floating-point warnings raised as they are in tier-1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = fn(a)
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+    return "value", _bits(out)
+
+
+_SEAM_ORACLES = {
+    jacobi_eigh: seam_eigh_oracle,
+    eigvalsh_jacobi: seam_eigvalsh_oracle,
+    operator_norm: seam_operator_norm_oracle,
+    matrix_sqrt_psd: seam_matrix_sqrt_oracle,
+}
+_SKEWED = np.array([[1.0, 1.0], [0.0, 1.0]])
+_NAN = np.array([[0.5, 0.0], [0.0, math.nan]])
+# (input, what jacobi_eigh, eigvalsh_jacobi and matrix_sqrt_psd give,
+#  what operator_norm gives); None for a value
+_EDGE_CASES = {
+    "nan": (_NAN, "matrix has NaN or infinite entries", "matrix has NaN or infinite entries"),
+    "nan-4x4-past-hermitian": (
+        np.pad(_SKEWED, 1) + np.pad(_NAN, 1) * 1j,
+        "matrix has NaN or infinite entries",
+        "matrix has NaN or infinite entries",
+    ),
+    "non-hermitian": (_SKEWED, r"matrix is not Hermitian (skew norm 1.414e+00)", None),
+    "non-hermitian-complex": (
+        np.array([[1.0, 1.0j], [1.0j, 1.0]]),
+        r"matrix is not Hermitian (skew norm 2.828e+00)",
+        None,
+    ),
+    "1e200": (np.diag([1e200, 2e200]), None, None),
+    # the Gram matrix of a non-Hermitian input this large overflows
+    "1e200-non-hermitian": (
+        1e200 * _SKEWED,
+        r"matrix is not Hermitian (skew norm 1.414e+200)",
+        "overflow encountered in matmul",
+    ),
+    "1e-170": (np.diag([1e-170, 2e-170]), None, None),
+    # a skew this far below 1 passes the checks of both functions
+    "1e-170-non-hermitian": (1e-170 * _SKEWED, None, None),
+}
+
+
+class TestEdgeInputsPinned:
+    """NaN, non-Hermitian and extreme-scale inputs raise the same one-line
+    errors as the route that checked them twice, or give the same bits."""
+
+    @pytest.mark.parametrize("fn", SEAM, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("name", list(_EDGE_CASES))
+    def test_same_outcome_as_the_oracle(self, fn, name):
+        a, eig_message, norm_message = _EDGE_CASES[name]
+        got = _outcome(fn, a)
+        assert got == _outcome(_SEAM_ORACLES[fn], a)
+        message = norm_message if fn is operator_norm else eig_message
+        if message is None:
+            assert got[0] == "value"
+        else:
+            assert got[1] == message
+
+    def test_gram_overflow_without_the_warning_error(self):
+        # with floating-point warnings silenced the overflow leaves infinite
+        # and NaN Gram entries, which both routes reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            for route in (operator_norm, seam_operator_norm_oracle):
+                with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+                    route(1e200 * _SKEWED)
 
 
 class TestMatrixSqrt:

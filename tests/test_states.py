@@ -12,6 +12,7 @@ from conftest import (
     covering_terms_oracle,
     entropy_bits_oracle,
     equal_weight_ensembles,
+    traced_peak,
 )
 from rvblab import states as states_mod
 from rvblab import (
@@ -293,6 +294,37 @@ class TestPinnedToAssemblyOracle:
         _assert_pinned_to_oracle(
             CoveringEnsemble(gas3.lattice, Variant.CUSTOM, partners[: len(weights)], weights)
         )
+
+
+class TestFixedOrderNorm:
+    """The norm of ``assemble`` and of the ``assemble`` task sums squares in
+    blocks along NumPy's pairwise split: ``np.sum(psi * psi)`` bit for bit,
+    without a square as long as the state."""
+
+    @staticmethod
+    def _assert_same_bits(psi):
+        want = float(np.sqrt(np.sum(psi * psi)))
+        assert states_mod._fixed_order_norm(psi).hex() == want.hex(), psi.size
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_powers_of_two(self, k):
+        rng = np.random.default_rng(k)
+        self._assert_same_bits(rng.standard_normal(2**k) * rng.uniform(0.1, 10.0))
+
+    @pytest.mark.parametrize("n", [3, 8191, 8192, 8193, 12_345, 16_385, 24_577, 100_003])
+    def test_other_lengths(self, n):
+        self._assert_same_bits(np.random.default_rng(n).standard_normal(n))
+
+    def test_states(self, gas8, state44):
+        # the unnormalised sums are pinned through assemble_oracle; the
+        # normalised states here are what the assemble task checks
+        for psi in (assemble(gas8).amplitudes, state44.amplitudes):
+            self._assert_same_bits(psi)
+
+    def test_no_square_as_long_as_the_state(self, gas8):
+        psi = assemble(gas8).amplitudes
+        _, peak = traced_peak(states_mod._fixed_order_norm, psi)
+        assert peak < psi.nbytes // 4, peak
 
 
 class TestHalfPatternKernel:
