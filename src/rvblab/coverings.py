@@ -18,10 +18,17 @@ table-sized temporary: :func:`ensemble_sha256` hashes the text block by
 block without ever holding all of it.
 
 The table is the one way in: ``CoveringEnsemble(lattice, variant,
-partners, weights)`` checks it in array operations and keeps an int64
-C-contiguous table and float64 weights without copying them, so the
-ensemble aliases the caller's arrays and marks them read-only.  The
-enumerators and :func:`ensemble_from_json` build tables; pair lists,
+partners, weights)`` checks it in array operations.  Every table is kept
+in one dtype, the narrowest that holds every site index,
+``np.min_scalar_type(lattice.site_count - 1)``: uint8 up to 256 sites,
+uint16 up to 65,536.  A C-contiguous table in that dtype and float64
+weights are not copied, so the ensemble aliases the caller's arrays and
+marks them read-only; any other integer table is range-checked in its own
+dtype, so that no entry outside the sites wraps into range, and then
+converted once.  The enumerators write that dtype directly.  Code that
+reads the table widens what it touches before shifting or subtracting:
+``1 << b`` and ``b - a`` wrap silently in uint8.  The enumerators and
+:func:`ensemble_from_json` build tables; pair lists,
 such as the ``pairs`` of ``DimerCovering`` objects, go through
 :func:`custom_ensemble`, which checks each covering as
 :meth:`DimerCovering.from_pairs` does before the table is built.
@@ -55,8 +62,14 @@ GAS_MAX_N = 8
 # need 12,988,816 x 32).
 LIQUID_MAX_STORED_PAIRS = 1_000_000
 # partner-table rows per block of the constructor's check and of the JSON
-# text: at N = 8 a block sorts 256 kB and writes about 400 kB of text
+# text: at N = 8 a block sorts 128 kB and writes about 400 kB of text
 _ROW_BLOCK = 4096
+_SITES_NOT_DISTINCT = "covering sites must be distinct: each site lies in one pair"
+
+
+def _site_dtype(lattice: LatticeSpec) -> np.dtype:
+    """The partner-table dtype of ``lattice``: the narrowest that holds every site index."""
+    return np.min_scalar_type(lattice.site_count - 1)
 
 
 class Variant(enum.Enum):
@@ -81,7 +94,7 @@ class DimerCovering:
         # a matching pairs 2n different sites; with them distinct, an
         # ascending a_sites is strictly ascending
         if len({*self.a_sites, *self.b_partners}) != 2 * len(self.a_sites):
-            raise ValueError("covering sites must be distinct: each site lies in one pair")
+            raise ValueError(_SITES_NOT_DISTINCT)
         if list(self.a_sites) != sorted(self.a_sites):
             raise ValueError("a_sites must be strictly ascending")
 
@@ -146,9 +159,13 @@ class CoveringEnsemble:
     on demand; code that holds such objects goes through
     :func:`custom_ensemble`, which checks them as ``from_pairs`` does.
 
-    A C-contiguous int64 table and a float64 weight array are not copied:
-    the ensemble aliases them and marks them read-only, so the caller must
-    not write to them through any other view afterwards.
+    The table is kept in :func:`_site_dtype` (uint8 up to 256 sites).  A
+    C-contiguous table in that dtype and a float64 weight array are not
+    copied: the ensemble aliases them and marks them read-only, so the
+    caller must not write to them through any other view afterwards.  Any
+    other integer table is checked in its own dtype to hold only site
+    indices, so that no entry wraps into range, and then converted once.
+    Widen the table's entries before shifting or subtracting them.
     """
 
     lattice: LatticeSpec
@@ -176,16 +193,18 @@ class CoveringEnsemble:
                 f"one weight per covering required; got {len(partners)} coverings "
                 f"and {weights.size} weights"
             )
-        partners = np.ascontiguousarray(partners, dtype=np.int64)
         if not np.all(np.isfinite(weights)):
             raise ValueError("covering weights must be finite")
+        dtype = _site_dtype(lattice)
+        # an entry outside the sites fails in the input's own dtype, before
+        # the conversion could wrap it onto a site
+        if partners.dtype != dtype and (partners.min() < 0 or partners.max() >= lattice.site_count):
+            raise ValueError(_SITES_NOT_DISTINCT)
+        partners = np.ascontiguousarray(partners, dtype=dtype)
         # every covering holds every A site, so a repeated site or an A site
-        # among the partners leaves a row that is not a permutation of B;
-        # sorted a block at a time, so no sorted copy of the whole table
-        b_sites = np.array(lattice.b_sites(), dtype=np.int64)
-        for block in _row_blocks(partners):
-            if np.any(np.sort(block, axis=1) != b_sites):
-                raise ValueError("covering sites must be distinct: each site lies in one pair")
+        # among the partners leaves a row that is not a permutation of B
+        if not _rows_permute(partners, lattice.b_sites()):
+            raise ValueError(_SITES_NOT_DISTINCT)
         if variant in (Variant.GAS, Variant.LIQUID) and np.any(weights != weights[0]):
             raise ValueError(f"{variant.value} ensembles carry equal weights")
         if variant is Variant.LIQUID:
@@ -237,6 +256,30 @@ class CoveringEnsemble:
         return bool(np.all(self.weights == self.weights[0]))
 
 
+def _rows_permute(partners: np.ndarray, b_sites: Sequence[int]) -> bool:
+    """Whether every row of ``partners`` is a permutation of the ascending ``b_sites``.
+
+    The rows are sorted ``_ROW_BLOCK`` at a time in one reused buffer, so
+    no sorted copy of the whole table is made, and widened to at least
+    int32 first: NumPy sorts int32 rows about twice as fast as uint8 ones.
+    A sorted block passes when each column's least and greatest entries
+    are both that column's B site.  The buffer is column-major, so each of
+    those reductions runs over contiguous memory; comparing the rows entry
+    by entry would instead broadcast ``b_sites`` along the short rows,
+    which NumPy buffers in about 32 kB.
+    """
+    want = list(b_sites)
+    wide = np.promote_types(partners.dtype, np.int32)
+    buffer = np.empty((partners.shape[1], min(len(partners), _ROW_BLOCK)), dtype=wide).T
+    for block in _row_blocks(partners):
+        rows = buffer[: len(block)]
+        rows[...] = block
+        rows.sort(axis=1)
+        if rows.min(axis=0).tolist() != want or rows.max(axis=0).tolist() != want:
+            return False
+    return True
+
+
 def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     """All ``N!`` equal-weight pairings of a complete bipartite lattice.
 
@@ -251,13 +294,13 @@ def enumerate_gas(lattice: LatticeSpec) -> CoveringEnsemble:
     n = lattice.n_per_sublattice
     if n > GAS_MAX_N:
         raise CapExceeded(f"gas enumeration capped at N={GAS_MAX_N}; requested N={n}")
-    table = _permutation_table(n)
+    table = _permutation_table(n, _site_dtype(lattice))
     table += n  # the B sites are n .. 2n - 1
     return CoveringEnsemble(lattice, Variant.GAS, table, np.ones(len(table)))
 
 
-def _permutation_table(m: int) -> np.ndarray:
-    """Every permutation of ``range(m)`` as one ``(m!, m)`` table, in lexicographic order.
+def _permutation_table(m: int, dtype: np.dtype) -> np.ndarray:
+    """Every permutation of ``range(m)`` as one ``(m!, m)`` ``dtype`` table, in lexicographic order.
 
     The table of size ``k`` is ``k`` blocks of the table of size ``k - 1``:
     block ``v`` leads with ``v`` and moves every entry ``>= v`` up by one,
@@ -267,7 +310,7 @@ def _permutation_table(m: int) -> np.ndarray:
     the first, so the size-``k - 1`` table in the first ``(k - 1)!`` rows
     is read by every block before block 0 overwrites it.
     """
-    table = np.empty((math.factorial(m), m), dtype=np.int64)
+    table = np.empty((math.factorial(m), m), dtype=dtype)
     table[:1, m - 1 :] = 0
     rows = 1  # (k - 1)!
     for k in range(2, m + 1):
@@ -347,7 +390,7 @@ def enumerate_liquid(lattice: LatticeSpec) -> CoveringEnsemble:
         matched[t] = False
     if not found:
         raise ValueError("lattice admits no nearest-neighbor perfect matching")
-    table = np.array(found, dtype=np.int64)
+    table = np.array(found, dtype=_site_dtype(lattice))
     return CoveringEnsemble(lattice, Variant.LIQUID, table, np.ones(len(table)))
 
 
@@ -503,7 +546,8 @@ def _coverings_texts(ensemble: CoveringEnsemble) -> Iterator[bytearray]:
         text = bytearray(partners.size * fields.itemsize)
         records = np.frombuffer(text, dtype=fields).reshape(partners.shape)
         records["before"] = before
-        records["b"] = digits[partners]
+        # NumPy gathers with intp indices faster than with narrow ones
+        records["b"] = digits[partners.astype(np.intp)]
         records["after"] = after
         yield _unpadded(text)
 

@@ -16,7 +16,9 @@ Each public call checks its input once and then hands it to
 :func:`jacobi_eigh` checks for finite entries, a square shape and a
 Hermitian input, a 1 x 1 input included: its imaginary part is its skew.
 :func:`operator_norm` checks for finite entries and picks its route (the
-matrix, ``1j`` times it, or its Gram matrix, which must stay finite).
+matrix, ``1j`` times it, or its Gram matrix, formed at peak 1 when the
+entries are so large or so small that their products would overflow or
+underflow).
 
 :func:`jacobi_eigh` (and so :func:`eigvalsh_jacobi`), :func:`operator_norm`
 and :func:`matrix_sqrt_psd` share one memo.  The pair pipeline asks the
@@ -44,6 +46,10 @@ import numpy as np
 # inputs with at most 16 entries (up to 4 x 4: one or two qubits) are memoised
 _MEMO_MAX_ENTRIES = 16
 _MEMO_SIZE = 4096
+# operator_norm scales a Gram route input whose peak lies outside
+# [1 / _GRAM_MAX_PEAK, _GRAM_MAX_PEAK]: inside it the Gram entries, sums of
+# up to 2**20 products, neither overflow nor underflow
+_GRAM_MAX_PEAK = 2.0**500
 
 
 def _frozen(out):
@@ -163,12 +169,15 @@ def operator_norm(a: np.ndarray) -> float:
         # most inputs are Hermitian, so this residual waits for that test to fail
         if np.abs(a + a.conj().T).max() <= tiny:
             return float(np.abs(_eigh(1j * a)[0]).max())
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    # the product of finite entries past about 1e154 can overflow
-    if not np.isfinite(gram).all():
-        raise ValueError("matrix has NaN or infinite entries")
+    # a Gram matrix of entries past about 1e150 overflows and one of entries
+    # below about 1e-150 underflows, so such inputs are divided by their
+    # peak first, as jacobi_eigh's check does, and the root multiplied back;
+    # every other input keeps its bits
+    scale = peak if peak > _GRAM_MAX_PEAK or 0.0 < peak < 1.0 / _GRAM_MAX_PEAK else 1.0
+    unit = a / scale
+    gram = unit.conj().T @ unit if a.shape[0] >= a.shape[1] else unit @ unit.conj().T
     w, _ = _eigh(gram)
-    return float(math.sqrt(max(0.0, float(w[-1]))))
+    return float(math.sqrt(max(0.0, float(w[-1])))) * scale
 
 
 @_memoised

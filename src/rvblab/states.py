@@ -309,7 +309,9 @@ def _chunk_indices(a_sites: np.ndarray, b_partners: np.ndarray) -> np.ndarray:
     """Basis indices of a chunk of coverings' nonzero entries, pattern-major.
 
     ``a_sites`` is the (n_pairs,) A sites shared by the chunk and
-    ``b_partners`` a (chunk, n_pairs) int64 slice of the partner table.
+    ``b_partners`` a (chunk, n_pairs) slice of the partner table, of any
+    integer dtype: the shifts are formed in int64, since ``1 << b`` wraps
+    to 0 in uint8.
     Entry ``[u, c]`` is
     ``sum_k 2**b_k + bit_k(u) * (2**a_k - 2**b_k)`` over covering ``c``'s
     pairs: pattern ``u`` in the order of :func:`_pattern_amplitudes`.
@@ -317,8 +319,8 @@ def _chunk_indices(a_sites: np.ndarray, b_partners: np.ndarray) -> np.ndarray:
     are rows ``[0, 2**k)`` plus pair ``k``'s term.
     """
     n_chunk, n_pairs = b_partners.shape
-    pow_b = np.left_shift(1, b_partners)
-    step = np.ascontiguousarray((np.left_shift(1, a_sites) - pow_b).T)
+    pow_b = np.left_shift(1, b_partners, dtype=np.int64)
+    step = np.ascontiguousarray((np.left_shift(1, a_sites, dtype=np.int64) - pow_b).T)
     idx = np.empty((2**n_pairs, n_chunk), dtype=np.int64)
     np.sum(pow_b, axis=1, out=idx[0])
     for k in range(n_pairs):
@@ -396,7 +398,7 @@ def assemble(ensemble: CoveringEnsemble) -> StateVector:
         stop = start + ASSEMBLY_CHUNK
         partners = ensemble.partners[start:stop]
         idx = _chunk_indices(a_sites[:-1], partners[:, :-1])
-        idx += np.left_shift(1, partners[:, -1])
+        idx += np.left_shift(1, partners[:, -1], dtype=np.int64)
         # the terms depend on the weights' bits alone, so a chunk whose
         # weights repeat the last chunk's reuses its block
         chunk_weights = weights[start:stop]

@@ -349,6 +349,11 @@ class TestEnsembleValidation:
             ensemble_of(lat, good + (bad,), Variant.GAS)
 
 
+def site_dtype(lattice):
+    """The canonical partner-table dtype: the narrowest that holds every site index."""
+    return np.min_scalar_type(lattice.site_count - 1)
+
+
 WIDTH_MESSAGE = r"partner table must have shape \(coverings, 2\), one column per A site; got "
 WEIGHTS_MESSAGE = "one weight per covering required; "
 
@@ -391,17 +396,26 @@ class TestConstructor:
         assert ensemble_to_json(ens) == ensemble_to_json(liquid24)
 
     def test_table_is_aliased_and_frozen(self, grid22):
-        table = np.array([[1, 2], [2, 1]], dtype=np.int64)
+        # a C-contiguous table in the canonical dtype is aliased and frozen
+        table = np.array([[1, 2], [2, 1]], dtype=site_dtype(grid22))
         weights = np.array([1.0, -2.0])
         ens = CoveringEnsemble(grid22, Variant.CUSTOM, table, weights)
         assert ens.partners is table and ens.weights is weights
         for array in (table, weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # another dtype or layout is copied, and the caller's array left writable
-        wide = np.array([[1, 2], [2, 1]], dtype=np.int32)
-        ens = CoveringEnsemble(grid22, Variant.CUSTOM, wide, [1.0, -2.0])
-        assert ens.partners.dtype == np.int64 and wide.flags.writeable
+        # any other integer table is checked, then converted once, and the
+        # caller's array left writable
+        for other in (
+            np.array([[1, 2], [2, 1]], dtype=np.int32),
+            np.array([[1, 2], [2, 1]], dtype=np.int64),
+            np.array([[1, 2], [2, 1]], dtype=np.uint64),
+            np.asfortranarray(np.array([[1, 2], [2, 1]], dtype=site_dtype(grid22))),
+        ):
+            ens = CoveringEnsemble(grid22, Variant.CUSTOM, other, [1.0, -2.0])
+            assert ens.partners.dtype == site_dtype(grid22) and other.flags.writeable
+            assert ens.partners.flags.c_contiguous and not np.shares_memory(ens.partners, other)
+            assert np.array_equal(ens.partners, other)
 
 
 class TestSerialization:
@@ -620,7 +634,7 @@ class TestPartnerTable:
     def test_gas_table_equals_the_permutations_route(self, n):
         lattice = LatticeSpec.complete_bipartite(n)
         partners = enumerate_gas(lattice).partners
-        assert partners.dtype == np.int64
+        assert partners.dtype == site_dtype(lattice)
         assert np.array_equal(partners, gas_partners_oracle(lattice))
 
     @pytest.mark.parametrize("rows, cols, boundary", ORACLE_GRIDS, ids=ORACLE_GRID_IDS)
@@ -630,7 +644,7 @@ class TestPartnerTable:
 
     def test_layout(self, gas3, liquid23):
         for ens in (gas3, liquid23):
-            assert ens.partners.dtype == np.int64
+            assert ens.partners.dtype == site_dtype(ens.lattice)
             assert ens.partners.shape == (len(ens), ens.lattice.sublattice_size)
             assert not ens.partners.flags.writeable
             assert not ens.weights.flags.writeable
@@ -749,6 +763,98 @@ class TestRowBlockCheck:
         assert np.array_equal(ens.partners, enumerate_gas(ens.lattice).partners[:block])
 
 
+# a row of partners on the 16-site K_{8,8} with its first entry, the B site
+# 8, replaced; an entry of 264 or 2**40 + 8 would wrap onto 8 in uint8
+def gas8_row(first, dtype=np.int64):
+    return np.array([[first, *range(9, 16)]], dtype=dtype)
+
+
+class TestSiteDtype:
+    """Every table is kept in ``np.min_scalar_type(site_count - 1)``; no
+    entry outside the sites is wrapped into range on the way there."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            gas8_row(300),
+            gas8_row(-1),
+            gas8_row(2**40),
+            gas8_row(264),
+            gas8_row(2**40 + 8),
+            gas8_row(2**63, np.uint64),
+            gas8_row(2**64 - 256 + 8, np.uint64),
+            gas8_row(-248, np.int16),
+        ],
+        ids=[
+            "300", "-1", "2**40", "264", "2**40+8", "uint64-2**63", "uint64-wraps", "int16-wraps",
+        ],
+    )
+    def test_out_of_range_entry_never_wraps(self, table):
+        lattice = LatticeSpec.complete_bipartite(8)
+        for variant in (Variant.GAS, Variant.CUSTOM):
+            with pytest.raises(ValueError, match=DISTINCT_MESSAGE):
+                CoveringEnsemble(lattice, variant, table, np.ones(1))
+
+    def test_uint16_entry_never_wraps(self):
+        # the one 1x300 covering with its first partner moved past 2**16
+        chain = enumerate_liquid(LatticeSpec.square_grid(1, 300))
+        table = chain.partners.astype(np.int64)
+        table[0, 0] += 2**16
+        with pytest.raises(ValueError, match=DISTINCT_MESSAGE):
+            CoveringEnsemble(chain.lattice, Variant.CUSTOM, table, np.ones(1))
+
+    @pytest.mark.parametrize("site", [300, -1, 2**40, 264, 2**63])
+    def test_pair_lists_keep_their_messages(self, gas3, site):
+        lattice = LatticeSpec.complete_bipartite(8)
+        pairs = [[0, site], *([a, a + 8] for a in range(1, 8))]
+        message = rf"^site {site} out of range \[0, 16\)$"
+        with pytest.raises(ValueError, match=message):
+            custom_ensemble(lattice, [pairs])
+        doc = json.loads(ensemble_to_json(gas3))
+        doc.update(lattice=lattice_to_config(lattice), coverings=[pairs], weights=[1.0])
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in range(1, 9)]
+        + [
+            partial(enumerate_liquid, LatticeSpec.square_grid(r, c, boundary=b))
+            for r, c, b in ((4, 4, "open"), (4, 4, "periodic"), (2, 6, "open"), (1, 300, "open"))
+        ]
+        + [lambda: ensemble_from_json(ensemble_to_json(custom_weighted())), custom_weighted],
+        ids=[f"gas{n}" for n in range(1, 9)] + ["open44", "periodic44", "open26", "chain300"]
+        + ["json", "custom"],
+    )
+    def test_every_built_ensemble_is_canonical_and_frozen(self, make):
+        ens = make()
+        assert ens.partners.dtype == np.min_scalar_type(ens.lattice.site_count - 1)
+        assert ens.partners.flags.c_contiguous
+        assert not ens.partners.flags.writeable and not ens.weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make, dtype, digest",
+        [
+            (
+                partial(enumerate_liquid, LatticeSpec.square_grid(1, 300)),
+                np.uint16,
+                "87906a2e6128c37306d019da4d51f7418c980151e3d4529a6b95e3aeb228b1b7",
+            ),
+            (
+                partial(enumerate_gas, LatticeSpec.complete_bipartite(8)),
+                np.uint8,
+                "4006ec8e34c4e667a0ba5129c4f2be14889d74e0f82a88ff2d2e2deff195a931",
+            ),
+        ],
+        ids=["chain300-uint16", "gas8-uint8"],
+    )
+    def test_digest_across_the_dtype_boundary(self, make, dtype, digest):
+        # the digests of the int64 tables these replaced
+        ens = make()
+        assert ens.partners.dtype == dtype
+        assert ensemble_sha256(ens) == digest
+
+
 class TestAllocationGuards:
     """Peaks traced by ``tracemalloc``, which counts NumPy buffers: unlike
     the resident set, they do not move with the allocator."""
@@ -757,6 +863,8 @@ class TestAllocationGuards:
         lattice = LatticeSpec.complete_bipartite(8)
         enumerate_gas(lattice)  # builds the lattice's lazy tables
         ens, peak = traced_peak(enumerate_gas, lattice)
+        # 40,320 coverings x 8 partners, one byte each: every site is below 16
+        assert ens.partners.nbytes == 322_560
         kept = ens.partners.nbytes + ens.weights.nbytes
         assert peak < 1.25 * kept, (peak, kept)
 

@@ -345,16 +345,26 @@ _EDGE_CASES = {
         None,
     ),
     "1e200": (np.diag([1e200, 2e200]), None, None),
-    # the Gram matrix of a non-Hermitian input this large overflows
+    # the oracle's Gram matrix of a non-Hermitian input this large overflows;
+    # operator_norm forms it at peak 1 (see _GRAM_SCALED)
     "1e200-non-hermitian": (
         1e200 * _SKEWED,
         r"matrix is not Hermitian (skew norm 1.414e+200)",
-        "overflow encountered in matmul",
+        None,
     ),
     "1e-170": (np.diag([1e-170, 2e-170]), None, None),
     # a skew this far below 1 passes the checks of both functions
     "1e-170-non-hermitian": (1e-170 * _SKEWED, None, None),
 }
+# the entries on which operator_norm gives the norm where the oracle's Gram
+# matrix overflows
+_GRAM_SCALED = {"1e200-non-hermitian"}
+
+
+def _assert_norm(got, a):
+    """``got`` is ``np.linalg.norm(a, 2)`` to 1e-15 relative."""
+    want = np.linalg.norm(a, 2)
+    assert abs(got - want) <= 1e-15 * want, (got, want)
 
 
 class TestEdgeInputsPinned:
@@ -366,6 +376,12 @@ class TestEdgeInputsPinned:
     def test_same_outcome_as_the_oracle(self, fn, name):
         a, eig_message, norm_message = _EDGE_CASES[name]
         got = _outcome(fn, a)
+        if fn is operator_norm and name in _GRAM_SCALED:
+            overflow = ("RuntimeWarning", "overflow encountered in matmul")
+            assert _outcome(_SEAM_ORACLES[fn], a) == overflow
+            assert got[0] == "value"
+            _assert_norm(fn(a), a)
+            return
         assert got == _outcome(_SEAM_ORACLES[fn], a)
         message = norm_message if fn is operator_norm else eig_message
         if message is None:
@@ -374,12 +390,16 @@ class TestEdgeInputsPinned:
             assert got[1] == message
 
     def test_gram_overflow_without_the_warning_error(self):
-        # with floating-point warnings silenced the overflow leaves infinite
-        # and NaN Gram entries, which both routes reject
+        # with floating-point warnings silenced the oracle's overflow leaves
+        # infinite and NaN Gram entries, which it rejects; operator_norm forms
+        # the Gram matrix at peak 1 and multiplies the root back
+        a = 1e200 * _SKEWED
         with np.errstate(over="ignore", invalid="ignore"):
-            for route in (operator_norm, seam_operator_norm_oracle):
-                with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
-                    route(1e200 * _SKEWED)
+            with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
+                seam_operator_norm_oracle(a)
+            got = operator_norm(a)
+        assert got == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0 * 1e200, rel=1e-15)
+        _assert_norm(got, a)
 
 
 class TestMatrixSqrt:
@@ -454,6 +474,19 @@ class TestExtremeScales:
         else:
             w = out[0] if fn is jacobi_eigh else out
             assert w.tolist() == [scale, 2 * scale]
+
+    def test_gram_route_of_a_huge_non_normal_matrix(self):
+        # its Gram entries would reach about 1e401: formed at peak 1 instead
+        a = 1e200 * np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 3.0], [0.5, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = operator_norm(a)
+        _assert_norm(got, a)
+
+    def test_gram_route_of_a_tiny_rectangle(self):
+        # its Gram entries would underflow below the smallest subnormal
+        a = 1e-170 * np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
+        _assert_norm(operator_norm(a), a)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_skew_still_rejected(self, scale):
