@@ -16,7 +16,9 @@ The gas variant quoted for complete-bipartite ensembles of N pairs is
     gas_monogamy_bound(N) = 1/3 + 2 sqrt(2) / (3 sqrt(N)).
 
 All three are capped at 1 (p never exceeds 1) and decrease toward 1/3,
-the separability threshold.
+the separability threshold.  Each takes a count or an integer array of
+counts: a scalar gives a Python float, and an array gives a float64
+array whose entries have the bits of the scalar calls.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .entanglement import extract_werner_p
 from .lattice import Kind, LatticeSpec, interior_nn_bond
@@ -42,25 +46,37 @@ class BoundKind(enum.Enum):
     GAS_TELECLONING = "gas-telecloning"
 
 
-def monogamy_bound(r: int) -> float:
+def _capped(
+    count: int | np.ndarray, noun: str, value: Callable[[np.ndarray], np.ndarray]
+) -> float | np.ndarray:
+    """``min(1, value(count))`` of a count or of an integer array of counts.
+
+    A scalar count gives a Python float, an array a float64 array of its
+    shape, with the same bits per entry.  Raises ValueError if any count
+    is below 1.
+    """
+    counts = np.asarray(count)
+    low = counts < 1
+    if low.any():
+        bad = count if low.ndim == 0 else counts[low][0]
+        raise ValueError(f"{noun} count must be at least 1, got {bad}")
+    out = np.minimum(1.0, value(counts.astype(np.float64)))
+    return float(out) if out.ndim == 0 else out
+
+
+def monogamy_bound(r: int | np.ndarray) -> float | np.ndarray:
     """Upper bound on p from tangle monogamy over r equidistant partners."""
-    if r < 1:
-        raise ValueError(f"partner count must be at least 1, got {r}")
-    return min(1.0, 1.0 / 3.0 + 2.0 / (3.0 * math.sqrt(r)))
+    return _capped(r, "partner", lambda r: 1.0 / 3.0 + 2.0 / (3.0 * np.sqrt(r)))
 
 
-def telecloning_bound(m: int) -> float:
+def telecloning_bound(m: int | np.ndarray) -> float | np.ndarray:
     """Upper bound on p from optimal 1 -> m cloning fidelity."""
-    if m < 1:
-        raise ValueError(f"receiver count must be at least 1, got {m}")
-    return min(1.0, 1.0 / 3.0 + 2.0 / (3.0 * m))
+    return _capped(m, "receiver", lambda m: 1.0 / 3.0 + 2.0 / (3.0 * m))
 
 
-def gas_monogamy_bound(n: int) -> float:
+def gas_monogamy_bound(n: int | np.ndarray) -> float | np.ndarray:
     """Monogamy-type bound quoted for the gas of n pairs."""
-    if n < 1:
-        raise ValueError(f"pair count must be at least 1, got {n}")
-    return min(1.0, 1.0 / 3.0 + 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(n)))
+    return _capped(n, "pair", lambda n: 1.0 / 3.0 + 2.0 * math.sqrt(2.0) / (3.0 * np.sqrt(n)))
 
 
 @dataclass(frozen=True)

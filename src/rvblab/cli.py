@@ -449,9 +449,9 @@ def _task_reproduce(ctx: _Context, checks: _Checks) -> dict:
         abs(t4 - 0.5) <= EXACT_TOL,
         f"telecloning_bound(4) = {t4!r}",
     )
-    chain_ok = all(
-        bounds_mod.telecloning_bound(r) <= bounds_mod.monogamy_bound(r) + EXACT_TOL
-        for r in range(1, 10_001)
+    r = np.arange(1, 10_001)
+    chain_ok = bool(
+        np.all(bounds_mod.telecloning_bound(r) <= bounds_mod.monogamy_bound(r) + EXACT_TOL)
     )
     checks.add(
         "anchors/telecloning-below-monogamy",

@@ -16,9 +16,10 @@ Each public call checks its input once and then hands it to
 :func:`jacobi_eigh` checks for finite entries, a square shape and a
 Hermitian input, a 1 x 1 input included: its imaginary part is its skew.
 :func:`operator_norm` checks for finite entries and picks its route (the
-matrix, ``1j`` times it, or its Gram matrix, formed at peak 1 when the
-entries are so large or so small that their products would overflow or
-underflow).
+matrix when it is Hermitian to 1e-12 of its peak entry, ``1j`` times it
+when it is anti-Hermitian to the same tolerance, or else its Gram matrix,
+formed at peak 1 when the entries are so large or so small that their
+products would overflow or underflow).
 
 :func:`jacobi_eigh` (and so :func:`eigvalsh_jacobi`), :func:`operator_norm`
 and :func:`matrix_sqrt_psd` share one memo.  The pair pipeline asks the
@@ -163,7 +164,8 @@ def operator_norm(a: np.ndarray) -> float:
         raise ValueError("matrix has NaN or infinite entries")
     # these eigenproblems are never asked again, so they skip the memo
     if a.shape[0] == a.shape[1]:
-        tiny = 1e-12 * max(1.0, peak)
+        # relative to the peak: an absolute floor would call any tiny matrix Hermitian
+        tiny = 1e-12 * peak
         if np.abs(a - a.conj().T).max() <= tiny:
             return float(np.abs(_eigh(a)[0]).max())
         # most inputs are Hermitian, so this residual waits for that test to fail

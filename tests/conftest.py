@@ -13,8 +13,9 @@ for the partner table, ``itertools.permutations`` for the gas table, one
 group applied to every covering for the covering orbits, the closed-form
 grid and gas geometry for the lattice's bond graph) so that
 agreement is evidence, not tautology.  A few keep the route a fast path
-replaced instead, to pin it bit for bit: the Jacobi rotations above, and
-the eigensolver seam and pair measures that checked every input twice.
+replaced instead, to pin it bit for bit: the Jacobi rotations above, the
+eigensolver seam and pair measures that checked every input twice, and
+the certificate's walk over one cut at a time.
 """
 
 import itertools
@@ -41,7 +42,7 @@ from rvblab import (
     enumerate_gas,
     enumerate_liquid,
 )
-from rvblab import linalg
+from rvblab import linalg, multipartite
 from rvblab.lattice import lattice_to_config
 
 # ----------------------------------------------------------------------
@@ -562,6 +563,29 @@ def purity_entropy_oracle(spectrum):
     return float(np.sum(spectrum**2)), float(-np.sum(positive * np.log2(positive)))
 
 
+def certificate_oracle(state):
+    """The certificate by a walk over every cut, one spectrum at a time.
+
+    The per-cut walk the array form replaced: each cut containing site 0,
+    in enumeration order, takes ``subset_spectrum`` and the one-spectrum
+    purity and entropy, and the first cut of strictly smaller entropy
+    wins.  The array form must match it bit for bit, the ``repr`` of
+    ``min_entropy_bits`` included.
+    """
+    n = state.n_qubits
+    best_entropy, best_cut, genuine, n_cuts = math.inf, (), True, 0
+    for k in range(1, n):
+        for rest in itertools.combinations(range(1, n), k - 1):
+            cut = (0, *rest)
+            purity, entropy = purity_entropy_oracle(multipartite.subset_spectrum(state, cut))
+            n_cuts += 1
+            if entropy < best_entropy:
+                best_entropy, best_cut = entropy, cut
+            if not purity < 1.0 - multipartite.ENTANGLED_PURITY_TOL:
+                genuine = False
+    return multipartite.CertificateReport(genuine, n_cuts, float(best_entropy), best_cut)
+
+
 # ----------------------------------------------------------------------
 # oracle: Hermitian eigensolver
 
@@ -664,7 +688,7 @@ def seam_operator_norm_oracle(a):
     if not math.isfinite(peak):
         raise ValueError("matrix has NaN or infinite entries")
     if a.shape[0] == a.shape[1]:
-        tiny = 1e-12 * max(1.0, peak)
+        tiny = 1e-12 * peak
         if np.max(np.abs(a - a.conj().T)) <= tiny:
             return float(np.max(np.abs(seam_eigh_oracle(a)[0])))
         if np.max(np.abs(a + a.conj().T)) <= tiny:

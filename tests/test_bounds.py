@@ -80,6 +80,45 @@ class TestFormulas:
             fn(-3)
 
 
+
+# the scalar closed forms as the math module evaluates them, one count at a time
+_CLOSED_FORMS = {
+    monogamy_bound: lambda r: min(1.0, 1.0 / 3.0 + 2.0 / (3.0 * math.sqrt(r))),
+    telecloning_bound: lambda m: min(1.0, 1.0 / 3.0 + 2.0 / (3.0 * m)),
+    gas_monogamy_bound: lambda n: min(
+        1.0, 1.0 / 3.0 + 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(n))
+    ),
+}
+
+
+class TestArrayCounts:
+    """An integer array of counts gives the scalar calls' bits, entry by entry."""
+
+    @pytest.mark.parametrize("fn", list(_CLOSED_FORMS), ids=lambda fn: fn.__name__)
+    def test_array_equals_the_scalar_calls(self, fn):
+        counts = np.arange(1, 10_001)
+        got = fn(counts)
+        assert got.dtype == np.float64 and got.shape == counts.shape
+        scalar = [fn(int(r)) for r in counts]
+        assert all(type(x) is float for x in scalar)
+        assert got.tobytes() == np.array(scalar).tobytes()
+        assert scalar == [_CLOSED_FORMS[fn](int(r)) for r in counts]
+
+    @pytest.mark.parametrize("fn", list(_CLOSED_FORMS), ids=lambda fn: fn.__name__)
+    def test_numpy_scalar_gives_a_python_float(self, fn):
+        assert type(fn(np.int64(4))) is float
+        assert fn(np.int64(4)) == fn(4)
+
+    @pytest.mark.parametrize(
+        "fn, noun",
+        [(monogamy_bound, "partner"), (telecloning_bound, "receiver"), (gas_monogamy_bound, "pair")],
+    )
+    def test_array_with_an_entry_below_one_raises(self, fn, noun):
+        with pytest.raises(ValueError, match=f"^{noun} count must be at least 1, got 0$"):
+            fn(np.array([3, 0, -2]))
+        with pytest.raises(ValueError, match=f"^{noun} count must be at least 1, got -3$"):
+            fn(-3)
+
 class TestGasSaturation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_measured_p_saturates_telecloning(self, n):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PROPERTY_SETTINGS,
+    certificate_oracle,
     entropy_bits_oracle,
     equal_weight_ensembles,
     purity_entropy_oracle,
@@ -709,6 +710,116 @@ class TestRepresentativeTable:
         got = (cert.genuine, cert.n_cuts, cert.min_cut, repr(cert.min_entropy_bits))
         assert got == CERTIFICATE_PINS[(lattice.rows, lattice.cols, lattice.boundary.value)]
 
+
+
+def _assert_certificate_matches_oracle(state):
+    cert = genuine_multipartite_certificate(state)
+    want = certificate_oracle(state)
+    assert cert == want
+    assert repr(cert.min_entropy_bits) == repr(want.min_entropy_bits)
+    return cert
+
+
+class TestArrayCertificate:
+    """One mixedness table per subset size, pinned to the walk over one cut at a time."""
+
+    @pytest.mark.parametrize(
+        "lattice",
+        CERTIFICATE_GRIDS,
+        ids=[f"{g.rows}x{g.cols}-{g.boundary.value}" for g in CERTIFICATE_GRIDS],
+    )
+    def test_every_certificate_grid(self, lattice):
+        _assert_certificate_matches_oracle(assemble(enumerate_liquid(lattice)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gas(self, n):
+        cert = _assert_certificate_matches_oracle(
+            assemble(enumerate_gas(LatticeSpec.complete_bipartite(n)))
+        )
+        assert cert.genuine and cert.n_cuts == 2 ** (2 * n - 1) - 1
+
+    @pytest.mark.parametrize(
+        "state", [_ghz(5), _random_state(6, 7), _random_state(7, 8)], ids=["ghz5", "random6", "random7"]
+    )
+    def test_states_with_no_sector_take_the_dense_route(self, state, monkeypatch):
+        assert state._support is None
+        calls = []
+        spectrum = multipartite.subset_spectrum
+
+        def counting(state_, subset):
+            calls.append(tuple(subset))
+            return spectrum(state_, subset)
+
+        monkeypatch.setattr(multipartite, "subset_spectrum", counting)
+        cert = genuine_multipartite_certificate(state)
+        # one spectrum per cut, in enumeration order
+        assert calls == [cut for k in range(1, state.n_qubits) for cut in multipartite._cuts(state.n_qubits, k)]
+        monkeypatch.undo()
+        assert cert.n_cuts == len(calls)
+        _assert_certificate_matches_oracle(state)
+
+    def test_sector_route_reads_no_spectrum_per_cut(self, state34, monkeypatch):
+        def no_spectrum(*args):
+            raise AssertionError("subset_spectrum called on the sector route")
+
+        state = _fresh(state34)
+        monkeypatch.setattr(multipartite, "subset_spectrum", no_spectrum)
+        cert = genuine_multipartite_certificate(state)
+        monkeypatch.undo()
+        assert cert == certificate_oracle(_fresh(state34))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_table_blocks_change_no_bit(self, rows_per_block, state34, state44, monkeypatch):
+        cert = genuine_multipartite_certificate(_fresh(state34))
+        audit = odd_subset_audit(_fresh(state44), 5).verdicts
+        # the 3x4 certificate's largest rows: 64 eigenvalues at k = 6
+        monkeypatch.setattr(multipartite, "_TABLE_BYTES", 8 * 64 * rows_per_block)
+        blocked = genuine_multipartite_certificate(_fresh(state34))
+        assert (blocked, repr(blocked.min_entropy_bits)) == (cert, repr(cert.min_entropy_bits))
+        assert odd_subset_audit(_fresh(state44), 5).verdicts == audit
+
+    @pytest.mark.parametrize("cols", [4, 8])
+    def test_product_cut_of_negative_zero_entropy(self, cols):
+        # an open chain has one covering: a product of singlets on (0, 1), (2, 3), ...
+        chain = assemble(enumerate_liquid(LatticeSpec.square_grid(1, cols)))
+        cert = _assert_certificate_matches_oracle(chain)
+        assert not cert.genuine
+        assert cert.min_cut == (0, 1)
+        assert repr(cert.min_entropy_bits) == "-0.0"
+
+
+def _spectra_rows(kind, rng, rows, length):
+    """Descending spectra of one kind: zero tails, no zeros, or one nonzero entry."""
+    w = rng.random((rows, length)) ** rng.integers(1, 6, size=(rows, 1))
+    if kind == "zero-tails":
+        w[np.arange(length) >= rng.integers(1, length + 1, size=(rows, 1))] = 0.0
+    elif kind == "one-nonzero":
+        w[:, 1:] = 0.0
+    w = -np.sort(-w, axis=1)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestMixednessRows:
+    """Each row of a stacked ``_mixedness`` call has the bits of a one-spectrum call."""
+
+    @pytest.mark.parametrize("kind", ["zero-tails", "no-zeros", "one-nonzero"])
+    @pytest.mark.parametrize("length", [1, 2, 4, 9, 16, 64, 256])
+    def test_rows_equal_one_spectrum_calls(self, kind, length):
+        rng = np.random.default_rng(length)
+        w = _spectra_rows(kind, rng, 40, length)
+        purity, entropy, entangled = multipartite._mixedness(w)
+        assert purity.shape == entropy.shape == entangled.shape == (40,)
+        for row, p, e, flag in zip(w, purity.tolist(), entropy.tolist(), entangled.tolist()):
+            want_p, want_e = purity_entropy_oracle(row)
+            assert (p.hex(), repr(e)) == (want_p.hex(), repr(want_e))
+            assert flag == (want_p < 1.0 - multipartite.ENTANGLED_PURITY_TOL)
+            one = multipartite._mixedness(row[None])
+            assert [c.tolist() for c in one] == [[p], [e], [flag]]
+            assert repr(one[1][0].item()) == repr(e)
+
+    def test_a_pure_row_has_negative_zero_entropy(self):
+        purity, entropy, entangled = multipartite._mixedness(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert (purity.tolist(), repr(float(entropy[0])), entangled.tolist()) == ([1.0], "-0.0", [False])
 
 class TestSpectrumMemo:
     """The spectra of one subset size, kept on the state's support."""
