@@ -124,17 +124,30 @@ def equidistant_class_min_p(
     return min(values) if values else None
 
 
+def distance_classes(state: StateVector, lattice: LatticeSpec) -> list[tuple[int, int, float]]:
+    """``(r, class_size, class_min_p)`` for each odd distance r with a nonempty class.
+
+    The anchor is the first site of :func:`interior_nn_bond`, and each class
+    is measured by one :func:`equidistant_class_min_p` call.
+    """
+    anchor, _ = interior_nn_bond(lattice)
+    classes = []
+    for r in range(1, lattice.max_distance() + 1, 2):
+        count = lattice.equidistant_count(anchor, r)
+        if count:
+            classes.append((r, count, equidistant_class_min_p(state, lattice, anchor, r)))
+    return classes
+
+
 def compare(state: StateVector, lattice: LatticeSpec) -> list[BoundReport]:
     """Evaluate every applicable bound against measured values.
 
-    The anchor is the first site of :func:`interior_nn_bond`.  Each odd
-    distance r from it feeds its class minimum (see
-    :func:`equidistant_class_min_p`) to one pair of bounds whose parameter
-    is the class size.  On grids r = 1 feeds the NN bounds and larger r
-    the equidistant bounds.  On complete-bipartite lattices the one class
-    is all N partners of site 0, and it feeds the gas bounds
-    (permutation symmetry makes all cross pairs identical, which the test
-    suite asserts separately).
+    Each class of :func:`distance_classes` feeds its minimum p to one pair
+    of bounds whose parameter is the class size.  On grids r = 1 feeds the
+    NN bounds and larger r the equidistant bounds.  On complete-bipartite
+    lattices the one class is all N partners of site 0, and it feeds the
+    gas bounds (permutation symmetry makes all cross pairs identical, which
+    the test suite asserts separately).
     """
     if lattice.site_count != state.n_qubits:
         raise ValueError("state and lattice disagree on site count")
@@ -152,13 +165,8 @@ def compare(state: StateVector, lattice: LatticeSpec) -> list[BoundReport]:
         (BoundKind.MONOGAMY_EQUIDISTANT, monogamy_bound),
         (BoundKind.TELECLONING_EQUIDISTANT, telecloning_bound),
     )
-    anchor, _ = interior_nn_bond(lattice)
     reports: list[BoundReport] = []
-    for r in range(1, lattice.max_distance() + 1, 2):
-        count = lattice.equidistant_count(anchor, r)
-        if count == 0:
-            continue
-        class_min = equidistant_class_min_p(state, lattice, anchor, r)
+    for r, count, class_min in distance_classes(state, lattice):
         for kind, bound in nn_bounds if r == 1 else far_bounds:
             reports.append(_report(kind, count, bound(count), class_min))
     return reports

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,22 +35,10 @@ from .coverings import (
     enumerate_gas,
     enumerate_liquid,
     ensemble_sha256,
-    _sha256_hex,
 )
 from .errors import CapExceeded
 from .lattice import (
     Boundary, Kind, LatticeSpec, interior_nn_bond, lattice_from_config, lattice_to_config,
-)
-
-TASK_NAMES = (
-    "enumerate",
-    "assemble",
-    "rdm",
-    "werner-scan",
-    "bounds",
-    "loop-cf",
-    "multipartite",
-    "reproduce-paper",
 )
 
 # each variant's lattice kind and enumerator, by name so that a rebound name is the one called
@@ -119,24 +108,20 @@ class _Checks:
         return sum(1 for r in self.rows if not r["passed"])
 
 
+@dataclass
 class _Context:
     """Lazily built shared objects so tasks never recompute the state."""
 
-    def __init__(self, config: RunConfig) -> None:
-        self.config = config
-        self._ensemble: CoveringEnsemble | None = None
-        self._state: states_mod.StateVector | None = None
+    config: RunConfig
 
+    @cached_property
     def ensemble(self) -> CoveringEnsemble:
-        if self._ensemble is None:
-            _, enumerator = _VARIANTS[self.config.variant]
-            self._ensemble = globals()[enumerator](self.config.lattice)
-        return self._ensemble
+        _, enumerator = _VARIANTS[self.config.variant]
+        return globals()[enumerator](self.config.lattice)
 
+    @cached_property
     def state(self) -> states_mod.StateVector:
-        if self._state is None:
-            self._state = states_mod.assemble(self.ensemble())
-        return self._state
+        return states_mod.assemble(self.ensemble)
 
 
 def _round(x: float, digits: int = 12) -> float:
@@ -145,17 +130,8 @@ def _round(x: float, digits: int = 12) -> float:
     return 0.0 if v == 0.0 else v  # canonical zero, avoids -0.0
 
 
-def _state_sha256(state: states_mod.StateVector) -> str:
-    """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place.
-
-    Through :func:`coverings._sha256_hex`, which loads OpenSSL on first use.
-    """
-    amplitudes = state.amplitudes.astype("<f8", copy=False)
-    return _sha256_hex((states_mod._state_header(state), amplitudes))
-
-
 def _pair_records(ctx: _Context) -> list[dict]:
-    state = ctx.state()
+    state = ctx.state
     lattice = ctx.config.lattice
     records = []
     for i in range(state.n_qubits):
@@ -180,25 +156,16 @@ def _pair_records(ctx: _Context) -> list[dict]:
 
 
 def _distance_profile(ctx: _Context) -> list[dict]:
-    state = ctx.state()
-    lattice = ctx.config.lattice
-    anchor, _ = interior_nn_bond(lattice)
-    rows = []
-    for r in range(1, lattice.max_distance() + 1, 2):
-        count = lattice.equidistant_count(anchor, r)
-        if count == 0:
-            continue
-        p_min = bounds_mod.equidistant_class_min_p(state, lattice, anchor, r)
-        rows.append(
-            {
-                "distance_r": r,
-                "class_size": count,
-                "p": _round(p_min),
-                "monogamy_bound": _round(bounds_mod.monogamy_bound(count)),
-                "telecloning_bound": _round(bounds_mod.telecloning_bound(count)),
-            }
-        )
-    return rows
+    return [
+        {
+            "distance_r": r,
+            "class_size": count,
+            "p": _round(p_min),
+            "monogamy_bound": _round(bounds_mod.monogamy_bound(count)),
+            "telecloning_bound": _round(bounds_mod.telecloning_bound(count)),
+        }
+        for r, count, p_min in bounds_mod.distance_classes(ctx.state, ctx.config.lattice)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +173,7 @@ def _distance_profile(ctx: _Context) -> list[dict]:
 
 
 def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
-    ensemble = ctx.ensemble()
+    ensemble = ctx.ensemble
     digest = ensemble_sha256(ensemble)
     data = {
         "variant": ensemble.variant.value,
@@ -219,8 +186,8 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
 
 
 def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
-    state = ctx.state()
-    digest = _state_sha256(state)
+    state = ctx.state
+    digest = states_mod.state_sha256(state)
     nrm = states_mod._fixed_order_norm(state.amplitudes)
     checks.add("assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}")
     return {
@@ -232,7 +199,7 @@ def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
 
 
 def _task_rdm(ctx: _Context, checks: _Checks) -> dict:
-    state = ctx.state()
+    state = ctx.state
     dev = 0.0
     for s in range(state.n_qubits):
         rho = states_mod.reduced_density_matrix(state, (s,))
@@ -277,7 +244,7 @@ def _task_werner_scan(ctx: _Context, checks: _Checks) -> dict:
 
 
 def _task_bounds(ctx: _Context, checks: _Checks) -> dict:
-    reports = bounds_mod.compare(ctx.state(), ctx.config.lattice)
+    reports = bounds_mod.compare(ctx.state, ctx.config.lattice)
     rows = [
         {
             "bound_kind": rep.bound_kind.value,
@@ -298,7 +265,7 @@ def _task_bounds(ctx: _Context, checks: _Checks) -> dict:
 
 
 def _task_loop_cf(ctx: _Context, checks: _Checks) -> dict:
-    ensemble = ctx.ensemble()
+    ensemble = ctx.ensemble
     n_cov = len(ensemble)
     # past the state-vector oracle's qubit cap the task exits 3, scanned or not
     qubits_ok = ensemble.lattice.site_count <= states_mod.ASSEMBLY_MAX_QUBITS
@@ -310,7 +277,7 @@ def _task_loop_cf(ctx: _Context, checks: _Checks) -> dict:
                 "state-vector route"
             )
         }
-    state = ctx.state()  # the state-vector oracle's qubit cap, before the scan
+    state = ctx.state  # the state-vector oracle's qubit cap, before the scan
     p_matrix = loopgas.loop_formula_scan(ensemble)
     worst = 0.0
     n_sites = state.n_qubits
@@ -338,36 +305,27 @@ def _task_loop_cf(ctx: _Context, checks: _Checks) -> dict:
 
 
 def _task_multipartite(ctx: _Context, checks: _Checks) -> dict:
-    state = ctx.state()
-    odd = multipartite.odd_subset_audit(state, max_size=5)
-    checks.add(
-        "multipartite/odd-subsets-mixed",
-        odd.all_entangled,
-        f"{len(odd.verdicts)} odd subsets scanned",
-    )
-    # audits are exhaustive; "sampled" stays for report schema 1
-    data: dict = {
-        "odd_subsets": {
-            "count": len(odd.verdicts),
-            "sampled": False,
-            "all_entangled": odd.all_entangled,
-            "max_purity": _round(max(v.purity for v in odd.verdicts)),
-            "min_entropy_bits": _round(min(v.entropy_bits for v in odd.verdicts)),
-        }
-    }
+    state = ctx.state
+    audits = {"odd": multipartite.odd_subset_audit(state, max_size=5)}
     if state.n_qubits > 3:
-        even = multipartite.even_subset_audit(state, max_size=4)
-        data["even_subsets"] = {
-            "count": len(even.verdicts),
-            "sampled": False,
-            "all_entangled": even.all_entangled,
-            "max_purity": _round(max(v.purity for v in even.verdicts)),
-        }
+        audits["even"] = multipartite.even_subset_audit(state, max_size=4)
+    data: dict = {}
+    for parity, audit in audits.items():
+        count = len(audit.verdicts)
         checks.add(
-            "multipartite/even-subsets-mixed",
-            even.all_entangled,
-            f"{len(even.verdicts)} even subsets scanned",
+            f"multipartite/{parity}-subsets-mixed",
+            audit.all_entangled,
+            f"{count} {parity} subsets scanned",
         )
+        # audits are exhaustive; "sampled" stays for report schema 1
+        data[f"{parity}_subsets"] = {
+            "count": count,
+            "sampled": False,
+            "all_entangled": audit.all_entangled,
+            "max_purity": _round(max(v.purity for v in audit.verdicts)),
+        }
+    odd = audits["odd"].verdicts
+    data["odd_subsets"]["min_entropy_bits"] = _round(min(v.entropy_bits for v in odd))
     if state.n_qubits <= multipartite.CERTIFICATE_MAX_QUBITS:
         cert = multipartite.genuine_multipartite_certificate(state)
         data["certificate"] = {
@@ -477,17 +435,13 @@ def _task_reproduce(ctx: _Context, checks: _Checks) -> dict:
         "eof_reference_ebits": REFERENCE_EOF,
     }
 
-    # configured ensemble: full scan bundle
-    data["enumerate"] = _task_enumerate(ctx, checks)
-    data["assemble"] = _task_assemble(ctx, checks)
-    data["rdm"] = _task_rdm(ctx, checks)
-    data["werner_scan"] = _task_werner_scan(ctx, checks)
-    data["bounds"] = _task_bounds(ctx, checks)
-    data["loop_cf"] = _task_loop_cf(ctx, checks)
-    data["multipartite"] = _task_multipartite(ctx, checks)
+    # configured ensemble: every other task, in table order
+    for task, fn in _TASK_FNS.items():
+        if fn is not _task_reproduce:
+            data[task.replace("-", "_")] = fn(ctx, checks)
 
     # monogamy across every anchor
-    state = ctx.state()
+    state = ctx.state
     worst_sum = 0.0
     worst_agg = 0.0
     for anchor in range(state.n_qubits):
@@ -551,6 +505,7 @@ _TASK_FNS = {
     "multipartite": _task_multipartite,
     "reproduce-paper": _task_reproduce,
 }
+TASK_NAMES = tuple(_TASK_FNS)
 
 
 # ----------------------------------------------------------------------
@@ -571,41 +526,33 @@ def emit_plot_data(report: dict, out_dir: Path) -> list[Path]:
     """Write plot-ready CSVs extracted from a completed report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    profile_rows: list[dict] = []
-    pair_rows: list[dict] = []
+    scans = []
     for entry in report.get("tasks", []):
         payload = entry.get("data", {})
-        scans = []
         if entry.get("task") == "werner-scan":
             scans.append(payload)
         if entry.get("task") == "reproduce-paper" and "werner_scan" in payload:
             scans.append(payload["werner_scan"])
-        for scan in scans:
-            profile_rows.extend(scan.get("distance_profile", []))
-            pair_rows.extend(scan.get("pairs", []))
-
-    profile_path = out_dir / "distance_profile.csv"
-    lines = ["distance_r,p,monogamy_bound,telecloning_bound"]
-    for row in profile_rows:
-        lines.append(
-            f"{row['distance_r']},{row['p']},{row['monogamy_bound']},"
-            f"{row['telecloning_bound']}"
-        )
-    profile_path.write_text("\n".join(lines) + "\n")
-    written.append(profile_path)
-
-    pairs_path = out_dir / "werner_pairs.csv"
-    lines = ["site_i,site_j,distance,same_sublattice,p,tangle,eof_ebits,separable"]
-    for row in pair_rows:
-        i, j = row["pair"]
-        lines.append(
-            f"{i},{j},{row['distance']},{int(row['same_sublattice'])},{row['p']},"
-            f"{row['tangle']},{row['eof_ebits']},{int(row['separable'])}"
-        )
-    pairs_path.write_text("\n".join(lines) + "\n")
-    written.append(pairs_path)
+    profile_rows = [
+        (row["distance_r"], row["p"], row["monogamy_bound"], row["telecloning_bound"])
+        for scan in scans
+        for row in scan.get("distance_profile", [])
+    ]
+    pair_rows = [
+        (*row["pair"], row["distance"], int(row["same_sublattice"]), row["p"],
+         row["tangle"], row["eof_ebits"], int(row["separable"]))
+        for scan in scans
+        for row in scan.get("pairs", [])
+    ]
+    written: list[Path] = []
+    for name, header, rows in (
+        ("distance_profile.csv", "distance_r,p,monogamy_bound,telecloning_bound", profile_rows),
+        ("werner_pairs.csv",
+         "site_i,site_j,distance,same_sublattice,p,tangle,eof_ebits,separable", pair_rows),
+    ):
+        path = out_dir / name
+        path.write_text("\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
+        written.append(path)
     return written
 
 

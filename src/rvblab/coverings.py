@@ -485,11 +485,11 @@ def ensemble_sha256(ensemble: CoveringEnsemble) -> str:
 def _sha256_hex(blocks: Iterable[bytes | bytearray | np.ndarray]) -> str:
     """Hex sha256 of ``blocks`` joined, each hashed as it comes.
 
-    The one route of both report digests, this and the CLI's
-    ``state_sha256``.  ``hashlib`` is imported here, not at module level:
-    it loads OpenSSL's libcrypto (3.3 MB resident and about 4 ms of import
-    on x86-64 Linux), and only the ``enumerate`` and ``assemble`` tasks
-    hash, so every other run leaves it unloaded.
+    The one route of both report digests, this and
+    :func:`states.state_sha256`.  ``hashlib`` is imported here, not at
+    module level: it loads OpenSSL's libcrypto (3.3 MB resident and about
+    4 ms of import on x86-64 Linux), and only the ``enumerate`` and
+    ``assemble`` tasks hash, so every other run leaves it unloaded.
     """
     import hashlib
 

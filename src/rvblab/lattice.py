@@ -305,9 +305,10 @@ def lattice_from_config(cfg: Mapping[str, object]) -> LatticeSpec:
 
     Reads what :func:`lattice_to_config` writes: ``kind`` (or the CLI's
     ``lattice``), then ``rows``, ``cols`` and ``boundary`` (default open)
-    for a grid or ``n`` for a complete bipartite lattice; other keys are
-    ignored and ``None`` means absent.  Sizes may be ints or decimal
-    strings.  Every bad input raises a one-line ``ValueError``.
+    for a grid or ``n`` for a complete bipartite lattice; keys that are
+    not lattice keys are ignored and ``None`` means absent.  Lattice keys
+    of the other kind are refused.  Sizes may be ints or decimal strings.
+    Every bad input raises a one-line ``ValueError``.
     """
     kind = cfg.get("kind", cfg.get("lattice"))
     if kind is None:
@@ -316,6 +317,9 @@ def lattice_from_config(cfg: Mapping[str, object]) -> LatticeSpec:
         kind = Kind(kind)
     except ValueError:
         raise ValueError(f"unknown lattice kind {kind!r}") from None
+    for key in ("n",) if kind is Kind.SQUARE_GRID else ("rows", "cols", "boundary"):
+        if cfg.get(key) is not None:
+            raise ValueError(f"a {kind.value} lattice takes no {key}; got {cfg[key]!r}")
     if kind is Kind.SQUARE_GRID:
         if cfg.get("rows") is None or cfg.get("cols") is None:
             raise ValueError("square-grid lattice needs rows and cols")

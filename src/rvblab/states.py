@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coverings import CoveringEnsemble, DimerCovering
+from .coverings import CoveringEnsemble, DimerCovering, _sha256_hex
 from .errors import CapExceeded
 from .lattice import site_indices
 from .linalg import eigvalsh_jacobi, operator_norm
@@ -585,6 +585,14 @@ _BIN_MAGIC = b"RVBS"
 
 def state_to_bytes(state: StateVector) -> bytes:
     return _state_header(state) + state.amplitudes.astype("<f8").tobytes()
+
+
+def state_sha256(state: StateVector) -> str:
+    """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place.
+
+    Through :func:`coverings._sha256_hex`, which loads OpenSSL on first use.
+    """
+    return _sha256_hex((_state_header(state), state.amplitudes.astype("<f8", copy=False)))
 
 
 def _state_header(state: StateVector) -> bytes:

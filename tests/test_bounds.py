@@ -5,11 +5,13 @@ import pytest
 
 from rvblab import (
     BoundKind,
+    Kind,
     LatticeSpec,
     assemble,
     bound_table,
     compare,
     enumerate_gas,
+    enumerate_liquid,
     equidistant_class_min_p,
     extract_werner_p,
     gas_monogamy_bound,
@@ -18,6 +20,7 @@ from rvblab import (
     reduced_density_matrix,
     telecloning_bound,
 )
+from rvblab import bounds
 
 
 class TestFormulas:
@@ -153,6 +156,47 @@ class TestClassMin:
     def test_empty_class_returns_none(self, state44, grid44):
         # even distances hold only same-sublattice sites, so the class is empty
         assert equidistant_class_min_p(state44, grid44, 5, 2) is None
+
+
+DISTANCE_CLASS_LATTICES = {
+    "open-4x4": LatticeSpec.square_grid(4, 4),
+    "periodic-4x4": LatticeSpec.square_grid(4, 4, boundary="periodic"),
+    "periodic-2x6": LatticeSpec.square_grid(2, 6, boundary="periodic"),
+    **{f"gas-{n}": LatticeSpec.complete_bipartite(n) for n in range(3, 7)},
+}
+
+
+class TestDistanceClasses:
+    """``distance_classes`` is the per-r walk that ``compare`` and the CLI's
+    distance profile each once made on their own."""
+
+    @pytest.mark.parametrize("name", list(DISTANCE_CLASS_LATTICES))
+    def test_equals_the_explicit_walk(self, monkeypatch, name):
+        lattice = DISTANCE_CLASS_LATTICES[name]
+        gas = lattice.kind is Kind.COMPLETE_BIPARTITE
+        state = assemble((enumerate_gas if gas else enumerate_liquid)(lattice))
+        anchor, _ = interior_nn_bond(lattice)
+        walk = []
+        for r in range(1, lattice.max_distance() + 1, 2):
+            count = lattice.equidistant_count(anchor, r)
+            if count:
+                walk.append((r, count, equidistant_class_min_p(state, lattice, anchor, r)))
+        # one class-minimum call per nonempty class, in order of r
+        calls = []
+
+        def counted(state_, lattice_, anchor_, r):
+            calls.append((anchor_, r))
+            return equidistant_class_min_p(state_, lattice_, anchor_, r)
+
+        monkeypatch.setattr(bounds, "equidistant_class_min_p", counted)
+        assert bounds.distance_classes(state, lattice) == walk
+        assert calls == [(anchor, r) for r, _, _ in walk]
+        # the gas has one class, all N partners; a grid has several
+        sizes = [count for _, count, _ in walk]
+        if gas:
+            assert sizes == [lattice.n_per_sublattice]
+        else:
+            assert len(sizes) > 1
 
 
 class TestCompare:

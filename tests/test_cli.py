@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import traced_peak
-from rvblab import LatticeSpec, assemble, cli, enumerate_gas, enumerate_liquid, loopgas
+from rvblab import LatticeSpec, assemble, enumerate_gas, enumerate_liquid, loopgas
 from rvblab.cli import CONFIG_KEYS, RunConfig, build_config, emit_plot_data, main
-from rvblab.states import state_to_bytes
+from rvblab.states import state_sha256, state_to_bytes
 
 
 def run_cli(tmp_path, *args):
@@ -86,6 +86,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("rvblab: configuration error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lattice,key",
+        [
+            (("--lattice", "square-grid", "--rows", "2", "--cols", "2", "--n", "5"), "n"),
+            (("--lattice", "complete-bipartite", "--n", "2", "--rows", "3"), "rows"),
+            (("--lattice", "complete-bipartite", "--n", "2", "--cols", "4"), "cols"),
+            (("--lattice", "complete-bipartite", "--n", "2", "--boundary", "periodic"), "boundary"),
+        ],
+    )
+    def test_lattice_flag_of_the_other_kind_exits_two(self, tmp_path, capsys, lattice, key):
+        # the value was once dropped and the run went ahead without it
+        code, out = run_cli(tmp_path, *lattice, "--tasks", "enumerate")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("rvblab: configuration error:")
+        assert f"lattice takes no {key}; got " in err
         assert not out.exists()
 
     def test_out_is_existing_file_config_error(self, tmp_path, capsys):
@@ -303,12 +321,56 @@ REPORT_PINS = {
 }
 
 
+# sha256 of the files rendered from each pinned report, in the order
+# summary.txt, distance_profile.csv, werner_pairs.csv
+RENDERED_PINS = {
+    "open-3x4": (
+        "35f14076963780e562304cfd7d8a44e41bb748a916468303320b8fcfcd6e1b06",
+        "4dd61ba597674adb4e57b98460185431fd1ea007cb1d420712bd97cbd0c1878c",
+        "fdd29680db8fc0375b4f772bd4be2486df6eb67e86a3b46a9643a09a7c2251ba",
+    ),
+    "periodic-2x6": (
+        "932a2cf2ecd6945afe0ea844d65295571e4b0298cab1b0853b99f47cfb7d48ae",
+        "a998414da6ad8ac5862b4210f7ab9a335bfde954f6b08dcf63daabe14c7190c2",
+        "40a6e217e7061aac7d880c17b9a601056025f66e1bcf92ecd97dfbef043ea5a5",
+    ),
+    "gas-6": (
+        "e8bf1d50ef73789c98e8accad0781943368d1b863ffd1273b9c05a149c144094",
+        "a8b475be17a304ccacdd096a8613f8c39145aac05acb3bf41557faa33e1040c1",
+        "cb722a017b005957e244bddaa3bf2d34f350b7e29188dd84d3b902db777729e7",
+    ),
+    "liquid-open-4x4-reproduce": (
+        "5dbd3a81b6bbdb0406bc10f0e64627f2e382d23006e949dc0555bb49029b6707",
+        "4db142651f04112a61bcc849ee25b4ef79bfc7de4392229a3c8719cfc1739fca",
+        "65a1057a455ba10c2cc871878c772cddba9966c2677b707f67ebd76cdd33692a",
+    ),
+    # no scan task: both CSVs hold their header alone
+    "liquid-periodic-4x4-loopcf": (
+        "f12562a02706b3e8e373749c78140da6869a0a8b4eb9fb3eeafb778d973c60a6",
+        "c74d12fda8daa90f949c0d6e63d7ea35740e1388d529ebae0b515c048f6a723d",
+        "544eb77ec36202b548c9fdce56cce64a6c65bde3f5063bd4d320aaa5364119d3",
+    ),
+    "gas-8-scan": (
+        "54c1e939b8857fe22ed6792065dac106a346f60c4955776c7a692a30096c145f",
+        "7b5fbe058ff9488a526b2a5ee450511252bebda5e6ba1c95dc33b84b8456081b",
+        "37efa2dc45ee4dd613a64c6c7e6f063163383623a9bd365ce63f190f58121774",
+    ),
+}
+
+
+def assert_rendered_files_pinned(out, name):
+    files = ("summary.txt", "distance_profile.csv", "werner_pairs.csv")
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files)
+    assert digests == RENDERED_PINS[name]
+
+
 @pytest.mark.parametrize("name", list(REPORT_PINS))
 def test_reproduce_paper_report_is_pinned(tmp_path, name):
     args, digest = REPORT_PINS[name]
     code, out = run_cli(tmp_path, *args, "--tasks", "reproduce-paper")
     assert code == 1  # the reference EoF anchor fails by design
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+    assert_rendered_files_pinned(out, name)
 
 
 # the benchmark's three workloads at the default seed, pinned whole: the
@@ -340,6 +402,7 @@ def test_benchmark_report_is_pinned(tmp_path, name):
     code, out = run_cli(tmp_path, *args)
     assert code == exit_code
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+    assert_rendered_files_pinned(out, name)
 
 
 # enumerate and assemble at odd pair counts, where assembly subtracts the
@@ -382,7 +445,7 @@ class TestStateDigest:
 
     def test_gas8_digest_holds_no_copy(self):
         state = assemble(enumerate_gas(LatticeSpec.complete_bipartite(8)))
-        digest, peak = traced_peak(cli._state_sha256, state)
+        digest, peak = traced_peak(state_sha256, state)
         assert peak < 64 * 2**10, peak
         assert digest == hashlib.sha256(state_to_bytes(state)).hexdigest()
 
@@ -539,7 +602,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "key,value",
         [("rows", "abc"), ("tol", "x"), ("seed", "1.5"), ("boundary", "twisted"),
-         ("lattice", "grid")],
+         ("lattice", "grid"), ("n", "5")],
     )
     def test_bad_file_value_one_line_exit_two(self, tmp_path, capsys, key, value):
         values = {"lattice": "square-grid", "rows": "2", "cols": "2", "tasks": "enumerate"}

@@ -2,7 +2,9 @@
 
 Config files are drawn from the documented keys with valid, junk and
 small numeric values (grids up to 3x3 and gases up to N = 4, so every run
-is quick), plus files of raw bytes.  Flag lists are drawn the same way,
+is quick), plus files of raw bytes.  Each lattice kind draws only its own
+size keys, so that runs get as far as their tasks; a key of the other
+kind comes only as junk, and exits 2.  Flag lists are drawn the same way,
 with out-of-range values (grids too large to enumerate are rejected before
 any search) and unknown flags.  Whatever the input says, ``main`` returns
 one of the documented exit codes, and every nonzero exit prints exactly
@@ -29,15 +31,30 @@ VALID = {
     "seed": st.integers(-2, 2**70),
 }
 assert set(VALID) == set(CONFIG_KEYS)
-# the keys that decide whether a run gets as far as its tasks are always set
-REQUIRED = ("lattice", "rows", "cols", "n", "tasks")
+# the keys that decide whether a run gets as far as its tasks are always
+# set, and a lattice kind's optional keys are never those of the other kind
+KIND_KEYS = {"square-grid": (("rows", "cols"), ("boundary",)), "complete-bipartite": (("n",), ())}
+SHARED_OPTIONAL = ("variant", "out", "tol", "seed")
 JUNK = st.text(st.characters(exclude_characters="\n\r#"), max_size=8)
 
+
+def _per_kind(values, prefix=""):
+    """Documents of ``values`` whose lattice keys all belong to the drawn kind."""
+
+    def document(kind):
+        required, optional = KIND_KEYS[kind]
+        drawn = {prefix + k: values[prefix + k] for k in (*required, "tasks")}
+        maybe = {prefix + k: values.get(prefix + k) for k in (*optional, *SHARED_OPTIONAL)}
+        return st.fixed_dictionaries(
+            {prefix + "lattice": st.just(kind), **drawn},
+            optional={k: v for k, v in maybe.items() if v is not None},
+        )
+
+    return st.one_of([document(kind) for kind in KIND_KEYS])
+
+
 KEY_VALUE_FILE = st.tuples(
-    st.fixed_dictionaries(
-        {k: VALID[k] for k in REQUIRED},
-        optional={k: v for k, v in VALID.items() if k not in REQUIRED},
-    ),
+    _per_kind(VALID),
     st.dictionaries(st.sampled_from(CONFIG_KEYS), JUNK, max_size=2),
 ).map(lambda docs: "".join(f"{k} = {v}\n" for k, v in {**docs[0], **docs[1]}.items()).encode())
 
@@ -82,7 +99,6 @@ FLAG_VALUES = {
     "--tol": VALID["tol"],
     "--tasks": st.lists(st.sampled_from(TASK_NAMES), min_size=1, max_size=3),
 }
-FLAG_REQUIRED = ("--lattice", "--rows", "--cols", "--n", "--tasks")
 UNKNOWN_FLAG = st.sampled_from(["--bogus", "--seeds", "-x", "--", "--tasks=", "-r"])
 
 
@@ -97,10 +113,7 @@ def _argv(drawn):
 
 
 FLAG_ARGV = st.tuples(
-    st.fixed_dictionaries(
-        {k: FLAG_VALUES[k] for k in FLAG_REQUIRED},
-        optional={k: v for k, v in FLAG_VALUES.items() if k not in FLAG_REQUIRED},
-    ),
+    _per_kind(FLAG_VALUES, "--"),
     # at most one flag gets a junk value or no value at all
     st.none() | st.tuples(st.sampled_from(sorted(FLAG_VALUES)), ARG_JUNK | st.just([])),
     st.lists(UNKNOWN_FLAG | ARG_JUNK, max_size=1),

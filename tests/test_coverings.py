@@ -439,6 +439,14 @@ class TestSerialization:
             ensemble_from_json(json.dumps(doc))
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("key,value", [("n", 3), ("rows", 2), ("boundary", "open")])
+    def test_lattice_key_of_the_other_kind_rejected(self, liquid23, gas3, key, value):
+        doc = json.loads(ensemble_to_json(liquid23 if key == "n" else gas3))
+        doc["lattice"][key] = value
+        with pytest.raises(ValueError, match=f"lattice takes no {key}; got ") as info:
+            ensemble_from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize(
         "key,value", [("rows", 2.9), ("cols", "3.0"), ("n", True), ("n", 3.0)]
     )

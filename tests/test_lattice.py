@@ -301,6 +301,16 @@ class TestConfigRoundtrip:
             ({"kind": "complete-bipartite", "n": True}, "n must be an integer"),
             ({"kind": "complete-bipartite", "n": "abc"}, "n must be an integer"),
             ({"kind": "complete-bipartite", "n": 0}, "n >= 1"),
+            # a lattice key of the other kind is refused, not dropped
+            ({"kind": "square-grid", "rows": 2, "cols": 2, "n": 5},
+             "^a square-grid lattice takes no n; got 5$"),
+            ({"lattice": "square-grid", "rows": 2, "cols": 2, "n": "5"}, "takes no n; got '5'$"),
+            ({"kind": "complete-bipartite", "n": 2, "rows": 3},
+             "^a complete-bipartite lattice takes no rows; got 3$"),
+            ({"kind": "complete-bipartite", "n": 2, "cols": 0}, "takes no cols; got 0$"),
+            ({"kind": "complete-bipartite", "n": 2, "boundary": "periodic"},
+             "^a complete-bipartite lattice takes no boundary; got 'periodic'$"),
+            ({"kind": "complete-bipartite", "n": 2, "boundary": "open"}, "takes no boundary"),
         ],
     )
     def test_bad_documents_rejected_in_one_line(self, doc, message):
