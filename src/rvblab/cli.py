@@ -188,7 +188,7 @@ def _task_enumerate(ctx: _Context, checks: _Checks) -> dict:
 def _task_assemble(ctx: _Context, checks: _Checks) -> dict:
     state = ctx.state
     digest = states_mod.state_sha256(state)
-    nrm = states_mod._fixed_order_norm(state.amplitudes)
+    nrm = state.amplitude_norm
     checks.add("assemble/normalized", abs(nrm - 1.0) <= 1e-12, f"|psi| = {nrm:.15f}")
     return {
         "n_qubits": state.n_qubits,

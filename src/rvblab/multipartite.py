@@ -50,39 +50,39 @@ with the smallest bitmask ``min_g sum_s 2**g(s)``, and returns that
 subset's spectrum.  The result depends on the state and the subset alone.
 
 The spectra are memoised on the state's support, like the support itself
-and the reduced density matrices.  The memo maps representatives to
-spectra and holds one subset size at a time: a call or a batch of another
-size empties it first.  A table indexed by subset bitmask holds each
-subset's representative once an array pass has mapped it; an entry never
-goes stale.  What stays on a state is thus one size's spectra and the
-table, 128 KB at 16 sites.  The 4x4 audits compute one spectrum per
-orbit: 920 instead of 6,884 on the open 4x4, 102 on the periodic one.
-For each size, the audits and the certificate build one mixedness
-table.  One walk maps the subsets to their representatives in one array
-pass, a running minimum over the group's rows, and enters every new
-representative's spectrum in one kernel batch.  The memo's spectra,
-stacked in blocks of at most 64 KB, then take one ``_mixedness`` call
-per block (purity, entropy and the entangled flag per row, with the bits
-of a one-spectrum call), and one ``searchsorted`` over the memo keys
-gives each subset its row.  The
-audits walk the subsets a second time, read each verdict from the table
-and send each subset through ``subset_spectrum`` once, as perfbench
-counts them.  A bare ``bipartition_verdict`` is a table of one row.  A
+and the reduced density matrices.  The memo maps each representative to
+one entry: its spectrum and its purity, entropy and entangled flag.  It
+holds one subset size at a time: a call or a batch of another size
+empties it first.  A table indexed by subset bitmask holds each subset's
+representative once an array pass has mapped it; an entry never goes
+stale.  What stays on a state is thus one size's entries and the table,
+128 KB at 16 sites.  The 4x4 audits compute one spectrum per orbit: 920
+instead of 6,884 on the open 4x4, 102 on the periodic one.  For each
+size, the audits and the certificate list the subsets once, map them to
+their representatives in one array pass (a running minimum over the
+group's rows), and enter every new representative in one kernel batch,
+whose spectra take one ``_mixedness`` call (purity, entropy and the
+entangled flag per row, with the bits of a one-spectrum call).  Each
+subset then reads its numbers from its representative's entry, so the
+verdicts of one orbit share their float objects.  The audits send each
+subset through ``subset_spectrum`` once more, in order, as perfbench
+counts them; the call reads the memo.  A bare ``bipartition_verdict``
+takes ``_mixedness`` of its one spectrum, which has the entry's bits.  A
 bare call of a size the table has not mapped takes the same minimum
 itself.  The gas, hand-built states and loaded states carry no
 generators: each subset is its own representative, and they keep no
-table.
+table.  A state with no single sector keeps no memo: its spectra, one
+per subset, are stacked per size and take one ``_mixedness`` call.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
-(subsets containing site 0, so each unordered cut appears once).  It
-reads each size's table with array reductions: ``genuine`` is every
-flag, ``n_cuts`` the row count, and ``min_cut`` the first cut of minimal
-entropy in enumeration order (``argmin`` keeps the first of tied
-minima), and exactly so: members of one orbit tie bit for bit.  Only a
-state with no single sector computes a spectrum per cut.  The tests pin
-the certificate bit for bit to the walk over one cut at a time that it
-replaced.
+(subsets containing site 0, so each unordered cut appears once).  Per
+size it reads every cut's entry: ``genuine`` is every flag, ``n_cuts``
+the cut count, and ``min_cut`` the first cut of minimal entropy in
+enumeration order, read from the size's list of cuts, and exactly so:
+members of one orbit tie bit for bit.  Only a state with no single
+sector computes a spectrum per cut.  The tests pin the certificate bit
+for bit to the walk over one cut at a time that it replaced.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, combinations, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import chain, combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -154,11 +154,13 @@ def _map_representatives(
 
 def _memo_spectra(
     support: _SectorSupport, n: int, reps: list[int], k: int
-) -> dict[int, np.ndarray]:
-    """The support's spectrum memo, holding every one of the k-site ``reps``.
+) -> dict[int, tuple[np.ndarray, tuple[float, float, bool]]]:
+    """The support's memo, holding an entry for every one of the k-site ``reps``.
 
-    The memo keeps one subset size: a request of another size empties it
-    first.  The missing representatives go to the kernel in one batch,
+    An entry is a representative's spectrum and its purity, entropy and
+    entangled flag.  The memo keeps one subset size: a request of another
+    size empties it first.  The missing representatives go to the kernel
+    in one batch, whose spectra take one :func:`_mixedness` call, and are
     entered only once the whole batch has returned.
     """
     memo = support.spectra
@@ -168,7 +170,9 @@ def _memo_spectra(
     # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
     new = sorted(set(reps).difference(memo))
     if new:
-        memo.update(zip(new, _sector_spectra(support, n, new, k)))
+        spectra = _sector_spectra(support, n, new, k)
+        stats = zip(*(column.tolist() for column in _mixedness(spectra)))
+        memo.update(zip(new, zip(spectra, stats)))
     return memo
 
 
@@ -202,7 +206,7 @@ def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     if rep not in memo:
         _memo_spectra(support, n, [rep], k)
     # one memo entry serves the whole orbit, so no caller may write it
-    return memo[rep].copy()
+    return memo[rep][0].copy()
 
 
 def _bitmask(sites: tuple[int, ...]) -> int:
@@ -354,12 +358,6 @@ def _sector_spectra(
     return out
 
 
-# bytes of stacked spectra per _mixedness call in a table: on the open 4x4
-# audits, one stack of a size's spectra (143 KB at k = 5) and its
-# temporaries raised the run's peak resident memory by about 0.15 MB
-_TABLE_BYTES = 1 << 16
-
-
 def bipartition_verdict(state: StateVector, subset: Sequence[int]) -> BipartitionVerdict:
     w = subset_spectrum(state, subset)
     (purity,), (entropy,), (entangled,) = (column.tolist() for column in _mixedness(w[None]))
@@ -388,67 +386,49 @@ def _mixedness(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return purity, entropy, purity < 1.0 - ENTANGLED_PURITY_TOL
 
 
-def _mixedness_table(
-    state: StateVector, subsets: Callable[[], Iterable[tuple[int, ...]]], k: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """The mixedness table of the k-site subsets ``subsets()`` walks, and each one's row.
+def _subset_stats(
+    state: StateVector, subsets: list[tuple[int, ...]], k: int
+) -> list[tuple[float, float, bool]]:
+    """Purity, entropy and the entangled flag of each of the k-site ``subsets``.
 
-    The table holds purity, entropy and the entangled flag per row.  On
-    the sector route one walk maps the subsets to their representatives,
-    whose spectra enter the memo in one batch; the memo's spectra of this
-    size, stacked in key order, then go through :func:`_mixedness` in
-    blocks of ``_TABLE_BYTES``, and one ``searchsorted`` over the keys
-    gives each subset its row.  No bit depends on the blocking.  A state
-    with no sector support sends each subset through
-    :func:`subset_spectrum` and stacks the spectra, one row per subset.
+    On the sector route the subsets map to their representatives in one
+    array pass, the missing ones enter the memo in one batch, and each
+    subset reads its representative's entry, so one orbit shares one
+    tuple.  A state with no sector support sends each subset through
+    :func:`subset_spectrum` and takes one :func:`_mixedness` call on the
+    stacked spectra.
     """
     support = state._support
     if support is None:
-        spectra = np.array([subset_spectrum(state, s) for s in subsets()])
-        return _mixedness(spectra), np.arange(len(spectra))
-    reps = _map_representatives(support, subsets(), k)
-    memo = _memo_spectra(support, state.n_qubits, reps.tolist(), k)
-    keys = sorted(memo)
-    step = max(1, _TABLE_BYTES // memo[keys[0]].nbytes)
-    blocks = [
-        _mixedness(np.array([memo[key] for key in keys[lo : lo + step]]))
-        for lo in range(0, len(keys), step)
-    ]
-    table = tuple(np.concatenate(column) for column in zip(*blocks))
-    return table, np.searchsorted(keys, reps)
-
-
-def _scan_verdicts(
-    state: StateVector, subsets: Callable[[], Iterable[tuple[int, ...]]], k: int
-) -> Iterator[BipartitionVerdict]:
-    """Verdicts of the k-site subsets that each ``subsets()`` call walks.
-
-    The numbers come from the size's mixedness table, and the verdicts of
-    one orbit share the table row's float objects.  Every subset still
-    reaches :func:`subset_spectrum` exactly once, in order, on either
-    route: perfbench counts those calls as ``multipartite.subsets``.  On
-    the sector route the call reads the memo the table filled.
-    """
-    table, rows = _mixedness_table(state, subsets, k)
-    stats = list(zip(*(column.tolist() for column in table)))
-    sector = state._support is not None
-    for subset, row in zip(subsets(), rows.tolist()):
-        if sector:
-            subset_spectrum(state, subset)
-        yield BipartitionVerdict(subset, *stats[row])
+        spectra = np.array([subset_spectrum(state, s) for s in subsets])
+        return list(zip(*(column.tolist() for column in _mixedness(spectra))))
+    reps = _map_representatives(support, subsets, k).tolist()
+    memo = _memo_spectra(support, state.n_qubits, reps, k)
+    return [memo[rep][1] for rep in reps]
 
 
 def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
-    """Verdicts for every subset of ``sizes``; checks the cap before any spectrum."""
+    """Verdicts for every subset of ``sizes``; checks the cap before any spectrum.
+
+    Every subset reaches :func:`subset_spectrum` exactly once, in order,
+    on either route: perfbench counts those calls as
+    ``multipartite.subsets``.  On the sector route the call reads the
+    memo that :func:`_subset_stats` filled.
+    """
     n = state.n_qubits
     total = sum(math.comb(n, k) for k in sizes)
     if total > AUDIT_MAX_SUBSETS:
         raise CapExceeded(
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
+    sector = state._support is not None
     verdicts: list[BipartitionVerdict] = []
     for k in sizes:
-        verdicts.extend(_scan_verdicts(state, partial(combinations, range(n), k), k))
+        subsets = list(combinations(range(n), k))
+        for subset, stats in zip(subsets, _subset_stats(state, subsets, k)):
+            if sector:
+                subset_spectrum(state, subset)
+            verdicts.append(BipartitionVerdict(subset, *stats))
     return AuditResult(verdicts=tuple(verdicts))
 
 
@@ -493,9 +473,9 @@ class CertificateReport:
     min_cut: tuple[int, ...]
 
 
-def _cuts(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def _cuts(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-site subsets that contain site 0, in enumeration order."""
-    return ((0, *rest) for rest in combinations(range(1, n), k - 1))
+    return [(0, *rest) for rest in combinations(range(1, n), k - 1)]
 
 
 def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
@@ -518,18 +498,16 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     genuine = True
     n_cuts = 0
     for k in range(1, n):
-        (_, entropy, entangled), rows = _mixedness_table(state, partial(_cuts, n, k), k)
-        entropy = entropy[rows]
-        n_cuts += entropy.size
-        genuine = genuine and bool(entangled[rows].all())
-        # argmin keeps the first of tied minima, as a walk with < does
-        first = int(entropy.argmin())
-        if entropy[first] < best_entropy:
-            best_entropy = entropy[first]
-            best_cut = next(islice(_cuts(n, k), first, None))
+        cuts = _cuts(n, k)
+        n_cuts += len(cuts)
+        for cut, (_, entropy, entangled) in zip(cuts, _subset_stats(state, cuts, k)):
+            genuine = genuine and entangled
+            # strictly less: the first of tied minima stays
+            if entropy < best_entropy:
+                best_entropy, best_cut = entropy, cut
     return CertificateReport(
         genuine=genuine,
         n_cuts=n_cuts,
-        min_entropy_bits=float(best_entropy),
+        min_entropy_bits=best_entropy,
         min_cut=best_cut,
     )

@@ -77,6 +77,10 @@ class StateVector:
     ``norm`` records the length of the raw weighted covering sum before
     normalization (``sqrt(3)`` for two equal-weight coverings overlapping
     at 1/2, for example); it is 1.0 for states built directly.
+    ``amplitude_norm`` is |psi| of the stored amplitudes, checked to be 1
+    within 1e-10 on construction.  It is summed in a fixed order (see
+    :func:`_fixed_order_norm`), so its bits do not follow the BLAS thread
+    count.
     ``_site_generators`` lists candidate site symmetries (see
     :meth:`LatticeSpec.symmetry_generators`); :func:`assemble` passes its
     lattice's, and the support keeps only those the amplitudes obey.
@@ -94,6 +98,7 @@ class StateVector:
     _site_generators: tuple[tuple[int, ...], ...] = field(
         default=(), repr=False, compare=False, kw_only=True
     )
+    amplitude_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes)
@@ -108,10 +113,11 @@ class StateVector:
                 f"amplitude vector must have length 2**{self.n_qubits}, "
                 f"got shape {amps.shape}"
             )
-        nrm = float(np.linalg.norm(amps))
+        nrm = _fixed_order_norm(amps)
         # both written so that NaN fails too
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state vector must be normalized; |psi| = {nrm}")
+        object.__setattr__(self, "amplitude_norm", nrm)
         if not 0.0 < self.norm < float("inf"):
             raise ValueError(f"state norm must be finite and positive, got {self.norm}")
 
@@ -172,8 +178,9 @@ class _SectorSupport:
         return np.zeros(top + 1, dtype=np.min_scalar_type(top))
 
     @cached_property
-    def spectra(self) -> dict[int, np.ndarray]:
-        # Schmidt spectra by representative, for one subset size at a time
+    def spectra(self) -> dict[int, tuple[np.ndarray, tuple[float, float, bool]]]:
+        # by representative, its Schmidt spectrum and its (purity, entropy,
+        # entangled), for one subset size at a time
         return {}
 
 

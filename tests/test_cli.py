@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import traced_peak
+import rvblab.cli
 from rvblab import LatticeSpec, assemble, enumerate_gas, enumerate_liquid, loopgas
 from rvblab.cli import CONFIG_KEYS, RunConfig, build_config, emit_plot_data, main
 from rvblab.states import state_sha256, state_to_bytes
@@ -671,3 +673,47 @@ def test_emit_plot_data_handles_empty_report(tmp_path):
     for path in paths:
         lines = path.read_text().splitlines()
         assert len(lines) == 1  # header only
+
+
+def _private_names_read(source):
+    """Private names of other rvblab modules that ``source`` (a module of the package) reads."""
+    modules, read = set(), []
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rvblab")):
+            for alias in node.names:
+                if node.module in (None, "rvblab"):
+                    # from . import states as states_mod
+                    modules.add(alias.asname or alias.name)
+                if private(alias.name):
+                    read.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rvblab."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        # states_mod._name, or rvblab.states._name after import rvblab.states
+        if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) in modules:
+            read.append(ast.unparse(node))
+    return read
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    assert _private_names_read(Path(rvblab.cli.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from . import states as states_mod\nx = states_mod._fixed_order_norm",
+        "from .states import _subset_block",
+        "from rvblab.multipartite import _mixedness",
+        "import rvblab.states\nx = rvblab.states._support",
+    ],
+)
+def test_private_name_check_sees_each_form(line):
+    assert len(_private_names_read(line)) == 1

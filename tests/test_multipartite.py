@@ -721,7 +721,7 @@ def _assert_certificate_matches_oracle(state):
 
 
 class TestArrayCertificate:
-    """One mixedness table per subset size, pinned to the walk over one cut at a time."""
+    """Every cut's numbers read from the memo, pinned to the walk over one cut at a time."""
 
     @pytest.mark.parametrize(
         "lattice",
@@ -767,16 +767,6 @@ class TestArrayCertificate:
         cert = genuine_multipartite_certificate(state)
         monkeypatch.undo()
         assert cert == certificate_oracle(_fresh(state34))
-
-    @pytest.mark.parametrize("rows_per_block", [1, 3])
-    def test_table_blocks_change_no_bit(self, rows_per_block, state34, state44, monkeypatch):
-        cert = genuine_multipartite_certificate(_fresh(state34))
-        audit = odd_subset_audit(_fresh(state44), 5).verdicts
-        # the 3x4 certificate's largest rows: 64 eigenvalues at k = 6
-        monkeypatch.setattr(multipartite, "_TABLE_BYTES", 8 * 64 * rows_per_block)
-        blocked = genuine_multipartite_certificate(_fresh(state34))
-        assert (blocked, repr(blocked.min_entropy_bits)) == (cert, repr(cert.min_entropy_bits))
-        assert odd_subset_audit(_fresh(state44), 5).verdicts == audit
 
     @pytest.mark.parametrize("cols", [4, 8])
     def test_product_cut_of_negative_zero_entropy(self, cols):
@@ -849,6 +839,46 @@ class TestSpectrumMemo:
         assert walked == 6884
         # one spectrum per orbit, then none
         assert (first, second) == (920, 0)
+
+    @pytest.mark.parametrize("name", ["open44", "gas6", "ghz6"])
+    def test_entries_hold_their_one_row_mixedness(self, name, state44):
+        if name == "open44":
+            state = _fresh(state44)
+        elif name == "gas6":
+            state = assemble(enumerate_gas(LatticeSpec.complete_bipartite(6)))
+        else:
+            state = _ghz(6)
+        support = state._support
+        shared = 0
+        for scan, k in ((odd_subset_audit, 5), (even_subset_audit, 4)):
+            # the memo keeps the last size, the audit's largest
+            audit = scan(state, k)
+            if support is None:
+                # no memo: the stacked dense spectra take one _mixedness call
+                for v in audit.verdicts:
+                    one = multipartite._mixedness(subset_spectrum(state, v.subset)[None])
+                    assert (v.purity, v.entropy_bits, v.entangled) == tuple(
+                        column.item() for column in one
+                    )
+                continue
+            memo = support.spectra
+            assert {rep.bit_count() for rep in memo} == {k}
+            for rep, (spectrum, stats) in memo.items():
+                one = tuple(column.item() for column in multipartite._mixedness(spectrum[None]))
+                assert [x.hex() for x in stats[:2]] == [x.hex() for x in one[:2]], rep
+                assert stats[2] is one[2]
+            # every verdict of the memo's size holds its entry's float objects
+            by_rep = {}
+            for v in audit.verdicts:
+                if len(v.subset) != k:
+                    continue
+                rep = _mask(v.subset) if support.reps is None else int(support.reps[_mask(v.subset)])
+                _, (purity, entropy, _) = memo[rep]
+                assert v.purity is purity and v.entropy_bits is entropy
+                by_rep.setdefault(rep, []).append(v)
+            shared += sum(len(orbit) > 1 for orbit in by_rep.values())
+        # the open 4x4 has orbits of several subsets; the gas has no group
+        assert (shared > 0) == (name == "open44")
 
     def test_certificate_leaves_one_size(self):
         state = assemble(enumerate_liquid(LatticeSpec.square_grid(3, 4)))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from functools import partial, reduce
@@ -320,6 +321,14 @@ class TestFixedOrderNorm:
         # normalised states here are what the assemble task checks
         for psi in (assemble(gas8).amplitudes, state44.amplitudes):
             self._assert_same_bits(psi)
+
+    def test_state_keeps_its_norm(self, gas8, state44):
+        # the construction check's sum is kept, read-only, for the assemble task
+        for state in (assemble(gas8), state44, StateVector(2, states_mod.SINGLET_VEC)):
+            want = float(np.sqrt(np.sum(state.amplitudes * state.amplitudes)))
+            assert state.amplitude_norm.hex() == want.hex()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.amplitude_norm = 1.0
 
     def test_no_square_as_long_as_the_state(self, gas8):
         psi = assemble(gas8).amplitudes
