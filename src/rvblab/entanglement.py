@@ -119,7 +119,7 @@ def concurrence_two_qubit(dm: DensityMatrix) -> float:
     rho_tilde = _Y_KRON_Y @ rho.conj() @ _Y_KRON_Y
     root = matrix_sqrt_psd(rho)
     core = root @ rho_tilde @ root
-    w = eigvalsh_jacobi((core + core.conj().T) / 2.0)
+    w = eigvalsh_jacobi(core)
     lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
@@ -179,7 +179,7 @@ def partial_transpose_two_qubit(dm: DensityMatrix) -> np.ndarray:
 def ppt_min_eigenvalue(dm: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose (separability witness)."""
     pt = partial_transpose_two_qubit(dm)
-    return float(eigvalsh_jacobi((pt + pt.conj().T) / 2.0)[0])
+    return float(eigvalsh_jacobi(pt)[0])
 
 
 # ----------------------------------------------------------------------

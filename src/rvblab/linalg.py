@@ -2,24 +2,23 @@
 
 Every density-matrix eigenproblem in the package (PSD validation,
 entropies, Werner fits, concurrence, PPT and rotational-invariance
-checks) goes through :func:`jacobi_eigh` or :func:`eigvalsh_jacobi`.
-Both are backed by LAPACK (``numpy.linalg.eigh``) applied to the
-Hermitian part of the input, after the input checks below; the matrices
-are small (density matrices up to 256 x 256).  The names are historical:
-the cyclic Jacobi iteration they once ran now lives in the test suite as
-the reference the LAPACK route is pinned to.  Bulk spectra of larger
-reshaped state tensors go through dedicated Schmidt-decomposition paths
-elsewhere.
+checks) goes through :func:`jacobi_eigh` or :func:`eigvalsh_jacobi`, and
+every residual and commutator norm through :func:`operator_norm`.  The
+matrices are small (density matrices up to 256 x 256).  The names are
+historical: the cyclic Jacobi iteration they once ran now lives in the
+test suite as the reference the LAPACK route is pinned to.  Bulk spectra
+of larger reshaped state tensors go through dedicated
+Schmidt-decomposition paths elsewhere.
 
-Each public call checks its input once and then hands it to
-:func:`_eigh`, the one LAPACK step, which checks nothing again.
+Each public call checks its input once and then makes one LAPACK call.
 :func:`jacobi_eigh` checks for finite entries, a square shape and a
 Hermitian input, a 1 x 1 input included: its imaginary part is its skew.
-:func:`operator_norm` checks for finite entries and picks its route (the
-matrix when it is Hermitian to 1e-12 of its peak entry, ``1j`` times it
-when it is anti-Hermitian to the same tolerance, or else its Gram matrix,
-formed at peak 1 when the entries are so large or so small that their
-products would overflow or underflow).
+It then hands the input to :func:`_eigh`, which checks nothing again and
+is the one place that forms the Hermitian part ``(a + a^H) / 2``: callers
+pass their matrices unchanged, so a non-Hermitian one raises.
+:func:`operator_norm` checks for finite entries and takes the largest
+singular value from ``numpy.linalg.svd`` (LAPACK ``gesdd``), which scales
+inputs with extreme entries itself.
 
 :func:`jacobi_eigh` (and so :func:`eigvalsh_jacobi`), :func:`operator_norm`
 and :func:`matrix_sqrt_psd` share one memo.  The pair pipeline asks the
@@ -32,8 +31,7 @@ memo is a ``functools.lru_cache`` of 4,096 entries, at most about 1 kB
 each.  The input checks run on a miss only, and an input that raises is
 never stored, so it raises on every call.  A hit returns the very arrays
 the miss computed, so its bits are the miss's bits.  Every returned array
-is read-only, memoised or not.  :func:`operator_norm` solves its own
-eigenproblems without the memo: its own entry already covers them.
+is read-only, memoised or not.
 """
 
 from __future__ import annotations
@@ -47,10 +45,6 @@ import numpy as np
 # inputs with at most 16 entries (up to 4 x 4: one or two qubits) are memoised
 _MEMO_MAX_ENTRIES = 16
 _MEMO_SIZE = 4096
-# operator_norm scales a Gram route input whose peak lies outside
-# [1 / _GRAM_MAX_PEAK, _GRAM_MAX_PEAK]: inside it the Gram entries, sums of
-# up to 2**20 products, neither overflow nor underflow
-_GRAM_MAX_PEAK = 2.0**500
 
 
 def _frozen(out):
@@ -93,15 +87,8 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one LAPACK step: the eigendecomposition of ``(a + a^H) / 2``.
 
     ``a`` is a square matrix with finite entries that its caller has
-    already found Hermitian; nothing is checked again here.  A 1 x 1
-    input returns its real part and a zero matrix returns the identity
-    as its eigenvectors, without LAPACK.
+    already found Hermitian; nothing is checked again here.
     """
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    if not np.count_nonzero(a):
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, v
 
@@ -148,38 +135,19 @@ def eigvalsh_jacobi(a: np.ndarray) -> np.ndarray:
 
 @_memoised
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of a matrix.
+    """Largest singular value of a matrix, rectangular inputs included.
 
-    Hermitian and anti-Hermitian inputs take the eigenvalue fast path
-    (anti-Hermitian ``a`` via the Hermitian matrix ``1j * a``); anything
-    else, rectangular inputs included, goes through the smaller Gram
-    matrix.  An empty matrix has norm 0.
+    One LAPACK ``gesdd`` call, so the bits are those of
+    ``np.linalg.norm(a, 2)`` on the ``complex128`` input.  An empty
+    matrix has norm 0.
     """
     if a.size == 0:
         return 0.0
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    peak = float(np.abs(a).max())
-    if not math.isfinite(peak):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has NaN or infinite entries")
-    # these eigenproblems are never asked again, so they skip the memo
-    if a.shape[0] == a.shape[1]:
-        # relative to the peak: an absolute floor would call any tiny matrix Hermitian
-        tiny = 1e-12 * peak
-        if np.abs(a - a.conj().T).max() <= tiny:
-            return float(np.abs(_eigh(a)[0]).max())
-        # most inputs are Hermitian, so this residual waits for that test to fail
-        if np.abs(a + a.conj().T).max() <= tiny:
-            return float(np.abs(_eigh(1j * a)[0]).max())
-    # a Gram matrix of entries past about 1e150 overflows and one of entries
-    # below about 1e-150 underflows, so such inputs are divided by their
-    # peak first, as jacobi_eigh's check does, and the root multiplied back;
-    # every other input keeps its bits
-    scale = peak if peak > _GRAM_MAX_PEAK or 0.0 < peak < 1.0 / _GRAM_MAX_PEAK else 1.0
-    unit = a / scale
-    gram = unit.conj().T @ unit if a.shape[0] >= a.shape[1] else unit @ unit.conj().T
-    w, _ = _eigh(gram)
-    return float(math.sqrt(max(0.0, float(w[-1])))) * scale
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 @_memoised

@@ -129,19 +129,23 @@ class AuditResult:
 
 
 def _map_representatives(
-    support: _SectorSupport, subsets: Iterable[tuple[int, ...]], k: int
+    support: _SectorSupport, subsets: Iterable[tuple[int, ...]] | np.ndarray, k: int
 ) -> np.ndarray:
     """Orbit representatives of the k-site ``subsets``, entered in the support's table.
 
-    One pass over arrays: the image bitmasks under each group element are
-    one gather and a row sum, and a running ``np.minimum`` keeps the
-    smallest, so no (group, subsets, k) array is formed.  A support with
-    no verified group keeps no table: each subset is its own
+    ``subsets`` is an iterable of site tuples or an array with one subset
+    per row.  One pass over arrays: the image bitmasks under each group
+    element are one gather and a row sum, and a running ``np.minimum``
+    keeps the smallest, so no (group, subsets, k) array is formed.  A
+    support with no verified group keeps no table: each subset is its own
     representative.  Returns the representatives in the order of
     ``subsets``.
     """
-    sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
-    masks = np.left_shift(1, sites).sum(axis=1)
+    if isinstance(subsets, np.ndarray):
+        sites = subsets
+    else:
+        sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
+    masks = np.left_shift(1, sites, dtype=np.int64).sum(axis=1)
     if support.reps is None:
         return masks
     rep = masks.copy()
@@ -387,10 +391,11 @@ def _mixedness(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _subset_stats(
-    state: StateVector, subsets: list[tuple[int, ...]], k: int
+    state: StateVector, subsets: list[tuple[int, ...]] | np.ndarray, k: int
 ) -> list[tuple[float, float, bool]]:
     """Purity, entropy and the entangled flag of each of the k-site ``subsets``.
 
+    ``subsets`` is a list of site tuples or an array with one subset per row.
     On the sector route the subsets map to their representatives in one
     array pass, the missing ones enter the memo in one batch, and each
     subset reads its representative's entry, so one orbit shares one
@@ -413,7 +418,10 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
     Every subset reaches :func:`subset_spectrum` exactly once, in order,
     on either route: perfbench counts those calls as
     ``multipartite.subsets``.  On the sector route the call reads the
-    memo that :func:`_subset_stats` filled.
+    memo that :func:`_subset_stats` filled.  Each size's subsets are
+    listed as one array of site indices in the narrowest type, and a
+    verdict's subset tuple is made from its row only once the size's
+    spectra are in, so no tuple is held across the kernel batch.
     """
     n = state.n_qubits
     total = sum(math.comb(n, k) for k in sizes)
@@ -422,10 +430,13 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
     sector = state._support is not None
+    dtype = np.min_scalar_type(n - 1)
     verdicts: list[BipartitionVerdict] = []
     for k in sizes:
-        subsets = list(combinations(range(n), k))
-        for subset, stats in zip(subsets, _subset_stats(state, subsets, k)):
+        flat = chain.from_iterable(combinations(range(n), k))
+        subsets = np.fromiter(flat, dtype, count=math.comb(n, k) * k).reshape(-1, k)
+        for row, stats in zip(subsets, _subset_stats(state, subsets, k)):
+            subset = tuple(row.tolist())
             if sector:
                 subset_spectrum(state, subset)
             verdicts.append(BipartitionVerdict(subset, *stats))

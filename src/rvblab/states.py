@@ -284,14 +284,13 @@ class DensityMatrix:
         if not np.isfinite(m).all():
             raise ValueError("matrix has NaN or infinite entries")
         # each test is written so that a NaN fails it
-        mh = m.conj().T
-        herm = float(np.abs(m - mh).max())
+        herm = float(np.abs(m - m.conj().T).max())
         if not herm <= 1e-12:
             raise ValueError(f"matrix is not Hermitian; deviation {herm:.3e}")
         tr = complex(m.trace())
         if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr}, expected 1")
-        w_min = float(eigvalsh_jacobi((m + mh) / 2.0)[0])
+        w_min = float(eigvalsh_jacobi(m)[0])
         if not w_min >= -1e-10:
             raise ValueError(f"matrix has negative eigenvalue {w_min:.3e}")
 
@@ -546,7 +545,7 @@ def purity(dm: DensityMatrix) -> float:
 
 def entropy_bits(dm: DensityMatrix) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    w = eigvalsh_jacobi((dm.matrix + dm.matrix.conj().T) / 2.0)
+    w = eigvalsh_jacobi(dm.matrix)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
 

@@ -651,7 +651,11 @@ def jacobi_eigh_oracle(a, tol=1e-13, max_sweeps=100):
 # eigenproblem through the whole of ``jacobi_eigh``'s checks again,
 # ``extract_werner_p`` built ``werner_state(p)`` from fresh constants, and
 # a 1 x 1 input skipped the Hermitian check.  Unmemoised; the memo hands
-# back the bits of its miss, so these give the seam's bits.
+# back the bits of its miss, so these give the seam's bits.  The norm is
+# the exception: ``operator_norm`` now takes one SVD and gives the bits of
+# ``operator_norm_oracle``, and ``seam_operator_norm_oracle`` (its retired
+# Hermitian, anti-Hermitian and Gram routes) stays as a cross-check to
+# 1e-12.
 
 
 def seam_eigh_oracle(a):
@@ -698,6 +702,11 @@ def seam_operator_norm_oracle(a):
     return float(math.sqrt(max(0.0, float(w[-1]))))
 
 
+def operator_norm_oracle(a):
+    """``np.linalg.norm(a, 2)``: the bits :func:`rvblab.linalg.operator_norm` gives."""
+    return float(np.linalg.norm(a, 2))
+
+
 def seam_matrix_sqrt_oracle(a):
     w, v = seam_eigh_oracle(a)
     w = np.clip(w, 0.0, None)
@@ -722,14 +731,15 @@ def seam_validate_oracle(m):
 _SINGLET = np.array([0.0, -1.0, 1.0, 0.0]) / math.sqrt(2.0)
 
 
-def seam_werner_fit_oracle(rho):
-    """(p, residual) of ``extract_werner_p`` on the two-qubit matrix ``rho``."""
+def seam_werner_fit_oracle(rho, norm=operator_norm_oracle):
+    """(p, residual) of ``extract_werner_p`` on the two-qubit matrix ``rho``,
+    the residual taken by ``norm``."""
     seam_validate_oracle(rho)
     fidelity = float(np.real(_SINGLET @ rho @ _SINGLET))
     p = (4.0 * fidelity - 1.0) / 3.0
     clamped = float(min(max(p, -1.0 / 3.0), 1.0))
     werner = clamped * np.outer(_SINGLET, _SINGLET) + (1.0 - clamped) * np.eye(4) / 4.0
-    return p, seam_operator_norm_oracle(rho - werner.astype(np.complex128))
+    return p, norm(rho - werner.astype(np.complex128))
 
 
 _Y_KRON_Y = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
@@ -745,8 +755,9 @@ def seam_concurrence_oracle(rho):
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def seam_rotational_invariance_oracle(rho):
-    """Largest commutator norm with the total-spin generators, from Kronecker products."""
+def seam_rotational_invariance_oracle(rho, norm=operator_norm_oracle):
+    """Largest commutator norm with the total-spin generators, from Kronecker
+    products, each norm taken by ``norm``."""
     n = int(rho.shape[0]).bit_length() - 1
     paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
     worst = 0.0
@@ -757,7 +768,7 @@ def seam_rotational_invariance_oracle(rho):
             factors = [pauli if u == t else np.eye(2) for u in range(n - 1, -1, -1)]
             total = total + reduce(np.kron, factors)
         comm = rho @ total - total @ rho
-        worst = max(worst, seam_operator_norm_oracle(comm))
+        worst = max(worst, norm(comm))
     return worst
 
 

@@ -504,33 +504,47 @@ class TestOpenSSLLoadedOnlyToHash:
         assert hashlib.sha256(report).hexdigest() == ASSEMBLY_REPORT_PINS["gas-3"][1]
 
 
+def _outputs_at_blas_threads(tmp_path, threads, tasks):
+    """Every output file of an open 4x4 run in a child process at ``threads`` BLAS threads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / f"{'-'.join(tasks)}-t{threads}"
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "OMP_NUM_THREADS": threads,
+        "MKL_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ),
+    }
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "rvblab.cli",
+            "--lattice", "square-grid", "--rows", "4", "--cols", "4",
+            "--tasks", *tasks, "--out", str(out),
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 class TestBlasThreads:
     def test_report_bytes_independent_of_blas_threads(self, tmp_path):
         # 4x4 is large enough that a BLAS norm splits its sum across threads
-        src = Path(__file__).resolve().parents[1] / "src"
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "MKL_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(
-                    p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-                ),
-            }
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "rvblab.cli",
-                    "--lattice", "square-grid", "--rows", "4", "--cols", "4",
-                    "--tasks", "assemble", "--out", str(out),
-                ],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append((out / "report.json").read_bytes())
+        reports = [
+            _outputs_at_blas_threads(tmp_path, threads, ["assemble"])["report.json"]
+            for threads in ("1", "2")
+        ]
         assert reports[0] == reports[1]
+
+    def test_pair_and_audit_outputs_independent_of_blas_threads(self, tmp_path):
+        # every pair residual and commutator takes one gesdd call, and the
+        # subset audits stack their block eigensolves
+        tasks = ["werner-scan", "multipartite"]
+        one, two = (_outputs_at_blas_threads(tmp_path, threads, tasks) for threads in ("1", "2"))
+        assert "report.json" in one and "werner_pairs.csv" in one
+        assert one == two
 
 
 class TestConfigFile:

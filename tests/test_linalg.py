@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from rvblab import (
+    DensityMatrix,
     LatticeSpec,
     assemble,
     check_rotational_invariance,
@@ -28,9 +29,11 @@ from rvblab import (
     matrix_sqrt_psd,
     monogamy_sum,
     operator_norm,
+    ppt_min_eigenvalue,
     reduced_density_matrix,
 )
 from rvblab.cli import main
+from rvblab.states import entropy_bits
 
 SEAM = [jacobi_eigh, eigvalsh_jacobi, operator_norm, matrix_sqrt_psd]
 
@@ -154,25 +157,6 @@ class TestOperatorNorm:
         assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
-def _operator_norm_reference(a):
-    """The route before the anti-Hermitian residual was deferred: both
-    residuals on every call, then the same eigensolver inputs."""
-    eigh = linalg.jacobi_eigh.__wrapped__
-    a = np.asarray(a, dtype=np.complex128)
-    peak = float(np.max(np.abs(a)))
-    if a.shape[0] == a.shape[1]:
-        herm_err = np.max(np.abs(a - a.conj().T))
-        anti_err = np.max(np.abs(a + a.conj().T))
-        tiny = 1e-12 * max(1.0, peak)
-        if herm_err <= tiny:
-            return float(np.max(np.abs(eigh(a)[0]))), a
-        if anti_err <= tiny:
-            return float(np.max(np.abs(eigh(1j * a)[0]))), 1j * a
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    w = eigh(gram)[0]
-    return float(math.sqrt(max(0.0, float(w[-1])))), gram
-
-
 def _operator_norm_cases():
     rng = np.random.default_rng(31)
     general = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -194,25 +178,26 @@ def _operator_norm_cases():
 
 
 class TestOperatorNormPinned:
-    """Bit for bit, and on the same eigensolver input, as the route that
-    computed both residuals on every call."""
+    """Bit for bit ``np.linalg.norm(a, 2)``, from one LAPACK call on the
+    ``complex128`` input, and within 1e-12 of the retired routes."""
 
     @pytest.mark.parametrize("name", list(_operator_norm_cases()))
     def test_same_bits_and_eigensolver_input(self, monkeypatch, name):
         a = _operator_norm_cases()[name]
-        want, want_input = _operator_norm_reference(a)
+        want = np.linalg.norm(a, 2)
         inputs = []
 
-        def spy(m):
+        def spy(m, **kwargs):
             inputs.append(m.copy())
-            return eigh(m)
+            return svd(m, **kwargs)
 
-        eigh = linalg._eigh
-        monkeypatch.setattr(linalg, "_eigh", spy)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", spy)
         got = operator_norm(a)
         assert type(got) is float and got.hex() == want.hex()
         assert len(inputs) == 1
-        assert inputs[0].tobytes() == want_input.tobytes()
+        assert inputs[0].tobytes() == np.asarray(a, dtype=np.complex128).tobytes()
+        assert abs(got - seam_operator_norm_oracle(a)) <= 1e-12 * got
 
     def test_values(self):
         cases = _operator_norm_cases()
@@ -260,6 +245,41 @@ class TestOneByOneChecked:
         assert operator_norm(np.array([[1.0 + 1.0j]])) == math.sqrt(2.0)
 
 
+class TestEighWithoutShortcuts:
+    """``_eigh`` sends 1 x 1 and zero inputs to LAPACK like any other."""
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 64, 256])
+    def test_zero_matrix(self, monkeypatch, n):
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        w, v = linalg._eigh(np.zeros((n, n), dtype=np.complex128))
+        assert calls == [(n, n)]
+        assert w.tobytes() == np.zeros(n).tobytes()
+        assert v.tobytes() == np.eye(n, dtype=np.complex128).tobytes()
+
+    def test_negative_zero_gives_positive_zero(self):
+        # the retired 1 x 1 shortcut returned the entry's real part, -0.0
+        w, v = jacobi_eigh(np.array([[-0.0]]))
+        assert w.tobytes() == np.zeros(1).tobytes() and v.tolist() == [[1.0]]
+
+
+class TestHermitianPartOnlyInTheSeam:
+    """Callers pass their matrices unchanged, so a non-Hermitian density
+    matrix raises the seam's error instead of being made Hermitian."""
+
+    def test_entropy_of_a_non_hermitian_matrix(self):
+        dm = DensityMatrix((0,), np.array([[0.5, 0.4], [-0.4, 0.5]]))
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(skew norm 1\.131e\+00\)$"):
+            entropy_bits(dm)
+
+    def test_ppt_of_a_non_hermitian_matrix(self):
+        # the partial transpose of I/4 plus 0.1 on the upper triangle
+        dm = DensityMatrix((0, 1), np.eye(4) / 4.0 + 0.1 * np.triu(np.ones((4, 4)), 1))
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(skew norm 3\.464e-01\)$"):
+            ppt_min_eigenvalue(dm)
+
+
 def _pair_and_single_rdms(state):
     n = state.n_qubits
     singles = [reduced_density_matrix(state, (i,)) for i in range(n)]
@@ -283,7 +303,8 @@ def seam_state(request):
 
 class TestPinnedToSeamOracle:
     """Each public call checks its input once and hands it to one LAPACK
-    step; every number is the bits of the route that checked it twice."""
+    step; every spectrum and root is the bits of the route that checked it
+    twice, and every norm the bits of ``np.linalg.norm(a, 2)``."""
 
     def test_every_pair_rdm(self, seam_state):
         _, pairs = _pair_and_single_rdms(seam_state)
@@ -294,9 +315,13 @@ class TestPinnedToSeamOracle:
             fit = extract_werner_p(dm)
             want_p, want_residual = seam_werner_fit_oracle(dm.matrix)
             assert (fit.p.hex(), fit.residual.hex()) == (want_p.hex(), want_residual.hex()), dm.sites
+            _, retired = seam_werner_fit_oracle(dm.matrix, norm=seam_operator_norm_oracle)
+            assert abs(fit.residual - retired) <= 1e-12, dm.sites
             assert concurrence_two_qubit(dm).hex() == seam_concurrence_oracle(dm.matrix).hex()
             got = check_rotational_invariance(dm)
             assert got.hex() == seam_rotational_invariance_oracle(dm.matrix).hex(), dm.sites
+            retired = seam_rotational_invariance_oracle(dm.matrix, norm=seam_operator_norm_oracle)
+            assert abs(got - retired) <= 1e-12, dm.sites
 
     def test_every_single_and_pair_spectrum_and_root(self, seam_state):
         singles, pairs = _pair_and_single_rdms(seam_state)
@@ -345,58 +370,58 @@ _EDGE_CASES = {
         None,
     ),
     "1e200": (np.diag([1e200, 2e200]), None, None),
-    # the oracle's Gram matrix of a non-Hermitian input this large overflows;
-    # operator_norm forms it at peak 1 (see _GRAM_SCALED)
+    # the retired norm routes' Gram matrix of this input overflows (see _GRAM_FAILS)
     "1e200-non-hermitian": (
         1e200 * _SKEWED,
         r"matrix is not Hermitian (skew norm 1.414e+200)",
         None,
     ),
     "1e-170": (np.diag([1e-170, 2e-170]), None, None),
-    # a skew this far below 1 passes jacobi_eigh's check; operator_norm judges
-    # it against the peak, so the input takes the Gram route (see _GRAM_SCALED)
+    # a skew this far below 1 passes jacobi_eigh's check; the retired norm
+    # routes judged it against the peak and took the Gram route (see _GRAM_FAILS)
     "1e-170-non-hermitian": (1e-170 * _SKEWED, None, None),
 }
-# the entries on which operator_norm is checked against np.linalg.norm, with
-# what the oracle gives: it forms the Gram matrix unscaled, whose entries
-# overflow past about 1e154 and underflow to zero below about 1e-162
-_GRAM_SCALED = {
+# what the retired norm routes gave where their unscaled Gram matrix fails:
+# its entries overflow past about 1e154 and underflow to zero below about 1e-162
+_GRAM_FAILS = {
     "1e200-non-hermitian": ("RuntimeWarning", "overflow encountered in matmul"),
     "1e-170-non-hermitian": ("value", [np.float64(0.0).tobytes()]),
 }
 
 
 def _assert_norm(got, a):
-    """``got`` is ``np.linalg.norm(a, 2)`` to 1e-15 relative."""
+    """``got`` is ``np.linalg.norm(a, 2)``, bit for bit."""
     want = np.linalg.norm(a, 2)
-    assert abs(got - want) <= 1e-15 * want, (got, want)
+    assert type(got) is float and got.hex() == want.hex(), (got, want)
 
 
 class TestEdgeInputsPinned:
     """NaN, non-Hermitian and extreme-scale inputs raise the same one-line
-    errors as the route that checked them twice, or give the same bits."""
+    errors as the route that checked them twice, or give the same bits;
+    a norm gives the bits of ``np.linalg.norm(a, 2)``."""
 
     @pytest.mark.parametrize("fn", SEAM, ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("name", list(_EDGE_CASES))
     def test_same_outcome_as_the_oracle(self, fn, name):
         a, eig_message, norm_message = _EDGE_CASES[name]
         got = _outcome(fn, a)
-        if fn is operator_norm and name in _GRAM_SCALED:
-            assert _outcome(_SEAM_ORACLES[fn], a) == _GRAM_SCALED[name]
-            assert got[0] == "value"
-            _assert_norm(fn(a), a)
-            return
-        assert got == _outcome(_SEAM_ORACLES[fn], a)
+        oracle = _outcome(_SEAM_ORACLES[fn], a)
         message = norm_message if fn is operator_norm else eig_message
-        if message is None:
-            assert got[0] == "value"
+        if message is not None:
+            assert got == oracle and got[1] == message
+        elif fn is not operator_norm:
+            assert got == oracle and got[0] == "value"
         else:
-            assert got[1] == message
+            _assert_norm(fn(a), a)
+            if name in _GRAM_FAILS:
+                assert oracle == _GRAM_FAILS[name]
+            else:
+                assert abs(fn(a) - seam_operator_norm_oracle(a)) <= 1e-12 * fn(a)
 
     def test_gram_overflow_without_the_warning_error(self):
-        # with floating-point warnings silenced the oracle's overflow leaves
-        # infinite and NaN Gram entries, which it rejects; operator_norm forms
-        # the Gram matrix at peak 1 and multiplies the root back
+        # with floating-point warnings silenced the retired routes' overflow
+        # leaves infinite and NaN Gram entries, which they rejected; the SVD
+        # scales the input itself
         a = 1e200 * _SKEWED
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
@@ -429,7 +454,7 @@ class TestMatrixSqrt:
 class TestOperatorNormShapes:
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
     def test_ones_rectangular(self, shape):
-        # the Gram route; a 2x3 once died in the Hermitian test's broadcast
+        # a 2x3 once died in a retired Hermitian test's broadcast
         assert operator_norm(np.ones(shape)) == pytest.approx(math.sqrt(6.0), abs=1e-15)
 
     @pytest.mark.parametrize("shape", [(3, 5), (7, 2)], ids=["wide", "tall-past-the-memo"])
@@ -480,7 +505,7 @@ class TestExtremeScales:
             assert w.tolist() == [scale, 2 * scale]
 
     def test_gram_route_of_a_huge_non_normal_matrix(self):
-        # its Gram entries would reach about 1e401: formed at peak 1 instead
+        # its Gram entries would reach about 1e401; the SVD scales it instead
         a = 1e200 * np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 3.0], [0.5, 0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

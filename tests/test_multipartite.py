@@ -14,6 +14,7 @@ from conftest import (
     purity_entropy_oracle,
     sector_spectrum_oracle,
     subset_spectrum_oracle,
+    traced_peak,
 )
 from rvblab import multipartite, states
 from rvblab import (
@@ -1037,6 +1038,16 @@ class TestAudits:
             expected = [s for k in sizes for s in itertools.combinations(range(16), k)]
             assert len(calls) == len(expected) == total
             assert calls == expected == [v.subset for v in result.verdicts]
+
+    def test_odd_audit_peak(self, state44):
+        # each size's subsets are one uint8 array, and the verdicts' tuples
+        # are made only after the size's kernel batch: holding the tuples
+        # across it peaked at 1.98 MB, this route at about 1.62 MB
+        state = _fresh(state44)
+        assert state._support is not None  # built before the trace
+        result, peak = traced_peak(odd_subset_audit, state)
+        assert len(result.verdicts) == 4944
+        assert peak <= 1.70e6, peak
 
     def test_subsets_are_valid(self, state23):
         result = odd_subset_audit(state23, max_size=3)
