@@ -596,9 +596,12 @@ def state_to_bytes(state: StateVector) -> bytes:
 def state_sha256(state: StateVector) -> str:
     """Hex sha256 of ``state_to_bytes(state)``, hashed from the amplitudes in place.
 
-    Through :func:`coverings._sha256_hex`, which loads OpenSSL on first use.
+    Through :func:`coverings._sha256_hex`, given the exact size, 16 + 8 * 2**n
+    bytes: at most 0.52 MB under the 16-qubit cap, so a run that has not
+    loaded OpenSSL hashes it with CPython's built-in SHA-256.
     """
-    return _sha256_hex((_state_header(state), state.amplitudes.astype("<f8", copy=False)))
+    amplitudes = state.amplitudes.astype("<f8", copy=False)
+    return _sha256_hex((_state_header(state), amplitudes), 16 + amplitudes.nbytes)
 
 
 def _state_header(state: StateVector) -> bytes:
@@ -612,10 +615,12 @@ def state_from_bytes(blob: bytes) -> StateVector:
     if len(blob) < 16:
         raise ValueError(f"truncated state-vector blob: {len(blob)} bytes, header needs 16")
     n, norm = struct.unpack("<Id", blob[4:16])
-    amps = np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)
     # bound n before 2**n: a corrupt header may claim up to 2**32 - 1 qubits
-    if n >= 64 or amps.size != 2**n:
-        raise ValueError(f"expected 2**{n} amplitudes, found {amps.size}")
+    if n >= 64:
+        raise ValueError(f"state-vector blob claims {n} qubits, more than 63")
+    if len(blob) - 16 != 8 * 2**n:
+        raise ValueError(f"expected {8 * 2**n} amplitude bytes, found {len(blob) - 16}")
+    amps = np.frombuffer(blob[16:], dtype="<f8").astype(np.float64)
     return StateVector(n_qubits=n, amplitudes=amps, norm=norm)
 
 

@@ -407,6 +407,10 @@ def test_benchmark_report_is_pinned(tmp_path, name):
     assert_rendered_files_pinned(out, name)
 
 
+# ensemble_sha256 of the gas N = 8, as pinned in tests/test_coverings.py
+GAS8_ENSEMBLE_SHA256 = "4006ec8e34c4e667a0ba5129c4f2be14889d74e0f82a88ff2d2e2deff195a931"
+
+
 # enumerate and assemble at odd pair counts, where assembly subtracts the
 # spin-flip half of the state; no BLAS call, so no thread dependence
 ASSEMBLY_REPORT_PINS = {
@@ -454,6 +458,8 @@ class TestStateDigest:
 
 # Run in a fresh interpreter, since pytest itself has loaded hashlib.  The
 # script prints, after each step, whether OpenSSL (``_hashlib``) is loaded.
+# The gas N = 8 runs last: its ensemble text, 3.1 MB, is the one payload
+# past the built-in route's crossover, and OpenSSL stays loaded after it.
 _HASHLIB_SCRIPT = """
 import json, sys
 
@@ -470,6 +476,9 @@ for name, args in [
     ("werner-scan bounds", grid + ["--tasks", "werner-scan", "bounds"]),
     ("multipartite", grid + ["--tasks", "multipartite"]),
     ("enumerate assemble", gas3 + ["--tasks", "enumerate", "assemble"]),
+    ("reproduce-paper", ["--lattice", "square-grid", "--rows", "4", "--cols", "4",
+                         "--tasks", "reproduce-paper"]),
+    ("enumerate gas8", ["--lattice", "complete-bipartite", "--n", "8", "--tasks", "enumerate"]),
 ]:
     code = rvblab.cli.main(args + ["--out", out + "/" + name.replace(" ", "-")])
     seen.append([name, code, "_hashlib" in sys.modules])
@@ -478,8 +487,10 @@ print(json.dumps(seen))
 
 
 class TestOpenSSLLoadedOnlyToHash:
-    """Only the tasks that report a digest load OpenSSL: ``hashlib`` is
-    imported where the digests are taken, not with the package."""
+    """Only a digest of more than ``coverings._BUILTIN_SHA256_MAX`` bytes
+    loads OpenSSL: smaller ones take CPython's built-in SHA-256, and
+    ``hashlib`` is imported where a large digest is taken, not with the
+    package."""
 
     def test_fresh_interpreter(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -498,10 +509,17 @@ class TestOpenSSLLoadedOnlyToHash:
             ["loop-cf", 0, False],
             ["werner-scan bounds", 0, False],
             ["multipartite", 0, False],
-            ["enumerate assemble", 0, True],
+            ["enumerate assemble", 0, False],
+            ["reproduce-paper", 1, False],
+            ["enumerate gas8", 0, True],
         ]
         report = (tmp_path / "enumerate-assemble" / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == ASSEMBLY_REPORT_PINS["gas-3"][1]
+        report = (tmp_path / "reproduce-paper" / "report.json").read_bytes()
+        pin = BENCHMARK_REPORT_PINS["liquid-open-4x4-reproduce"][2]
+        assert hashlib.sha256(report).hexdigest() == pin
+        data = json.loads((tmp_path / "enumerate-gas8" / "report.json").read_text())
+        assert data["tasks"][0]["data"]["ensemble_sha256"] == GAS8_ENSEMBLE_SHA256
 
 
 def _outputs_at_blas_threads(tmp_path, threads, tasks):

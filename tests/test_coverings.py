@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from functools import partial
 
 import numpy as np
@@ -747,6 +748,77 @@ class TestEnsembleDigest:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         reported = report["tasks"][0]["data"]["ensemble_sha256"]
         assert reported == text_sha256(enumerate_gas(lattice))
+
+
+def payload_blocks(data, form):
+    """``data`` as the blocks ``_sha256_hex`` takes: whole, or an 8-byte
+    aligned float64 array behind a short prefix, as a state is hashed."""
+    if form == "bytes":
+        return (data,)
+    if form == "bytearray":
+        return (bytearray(data),)
+    head = 8 + len(data) % 8
+    return (data[:head], np.frombuffer(data[head:], dtype=np.float64))
+
+
+class TestDigestRoute:
+    """``_sha256_hex`` takes CPython's built-in SHA-256 up to the crossover
+    while OpenSSL is not loaded, and ``hashlib`` otherwise; the digest is
+    ``hashlib``'s either way.  pytest has loaded ``hashlib``, so the tests
+    of the built-in route hide ``_hashlib``."""
+
+    @pytest.fixture
+    def hashlib_calls(self, monkeypatch):
+        calls = []
+        real = hashlib.sha256
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        return calls
+
+    @pytest.mark.parametrize("form", ["bytes", "bytearray", "float64"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("openssl", ["hidden", "loaded", "no_builtin"])
+    def test_equals_hashlib_around_the_crossover(
+        self, monkeypatch, hashlib_calls, openssl, offset, form
+    ):
+        size = coverings_mod._BUILTIN_SHA256_MAX + offset
+        data = np.random.default_rng(size).bytes(size)
+        want = hashlib.sha256(data).hexdigest()
+        hashlib_calls.clear()
+        if openssl != "loaded":
+            monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        if openssl == "no_builtin":
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert coverings_mod._sha256_hex(payload_blocks(data, form), size) == want
+        builtin = openssl == "hidden" and offset <= 0
+        assert len(hashlib_calls) == (0 if builtin else 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(enumerate_gas, LatticeSpec.complete_bipartite(n)) for n in (1, 3, 8)]
+        + [
+            partial(enumerate_liquid, LatticeSpec.square_grid(1, 300)),
+            partial(gas_rows, 3, 6, (-1e-308, 1e308, -5e-324, 0.1, -0.0, 1 / 3)),
+        ],
+        ids=["gas1", "gas3", "gas8", "chain300", "long_weights"],
+    )
+    def test_ensemble_size_bounds_the_text(self, monkeypatch, make):
+        ens = make()
+        sizes = []
+        real = coverings_mod._sha256_hex
+
+        def spy(blocks, size):
+            sizes.append(size)
+            return real(blocks, size)
+
+        monkeypatch.setattr(coverings_mod, "_sha256_hex", spy)
+        assert ensemble_sha256(ens) == text_sha256(ens)
+        assert len(ensemble_to_json(ens)) <= sizes[0]
 
 
 class TestRowBlockCheck:

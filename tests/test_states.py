@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 from functools import partial, reduce
 
 import numpy as np
@@ -672,6 +673,20 @@ class TestSerialization:
     @pytest.mark.parametrize("blob", [b"RVBS", b"RVBS\x01\x00"])
     def test_bytes_reject_truncated_header(self, blob):
         with pytest.raises(ValueError):
+            state_from_bytes(blob)
+
+    @pytest.mark.parametrize("extra, found", [(1, 33), (-8, 24)], ids=["ragged", "short"])
+    def test_bytes_reject_wrong_amplitude_count(self, extra, found):
+        # a ragged count leaked NumPy's "buffer size must be a multiple of
+        # element size" from np.frombuffer
+        blob = state_to_bytes(StateVector(2, SINGLET_VEC))
+        blob = blob + bytes(extra) if extra > 0 else blob[:extra]
+        with pytest.raises(ValueError, match=f"^expected 32 amplitude bytes, found {found}$"):
+            state_from_bytes(blob)
+
+    def test_bytes_reject_a_huge_qubit_count(self):
+        blob = b"RVBS" + struct.pack("<Id", 2**32 - 1, 1.0)
+        with pytest.raises(ValueError, match="^state-vector blob claims 4294967295 qubits"):
             state_from_bytes(blob)
 
     def test_file_roundtrip(self, state22, tmp_path):
