@@ -16,9 +16,11 @@ The gas variant quoted for complete-bipartite ensembles of N pairs is
     gas_monogamy_bound(N) = 1/3 + 2 sqrt(2) / (3 sqrt(N)).
 
 All three are capped at 1 (p never exceeds 1) and decrease toward 1/3,
-the separability threshold.  Each takes a count or an integer array of
-counts: a scalar gives a Python float, and an array gives a float64
-array whose entries have the bits of the scalar calls.
+the separability threshold.  Each takes a count (a Python or NumPy
+integer, not a bool) or an array of integer dtype: a scalar gives a
+Python float, and an array gives a float64 array whose entries have the
+bits of the scalar calls.  Anything else, a float, a string or a bool
+included, raises a one-line ValueError.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .entanglement import extract_werner_p
-from .lattice import Kind, LatticeSpec, interior_nn_bond
+from .lattice import Kind, LatticeSpec, interior_nn_bond, site_indices
 from .states import StateVector, reduced_density_matrix
 
 SLACK_TOL = 1e-9
@@ -52,10 +54,20 @@ def _capped(
     """``min(1, value(count))`` of a count or of an integer array of counts.
 
     A scalar count gives a Python float, an array a float64 array of its
-    shape, with the same bits per entry.  Raises ValueError if any count
+    shape, with the same bits per entry.  Raises ValueError unless the
+    count is an integer as :func:`site_indices` parses one (``operator.index``
+    of it, bools refused) or an array of integer dtype, and if any count
     is below 1.
     """
-    counts = np.asarray(count)
+    if isinstance(count, np.ndarray):
+        if count.dtype.kind not in "iu":
+            raise ValueError(f"{noun} counts must have an integer dtype, got {count.dtype}")
+        counts = count
+    else:
+        try:
+            counts = np.asarray(site_indices((count,))[0])
+        except ValueError:
+            raise ValueError(f"{noun} count must be an integer, got {count!r}") from None
     low = counts < 1
     if low.any():
         bad = count if low.ndim == 0 else counts[low][0]
@@ -119,7 +131,11 @@ def equidistant_class_min_p(
     lattices whose class members are equivalent by symmetry the minimum
     coincides with every member, which is the translationally invariant
     case the bounds were stated for.  Returns None for an empty class.
+    Raises ValueError unless the lattice has one site per qubit of the
+    state.
     """
+    if lattice.site_count != state.n_qubits:
+        raise ValueError("state and lattice disagree on site count")
     values = [_pair_p(state, anchor, t) for t in lattice.equidistant_class(anchor, r)]
     return min(values) if values else None
 
@@ -149,8 +165,6 @@ def compare(state: StateVector, lattice: LatticeSpec) -> list[BoundReport]:
     gas bounds (permutation symmetry makes all cross pairs identical, which
     the test suite asserts separately).
     """
-    if lattice.site_count != state.n_qubits:
-        raise ValueError("state and lattice disagree on site count")
     if lattice.kind is Kind.COMPLETE_BIPARTITE:
         nn_bounds = (
             (BoundKind.GAS_MONOGAMY, gas_monogamy_bound),

@@ -41,11 +41,12 @@ def site_indices(sites: Iterable[object]) -> tuple[int, ...]:
         raise ValueError(f"sites must be integers, got {sites}") from None
 
 
-def _size(name: str, value: object) -> int:
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, parsed by :func:`site_indices`; ValueError naming ``name``."""
     try:
         return site_indices((value,))[0]
     except ValueError:
-        raise ValueError(f"lattice {name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Kind(enum.Enum):
@@ -77,6 +78,10 @@ class LatticeSpec:
     Use :meth:`square_grid` or :meth:`complete_bipartite`; fields that do not
     apply must keep their defaults.  Construction and the enumeration caps read
     the shape; the graph and its hop table (BFS, O(sites x bonds)) come on first use.
+    Sizes, sites, rows, columns and distances are integers as
+    :func:`site_indices` parses them (Python or NumPy, bools refused): a
+    float, a string or a bool raises a one-line ValueError, as does a value
+    out of range.
     """
 
     kind: Kind
@@ -90,7 +95,7 @@ class LatticeSpec:
         object.__setattr__(self, "kind", Kind(self.kind))
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         for name in ("rows", "cols", "n_per_sublattice"):
-            object.__setattr__(self, name, _size(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(f"lattice {name}", getattr(self, name)))
         if self.kind is Kind.SQUARE_GRID:
             unused: tuple[str, ...] = ("n_per_sublattice",)
             if self.rows < 1 or self.cols < 1:
@@ -139,20 +144,23 @@ class LatticeSpec:
         """Number of sites in each sublattice (half the site count)."""
         return self.site_count // 2
 
-    def _check_site(self, site: int) -> None:
+    def _site(self, site: int) -> int:
+        """``site`` as an int; ValueError unless it is an integer in range."""
+        site = _integer("site", site)
         if not 0 <= site < self.site_count:
             raise ValueError(f"site {site} out of range [0, {self.site_count})")
+        return site
 
     def coords(self, site: int) -> tuple[int, int]:
         """(row, col) of a grid site."""
         if self.kind is not Kind.SQUARE_GRID:
             raise ValueError("coords are defined for square grids only")
-        self._check_site(site)
-        return divmod(site, self.cols)
+        return divmod(self._site(site), self.cols)
 
     def index(self, row: int, col: int) -> int:
         if self.kind is not Kind.SQUARE_GRID:
             raise ValueError("index is defined for square grids only")
+        row, col = _integer("row", row), _integer("col", col)
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ValueError(f"coords ({row}, {col}) out of range")
         return row * self.cols + col
@@ -188,8 +196,7 @@ class LatticeSpec:
         return tuple(table)
 
     def sublattice_of(self, site: int) -> Sublattice:
-        self._check_site(site)
-        return self._graph.sublattice[site]
+        return self._graph.sublattice[self._site(site)]
 
     def a_sites(self) -> tuple[int, ...]:
         return tuple(s for s, x in enumerate(self._graph.sublattice) if x is Sublattice.A)
@@ -199,8 +206,7 @@ class LatticeSpec:
 
     def neighbors(self, site: int) -> tuple[int, ...]:
         """Nearest neighbors of ``site``, ascending, self-loops dropped."""
-        self._check_site(site)
-        return self._graph.neighbors[site]
+        return self._graph.neighbors[self._site(site)]
 
     def nn_bonds(self) -> tuple[tuple[int, int], ...]:
         """All nearest-neighbor bonds as (i, j) with i < j, ascending."""
@@ -208,16 +214,14 @@ class LatticeSpec:
 
     def distance(self, i: int, j: int) -> int:
         """Graph distance between two sites: the fewest bonds joining them."""
-        self._check_site(i)
-        self._check_site(j)
-        return self._hops[i][j]
+        return self._hops[self._site(i)][self._site(j)]
 
     def equidistant_class(self, site: int, r: int) -> tuple[int, ...]:
         """Opposite-sublattice sites at graph distance ``r``, ascending."""
-        if r <= 0:
+        if _integer("distance r", r) <= 0:
             raise ValueError("distance r must be positive")
-        own, sublattice = self.sublattice_of(site), self._graph.sublattice
-        hops = self._hops[site]
+        site, sublattice = self._site(site), self._graph.sublattice
+        own, hops = sublattice[site], self._hops[site]
         return tuple(t for t, d in enumerate(hops) if d == r and sublattice[t] is not own)
 
     def equidistant_count(self, site: int, r: int) -> int:

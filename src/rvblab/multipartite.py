@@ -57,32 +57,37 @@ empties it first.  A table indexed by subset bitmask holds each subset's
 representative once an array pass has mapped it; an entry never goes
 stale.  What stays on a state is thus one size's entries and the table,
 128 KB at 16 sites.  The 4x4 audits compute one spectrum per orbit: 920
-instead of 6,884 on the open 4x4, 102 on the periodic one.  For each
-size, the audits and the certificate list the subsets once, map them to
-their representatives in one array pass (a running minimum over the
-group's rows), and enter every new representative in one kernel batch,
-whose spectra take one ``_mixedness`` call (purity, entropy and the
-entangled flag per row, with the bits of a one-spectrum call).  Each
-subset then reads its numbers from its representative's entry, so the
-verdicts of one orbit share their float objects.  The audits send each
-subset through ``subset_spectrum`` once more, in order, as perfbench
-counts them; the call reads the memo.  A bare ``bipartition_verdict``
-takes ``_mixedness`` of its one spectrum, which has the entry's bits.  A
-bare call of a size the table has not mapped takes the same minimum
-itself.  The gas, hand-built states and loaded states carry no
+instead of 6,884 on the open 4x4, 102 on the periodic one.  One listing,
+``_subsets``, gives every subset of a size as one array of site indices
+in the narrowest type, in lexicographic order.  The audits read all of
+its rows and the certificate the first ``comb(n - 1, k - 1)``.  Each
+caller maps its rows to their representatives in one array pass (a
+running minimum over the group's rows), and enters every new
+representative in one kernel batch, whose spectra take one
+``_mixedness`` call (purity, entropy and the entangled flag per row,
+with the bits of a one-spectrum call).  Each subset then reads its
+numbers from its representative's entry, so the verdicts of one orbit
+share their float objects.  The audits send each subset through
+``subset_spectrum`` once more, in order, as perfbench counts them; the
+call reads the memo.  A bare ``bipartition_verdict`` takes
+``_mixedness`` of its one spectrum, which has the entry's bits.  A bare
+call of a size the table has not mapped takes the same array pass on
+its one row.  The gas, hand-built states and loaded states carry no
 generators: each subset is its own representative, and they keep no
 table.  A state with no single sector keeps no memo: its spectra, one
 per subset, are stacked per size and take one ``_mixedness`` call.
 
 Genuine multipartite entanglement of a pure state means every nontrivial
-bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts
-(subsets containing site 0, so each unordered cut appears once).  Per
-size it reads every cut's entry: ``genuine`` is every flag, ``n_cuts``
-the cut count, and ``min_cut`` the first cut of minimal entropy in
-enumeration order, read from the size's list of cuts, and exactly so:
-members of one orbit tie bit for bit.  Only a state with no single
-sector computes a spectrum per cut.  The tests pin the certificate bit
-for bit to the walk over one cut at a time that it replaced.
+bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts.
+Its cuts of size k are the first ``comb(n - 1, k - 1)`` rows of the
+listing: exactly the subsets that hold site 0, so each unordered cut
+appears once.  Per size it reads every cut's entry: ``genuine`` is every
+flag, ``n_cuts`` the cut count, and ``min_cut`` the first cut of minimal
+entropy in enumeration order, made a tuple only once the scan is done,
+and exactly so: members of one orbit tie bit for bit.  Only a state with
+no single sector computes a spectrum per cut.  The tests pin the
+certificate bit for bit to the walk over one cut at a time that it
+replaced.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,23 +133,15 @@ class AuditResult:
         return all(v.entangled for v in self.verdicts)
 
 
-def _map_representatives(
-    support: _SectorSupport, subsets: Iterable[tuple[int, ...]] | np.ndarray, k: int
-) -> np.ndarray:
-    """Orbit representatives of the k-site ``subsets``, entered in the support's table.
+def _map_representatives(support: _SectorSupport, sites: np.ndarray) -> np.ndarray:
+    """Orbit representatives of the subsets in the rows of ``sites``, entered in the table.
 
-    ``subsets`` is an iterable of site tuples or an array with one subset
-    per row.  One pass over arrays: the image bitmasks under each group
-    element are one gather and a row sum, and a running ``np.minimum``
-    keeps the smallest, so no (group, subsets, k) array is formed.  A
-    support with no verified group keeps no table: each subset is its own
-    representative.  Returns the representatives in the order of
-    ``subsets``.
+    One pass over arrays: the image bitmasks under each group element are
+    one gather and a row sum, and a running ``np.minimum`` keeps the
+    smallest, so no (group, subsets, k) array is formed.  A support with
+    no verified group keeps no table: each subset is its own
+    representative.  Returns the representatives in row order.
     """
-    if isinstance(subsets, np.ndarray):
-        sites = subsets
-    else:
-        sites = np.fromiter(chain.from_iterable(subsets), dtype=np.int64).reshape(-1, k)
     masks = np.left_shift(1, sites, dtype=np.int64).sum(axis=1)
     if support.reps is None:
         return masks
@@ -201,11 +198,8 @@ def subset_spectrum(state: StateVector, subset: Sequence[int]) -> np.ndarray:
         return _dense_spectrum(state, sites)
     rep = _bitmask(sites)
     if support.reps is not None:
-        # the table's entry, or for a size it has not mapped the image with
-        # the smallest bitmask
-        rep = support.reps.item(rep) or int(
-            support.orbit_bits[:, list(sites)].sum(axis=1).min()
-        )
+        # the table's entry, or for a size it has not mapped a one-row pass
+        rep = support.reps.item(rep) or _map_representatives(support, np.array([sites])).item()
     memo = support.spectra
     if rep not in memo:
         _memo_spectra(support, n, [rep], k)
@@ -390,12 +384,19 @@ def _mixedness(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return purity, entropy, purity < 1.0 - ENTANGLED_PURITY_TOL
 
 
-def _subset_stats(
-    state: StateVector, subsets: list[tuple[int, ...]] | np.ndarray, k: int
-) -> list[tuple[float, float, bool]]:
-    """Purity, entropy and the entangled flag of each of the k-site ``subsets``.
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-site subset of n sites, one row each, in lexicographic order.
 
-    ``subsets`` is a list of site tuples or an array with one subset per row.
+    Sites are in the narrowest type, ``np.min_scalar_type(n - 1)``.  The
+    first ``comb(n - 1, k - 1)`` rows are the subsets that hold site 0.
+    """
+    flat = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(flat, np.min_scalar_type(n - 1), count=math.comb(n, k) * k).reshape(-1, k)
+
+
+def _subset_stats(state: StateVector, sites: np.ndarray) -> list[tuple[float, float, bool]]:
+    """Purity, entropy and the entangled flag of the subset in each row of ``sites``.
+
     On the sector route the subsets map to their representatives in one
     array pass, the missing ones enter the memo in one batch, and each
     subset reads its representative's entry, so one orbit shares one
@@ -405,10 +406,10 @@ def _subset_stats(
     """
     support = state._support
     if support is None:
-        spectra = np.array([subset_spectrum(state, s) for s in subsets])
+        spectra = np.array([subset_spectrum(state, s) for s in sites])
         return list(zip(*(column.tolist() for column in _mixedness(spectra))))
-    reps = _map_representatives(support, subsets, k).tolist()
-    memo = _memo_spectra(support, state.n_qubits, reps, k)
+    reps = _map_representatives(support, sites).tolist()
+    memo = _memo_spectra(support, state.n_qubits, reps, sites.shape[1])
     return [memo[rep][1] for rep in reps]
 
 
@@ -419,9 +420,9 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
     on either route: perfbench counts those calls as
     ``multipartite.subsets``.  On the sector route the call reads the
     memo that :func:`_subset_stats` filled.  Each size's subsets are
-    listed as one array of site indices in the narrowest type, and a
-    verdict's subset tuple is made from its row only once the size's
-    spectra are in, so no tuple is held across the kernel batch.
+    listed by :func:`_subsets`, and a verdict's subset tuple is made from
+    its row only once the size's spectra are in, so no tuple is held
+    across the kernel batch.
     """
     n = state.n_qubits
     total = sum(math.comb(n, k) for k in sizes)
@@ -430,12 +431,10 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
     sector = state._support is not None
-    dtype = np.min_scalar_type(n - 1)
     verdicts: list[BipartitionVerdict] = []
     for k in sizes:
-        flat = chain.from_iterable(combinations(range(n), k))
-        subsets = np.fromiter(flat, dtype, count=math.comb(n, k) * k).reshape(-1, k)
-        for row, stats in zip(subsets, _subset_stats(state, subsets, k)):
+        subsets = _subsets(n, k)
+        for row, stats in zip(subsets, _subset_stats(state, subsets)):
             subset = tuple(row.tolist())
             if sector:
                 subset_spectrum(state, subset)
@@ -484,11 +483,6 @@ class CertificateReport:
     min_cut: tuple[int, ...]
 
 
-def _cuts(n: int, k: int) -> list[tuple[int, ...]]:
-    """The k-site subsets that contain site 0, in enumeration order."""
-    return [(0, *rest) for rest in combinations(range(1, n), k - 1)]
-
-
 def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     """Exhaustive check that every bipartition of a pure state is entangled.
 
@@ -505,13 +499,14 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     if n < 2:
         raise ValueError("certificate needs at least two sites")
     best_entropy = math.inf
-    best_cut: tuple[int, ...] = ()
+    best_cut = np.empty(0, np.intp)
     genuine = True
     n_cuts = 0
     for k in range(1, n):
-        cuts = _cuts(n, k)
+        # the rows that hold site 0, so each unordered cut appears once
+        cuts = _subsets(n, k)[: math.comb(n - 1, k - 1)]
         n_cuts += len(cuts)
-        for cut, (_, entropy, entangled) in zip(cuts, _subset_stats(state, cuts, k)):
+        for cut, (_, entropy, entangled) in zip(cuts, _subset_stats(state, cuts)):
             genuine = genuine and entangled
             # strictly less: the first of tied minima stays
             if entropy < best_entropy:
@@ -520,5 +515,5 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
         genuine=genuine,
         n_cuts=n_cuts,
         min_entropy_bits=best_entropy,
-        min_cut=best_cut,
+        min_cut=tuple(best_cut.tolist()),
     )

@@ -109,8 +109,12 @@ class TestArrayCounts:
 
     @pytest.mark.parametrize("fn", list(_CLOSED_FORMS), ids=lambda fn: fn.__name__)
     def test_numpy_scalar_gives_a_python_float(self, fn):
-        assert type(fn(np.int64(4))) is float
-        assert fn(np.int64(4)) == fn(4)
+        for count in (np.int64(4), np.int8(4), np.uint16(4)):
+            assert type(fn(count)) is float
+            assert fn(count) == fn(4)
+        # an unsigned or narrow integer array is a count array too
+        got = fn(np.array([1, 4, 9], dtype=np.uint8))
+        assert got.tobytes() == np.array([fn(1), fn(4), fn(9)]).tobytes()
 
     @pytest.mark.parametrize(
         "fn, noun",
@@ -121,6 +125,36 @@ class TestArrayCounts:
             fn(np.array([3, 0, -2]))
         with pytest.raises(ValueError, match=f"^{noun} count must be at least 1, got -3$"):
             fn(-3)
+
+
+class TestCountInput:
+    """Only integers and integer arrays are counts; anything else is one ValueError."""
+
+    @pytest.mark.parametrize(
+        "fn, noun",
+        [(monogamy_bound, "partner"), (telecloning_bound, "receiver"), (gas_monogamy_bound, "pair")],
+    )
+    @pytest.mark.parametrize(
+        "count",
+        [float("nan"), True, np.True_, 2.5, 4.0, float("inf"), np.float64(4.0), "4", None, [4]],
+        ids=["nan", "bool", "numpy-bool", "2.5", "4.0", "inf", "numpy-float", "str", "None", "list"],
+    )
+    def test_non_integer_count_raises(self, fn, noun, count):
+        with pytest.raises(ValueError, match=f"^{noun} count must be an integer, got .*$") as info:
+            fn(count)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("fn", list(_CLOSED_FORMS), ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize(
+        "counts, dtype",
+        [(np.array([4.0, 9.0]), "float64"), (np.array([True, True]), "bool"),
+         (np.arange(1.0, 3001.0), "float64"), (np.array(["4"]), "<U1")],
+        ids=["float", "bool", "long-float", "str"],
+    )
+    def test_array_of_another_dtype_raises(self, fn, counts, dtype):
+        with pytest.raises(ValueError, match=f"counts must have an integer dtype, got {dtype}$"):
+            fn(counts)
+
 
 class TestGasSaturation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -197,6 +231,24 @@ class TestDistanceClasses:
             assert sizes == [lattice.n_per_sublattice]
         else:
             assert len(sizes) > 1
+
+
+class TestSiteCountCheck:
+    """A lattice that does not fit the state is refused by every bound route."""
+
+    def test_every_route_refuses_a_lattice_of_another_size(self, state44):
+        small = LatticeSpec.square_grid(2, 4)
+        message = "^state and lattice disagree on site count$"
+        with pytest.raises(ValueError, match=message):
+            equidistant_class_min_p(state44, small, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            bounds.distance_classes(state44, small)
+        with pytest.raises(ValueError, match=message):
+            compare(state44, small)
+
+    def test_gas_lattice_of_another_size(self, gas_state3):
+        with pytest.raises(ValueError, match="^state and lattice disagree on site count$"):
+            bounds.distance_classes(gas_state3, LatticeSpec.complete_bipartite(2))
 
 
 class TestCompare:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,40 @@ def test_graph_queries_check_the_site(grid44):
     for query in (grid44.neighbors, grid44.sublattice_of, lambda s: grid44.distance(0, s)):
         with pytest.raises(ValueError, match=r"^site 16 out of range \[0, 16\)$"):
             query(16)
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda lat: lat.sublattice_of(1.5), "site must be an integer, got 1.5"),
+        (lambda lat: lat.sublattice_of(True), "site must be an integer, got True"),
+        (lambda lat: lat.neighbors("3"), "site must be an integer, got '3'"),
+        (lambda lat: lat.distance(0, 2.0), "site must be an integer, got 2.0"),
+        (lambda lat: lat.distance(np.float64(0.0), 2), f"site must be an integer, got {np.float64(0.0)!r}"),
+        (lambda lat: lat.coords(2.0), "site must be an integer, got 2.0"),
+        (lambda lat: lat.index(1.0, 2), "row must be an integer, got 1.0"),
+        (lambda lat: lat.index(1, False), "col must be an integer, got False"),
+        (lambda lat: lat.equidistant_class(5, 1.5), "distance r must be an integer, got 1.5"),
+        (lambda lat: lat.equidistant_class(5.0, 1), "site must be an integer, got 5.0"),
+        (lambda lat: lat.equidistant_count(0, 2.5), "distance r must be an integer, got 2.5"),
+    ],
+    ids=[
+        "sublattice-float", "sublattice-bool", "neighbors-str", "distance-float",
+        "distance-numpy-float", "coords-float", "index-row-float", "index-col-bool",
+        "class-r-float", "class-site-float", "count-r-float",
+    ],
+)
+def test_graph_queries_take_only_integers(grid44, query, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query(grid44)
+
+
+def test_graph_queries_take_numpy_integers(grid44):
+    assert grid44.sublattice_of(np.uint8(1)) is grid44.sublattice_of(1)
+    assert grid44.distance(np.int64(0), np.uint16(15)) == grid44.distance(0, 15) == 6
+    assert grid44.coords(np.int32(6)) == (1, 2) and type(grid44.coords(np.int32(6))[0]) is int
+    assert grid44.index(np.int64(1), np.uint8(2)) == 6
+    assert grid44.equidistant_class(np.int64(5), np.int8(1)) == grid44.equidistant_class(5, 1)
 
 
 def test_the_caps_read_only_the_shape():

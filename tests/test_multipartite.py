@@ -586,6 +586,21 @@ def _per_subset_rep(support, subset):
     return int(support.orbit_bits[:, list(subset)].sum(axis=1).min())
 
 
+class TestSubsetListing:
+    """One listing of each size's subsets serves the audits and the certificate."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_certificate_rows_are_the_cuts_that_hold_site_0(self, n):
+        for k in range(1, n):
+            listed = multipartite._subsets(n, k)
+            assert listed.dtype == np.min_scalar_type(n - 1) and listed.shape == (math.comb(n, k), k)
+            cuts = listed[: math.comb(n - 1, k - 1)].tolist()
+            assert cuts == [[0, *rest] for rest in itertools.combinations(range(1, n), k - 1)]
+            # and the rows after them are every other subset, still in order
+            rest = listed[math.comb(n - 1, k - 1) :].tolist()
+            assert rest == [list(c) for c in itertools.combinations(range(1, n), k)]
+
+
 class TestRepresentativeTable:
     """One array pass per subset size, pinned to the per-subset route."""
 
@@ -594,7 +609,7 @@ class TestRepresentativeTable:
         support = _fresh(request.getfixturevalue(fixture))._support
         assert support.reps.shape == (2**16,) and not np.any(support.reps)
         for k in range(1, 6):
-            multipartite._map_representatives(support, itertools.combinations(range(16), k), k)
+            multipartite._map_representatives(support, multipartite._subsets(16, k))
             for subset in itertools.combinations(range(16), k):
                 assert support.reps[_mask(subset)] == _per_subset_rep(support, subset)
         filled = sum(math.comb(16, k) for k in range(1, 6))
@@ -607,11 +622,10 @@ class TestRepresentativeTable:
         fill = multipartite._map_representatives
         seen = []
 
-        def checked(support_, subsets, k):
-            subsets = list(subsets)
-            reps = fill(support_, subsets, k)
+        def checked(support_, sites):
+            reps = fill(support_, sites)
+            subsets = [tuple(row) for row in sites.tolist()]
             for subset, rep in zip(subsets, reps, strict=True):
-                assert len(subset) == k
                 assert support_.reps[_mask(subset)] == rep == _per_subset_rep(support, subset)
             seen.extend(subsets)
             return reps
@@ -629,12 +643,18 @@ class TestRepresentativeTable:
             state = request.getfixturevalue(fixture)
         audited, plain = _fresh(state), _fresh(state)
         tabled = odd_subset_audit(audited, 5).verdicts + even_subset_audit(audited, 4).verdicts
-        # bare calls on a state whose table is never filled: each subset
-        # takes the direct minimum and its own mixedness
+        # bare calls on a state whose table no size pass has filled: each
+        # subset maps its own row and takes its own mixedness
         per_subset = tuple(bipartition_verdict(plain, v.subset) for v in tabled)
-        assert (plain._support.reps is None) == (fixture == "copy44")
-        if plain._support.reps is not None:
-            assert not np.any(plain._support.reps)
+        table = plain._support.reps
+        assert (table is None) == (fixture == "copy44")
+        if table is not None:
+            # every call wrote its own subset's entry, and each entry is the
+            # direct minimum over the group
+            written = np.flatnonzero(table).tolist()
+            assert written == sorted(_mask(v.subset) for v in tabled)
+            for v in tabled:
+                assert table[_mask(v.subset)] == _per_subset_rep(plain._support, v.subset)
         assert len(tabled) == 6884
         assert tabled == per_subset
 
@@ -649,12 +669,14 @@ class TestRepresentativeTable:
         state = _fresh(state44)
         support = state._support
         # a table of another size holds none of these
-        multipartite._map_representatives(support, itertools.combinations(range(16), 6), 6)
+        multipartite._map_representatives(support, multipartite._subsets(16, 6))
         assert not any(support.reps[_mask(s)] for s in subsets)
         for subset, expected in zip(subsets, bare):
             assert subset_spectrum(state, subset).tobytes() == expected
-            # the spectrum was entered under the direct minimum
+            # the spectrum was entered under the direct minimum, and so was
+            # the subset's table entry
             assert _per_subset_rep(support, subset) in support.spectra
+            assert support.reps[_mask(subset)] == _per_subset_rep(support, subset)
             _assert_matches_oracle(state, subset, subset_spectrum(state, subset))
 
     @pytest.mark.parametrize(
@@ -754,7 +776,9 @@ class TestArrayCertificate:
         monkeypatch.setattr(multipartite, "subset_spectrum", counting)
         cert = genuine_multipartite_certificate(state)
         # one spectrum per cut, in enumeration order
-        assert calls == [cut for k in range(1, state.n_qubits) for cut in multipartite._cuts(state.n_qubits, k)]
+        n = state.n_qubits
+        cuts = [(0, *rest) for k in range(1, n) for rest in itertools.combinations(range(1, n), k - 1)]
+        assert calls == cuts
         monkeypatch.undo()
         assert cert.n_cuts == len(calls)
         _assert_certificate_matches_oracle(state)
