@@ -311,7 +311,7 @@ def _task_multipartite(ctx: _Context, checks: _Checks) -> dict:
         audits["even"] = multipartite.even_subset_audit(state, max_size=4)
     data: dict = {}
     for parity, audit in audits.items():
-        count = len(audit.verdicts)
+        count = len(audit)
         checks.add(
             f"multipartite/{parity}-subsets-mixed",
             audit.all_entangled,
@@ -322,10 +322,9 @@ def _task_multipartite(ctx: _Context, checks: _Checks) -> dict:
             "count": count,
             "sampled": False,
             "all_entangled": audit.all_entangled,
-            "max_purity": _round(max(v.purity for v in audit.verdicts)),
+            "max_purity": _round(audit.purity.max()),
         }
-    odd = audits["odd"].verdicts
-    data["odd_subsets"]["min_entropy_bits"] = _round(min(v.entropy_bits for v in odd))
+    data["odd_subsets"]["min_entropy_bits"] = _round(audits["odd"].entropy_bits.min())
     if state.n_qubits <= multipartite.CERTIFICATE_MAX_QUBITS:
         cert = multipartite.genuine_multipartite_certificate(state)
         data["certificate"] = {

@@ -126,6 +126,7 @@ class DimerCovering:
 
         Every pair must be (A-site, B-site); pass pairs A-first, since the
         reversed orientation denotes a different (sign-flipped) state.
+        ``weight`` must be a finite real number, and not a boolean.
         """
         try:
             plist = [(a, b) for a, b in pairs]
@@ -149,8 +150,21 @@ class DimerCovering:
         return cls(
             a_sites=tuple(a for a, _ in plist),
             b_partners=tuple(b for _, b in plist),
-            weight=float(weight),
+            weight=_weight_value(weight),
         )
+
+
+def _weight_value(weight: float) -> float:
+    """A covering weight as a float; ValueError unless a finite real number, not a bool."""
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+        raise ValueError(f"covering weight {weight!r} is not a number")
+    try:
+        value = float(weight)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("covering weights must be finite")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,19 +435,18 @@ def _ensemble_from_pairs(
 ) -> CoveringEnsemble:
     """Ensemble from A-first pair lists, checked as :meth:`DimerCovering.from_pairs` checks.
 
-    The lists are read as one integer array; a boolean among the sites,
-    which the array would read as 0 or 1, is refused before the array is
-    used, and so is a weight that is not a number, a boolean included.  A
+    Every weight first goes through the check ``from_pairs`` applies to
+    its one weight: a finite real number, not a boolean.  The lists are
+    read as one integer array; a boolean among the sites, which the array
+    would read as 0 or 1, is refused before the array is used.  A
     list passes when its first sites are the lattice's A sites and its
     second sites its B sites, each once, which is exactly what
     ``from_pairs`` accepts.  The first list that fails, or every list when
     they do not stack into one (coverings, pairs, 2) integer array, goes
     through ``from_pairs``, which names the fault.  The constructor checks
-    the counts and the weights' values.
+    the counts.
     """
-    not_numbers = [w for w in weights if isinstance(w, bool) or not isinstance(w, numbers.Real)]
-    if not_numbers:
-        raise ValueError(f"covering weight {not_numbers[0]!r} is not a number")
+    values = np.array([_weight_value(w) for w in weights])
     n = lattice.sublattice_size
     try:
         pairs = np.array(pair_lists)
@@ -459,10 +472,6 @@ def _ensemble_from_pairs(
             [DimerCovering.from_pairs(lattice, pairs).b_partners for pairs in pair_lists],
             dtype=np.int64,
         ).reshape(-1, n)
-    try:
-        values = np.array([float(w) for w in weights])
-    except OverflowError:  # an int past the float range
-        raise ValueError("covering weights must be finite") from None
     return CoveringEnsemble(lattice, variant, partners, values)
 
 

@@ -23,6 +23,7 @@ binary entropy h((1 + sqrt(1 - C**2))/2) in ebits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,6 +58,9 @@ _IDENTITY = np.eye(4)
 
 
 def _check_p(p: float) -> float:
+    # float(True) is 1.0, but a flag is no Werner parameter
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"Werner parameter must be a real number, got {p!r}")
     if not P_MIN - _P_SLACK <= p <= P_MAX + _P_SLACK:
         raise ValueError(f"Werner parameter {p} outside [{P_MIN}, {P_MAX}]")
     return float(min(max(p, P_MIN), P_MAX))

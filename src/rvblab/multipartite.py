@@ -65,14 +65,19 @@ caller maps its rows to their representatives in one array pass (a
 running minimum over the group's rows), and enters every new
 representative in one kernel batch, whose spectra take one
 ``_mixedness`` call (purity, entropy and the entangled flag per row,
-with the bits of a one-spectrum call).  Each subset then reads its
-numbers from its representative's entry, so the verdicts of one orbit
-share their float objects.  The audits send each subset through
-``subset_spectrum`` once more, in order, as perfbench counts them; the
-call reads the memo.  A bare ``bipartition_verdict`` takes
-``_mixedness`` of its one spectrum, which has the entry's bits.  A bare
-call of a size the table has not mapped takes the same array pass on
-its one row.  The gas, hand-built states and loaded states carry no
+with the bits of a one-spectrum call).  The distinct representatives
+come from a sort, and each subset's purity, entropy and flag are
+gathered into three arrays from one value per representative, so no
+Python object is kept per subset.  An audit returns an ``AuditResult``:
+each size's site array and the three arrays, all read-only, with
+``len``, ``all_entangled`` and value equality.  Its ``verdicts`` view
+builds one ``BipartitionVerdict`` per subset on demand, with the arrays'
+bits.  The audits send each subset through ``subset_spectrum`` once
+more, in order, one row of the site array at a time, as perfbench
+counts them; the call reads the memo.  A bare ``bipartition_verdict``
+takes ``_mixedness`` of its one spectrum, which has the entry's bits.  A
+bare call of a size the table has not mapped takes the same array pass
+on its one row.  The gas, hand-built states and loaded states carry no
 generators: each subset is its own representative, and they keep no
 table.  A state with no single sector keeps no memo: its spectra, one
 per subset, are stacked per size and take one ``_mixedness`` call.
@@ -81,12 +86,14 @@ Genuine multipartite entanglement of a pure state means every nontrivial
 bipartition is entangled; the certificate scans all 2**(n-1) - 1 cuts.
 Its cuts of size k are the first ``comb(n - 1, k - 1)`` rows of the
 listing: exactly the subsets that hold site 0, so each unordered cut
-appears once.  Per size it reads every cut's entry: ``genuine`` is every
-flag, ``n_cuts`` the cut count, and ``min_cut`` the first cut of minimal
-entropy in enumeration order, made a tuple only once the scan is done,
-and exactly so: members of one orbit tie bit for bit.  Only a state with
-no single sector computes a spectrum per cut.  The tests pin the
-certificate bit for bit to the walk over one cut at a time that it
+appears once.  Per size it gathers every cut's entropy and flag into
+arrays as the audits do: ``genuine`` is every flag, ``n_cuts`` the cut
+count, and ``min_cut`` the first cut of minimal entropy in enumeration
+order (the first ``argmin`` of a size, replaced only by a strictly
+smaller one of a later size), and exactly so: members of one orbit tie
+bit for bit.  Only a state with no single sector computes a spectrum
+per cut.  The tests pin the certificate bit for bit to the walk over one
+cut at a time that it replaced.
 replaced.
 """
 
@@ -111,10 +118,7 @@ AUDIT_MAX_SUBSETS = 20_000
 
 @dataclass(frozen=True, slots=True)
 class BipartitionVerdict:
-    """Mixedness of one subset against the rest of a pure state.
-
-    Slotted: an audit keeps one per subset (6,884 on the open 4x4).
-    """
+    """Mixedness of one subset against the rest of a pure state."""
 
     subset: tuple[int, ...]
     purity: float
@@ -122,15 +126,49 @@ class BipartitionVerdict:
     entangled: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditResult:
-    """Verdicts for every subset of an exhaustive audit."""
+    """Every subset of an exhaustive audit and its mixedness, in read-only arrays.
 
-    verdicts: tuple[BipartitionVerdict, ...]
+    ``sites`` holds one array per subset size, one row per subset in
+    lexicographic order, in the narrowest type (see :func:`_subsets`).
+    ``purity``, ``entropy_bits`` and ``entangled`` hold one entry per
+    subset, size after size in the same order.  Two results are equal
+    when all their arrays are equal.  :attr:`verdicts` builds one
+    :class:`BipartitionVerdict` per subset on demand.
+    """
+
+    sites: tuple[np.ndarray, ...]
+    purity: np.ndarray
+    entropy_bits: np.ndarray
+    entangled: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in self._arrays():
+            array.setflags(write=False)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (*self.sites, self.purity, self.entropy_bits, self.entangled)
+
+    def __len__(self) -> int:
+        return self.purity.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AuditResult):
+            return NotImplemented
+        mine, theirs = self._arrays(), other._arrays()
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
 
     @property
     def all_entangled(self) -> bool:
-        return all(v.entangled for v in self.verdicts)
+        return bool(self.entangled.all())
+
+    @property
+    def verdicts(self) -> tuple[BipartitionVerdict, ...]:
+        """One verdict per subset, in order, with the arrays' bits."""
+        subsets = chain.from_iterable(map(tuple, sites.tolist()) for sites in self.sites)
+        columns = (self.purity.tolist(), self.entropy_bits.tolist(), self.entangled.tolist())
+        return tuple(map(BipartitionVerdict, subsets, *columns))
 
 
 def _map_representatives(support: _SectorSupport, sites: np.ndarray) -> np.ndarray:
@@ -158,18 +196,17 @@ def _memo_spectra(
 ) -> dict[int, tuple[np.ndarray, tuple[float, float, bool]]]:
     """The support's memo, holding an entry for every one of the k-site ``reps``.
 
-    An entry is a representative's spectrum and its purity, entropy and
-    entangled flag.  The memo keeps one subset size: a request of another
-    size empties it first.  The missing representatives go to the kernel
-    in one batch, whose spectra take one :func:`_mixedness` call, and are
-    entered only once the whole batch has returned.
+    ``reps`` are distinct and ascending.  An entry is a representative's
+    spectrum and its purity, entropy and entangled flag.  The memo keeps
+    one subset size: a request of another size empties it first.  The
+    missing representatives go to the kernel in one batch, whose spectra
+    take one :func:`_mixedness` call, and are entered only once the whole
+    batch has returned.
     """
     memo = support.spectra
     if memo and next(iter(memo)).bit_count() != k:
         memo.clear()
-    # a set, not np.unique: NumPy 2's first np.unique call in a process (a
-    # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
-    new = sorted(set(reps).difference(memo))
+    new = [rep for rep in reps if rep not in memo]
     if new:
         spectra = _sector_spectra(support, n, new, k)
         stats = zip(*(column.tolist() for column in _mixedness(spectra)))
@@ -303,38 +340,48 @@ def _slot_table(n: int, k: int, down: int, mirrored: bool) -> np.ndarray:
 _CHUNK_BYTES = 1 << 18
 
 
+def _recode(bits: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
+    """Each support index recoded for each k-site subset of ``masks``, one row per subset.
+
+    ``bits`` is the support's ``bits.T``.  A subset weights its sites
+    ``2**t`` (its t-th site) and the rest ``2**(k + j)`` (the j-th other
+    site), so one product of the weights with the bits puts the subset's
+    bits low and the rest's above them.  The weights take the bits' dtype,
+    which holds every recoded index exactly.
+    """
+    sites = np.arange(bits.shape[0])
+    member = (masks[:, None] >> sites) & 1
+    # subset sites below each site; every other site below it is a rest site
+    below = np.cumsum(member, axis=1) - member
+    weights = np.exp2(np.where(member == 1, below, k + sites - below), dtype=bits.dtype)
+    return (weights @ bits).astype(np.intp)
+
+
 def _sector_spectra(
     support: _SectorSupport, n: int, masks: Sequence[int] | np.ndarray, k: int
 ) -> np.ndarray:
     """Schmidt spectra of the k-site subsets with bitmasks ``masks``, one row each.
 
     The subsets go in chunks whose block buffers fill ``_CHUNK_BYTES``.
-    Each subset weights its sites ``2**t`` (its t-th site) and the rest
-    ``2**(k + j)`` (the j-th other site), so one product of the chunk's
-    weights with the support's bits recodes every nonzero entry for every
-    subset.  Each subset then takes one gather from the slot table and one
-    scatter into its zero-filled buffer, and each kept block one stacked
-    Gram product and one stacked ``eigvalsh`` over the chunk.  No result
-    depends on the chunking.  For a flip-symmetric support, block ``k - d``
-    is block d with rows and columns permuted and every entry times the
-    flip sign, so only blocks with ``2 d <= k`` are kept and each spectrum
-    below the middle is counted twice.  Rows are sorted descending and
-    padded with zeros to ``min(2**k, 2**(n - k))``.
+    One :func:`_recode` product recodes every nonzero entry for every
+    subset of a chunk.  Each subset then takes one gather from the slot
+    table and one scatter into its zero-filled buffer, and each kept
+    block one stacked Gram product and one stacked ``eigvalsh`` over the
+    chunk.  No result depends on the chunking.  For a flip-symmetric
+    support, block ``k - d`` is block d with rows and columns permuted and
+    every entry times the flip sign, so only blocks with ``2 d <= k`` are
+    kept and each spectrum below the middle is counted twice.  Rows are
+    sorted descending and padded with zeros to ``min(2**k, 2**(n - k))``.
     """
     mirrored = support.flip is not None
     blocks, _, size = _sector_layout(n, k, support.down, mirrored)
     table = _slot_table(n, k, support.down, mirrored)
     masks = np.asarray(masks, dtype=np.int64)
     bits = support.bits.T  # C-contiguous
-    sites = np.arange(n)
     out = np.zeros((masks.size, min(2**k, 2 ** (n - k))))
     step = max(1, _CHUNK_BYTES // (8 * size))
     for lo in range(0, masks.size, step):
-        member = (masks[lo : lo + step, None] >> sites) & 1
-        # subset sites below each site; every other site below it is a rest site
-        below = np.cumsum(member, axis=1) - member
-        weights = np.exp2(np.where(member == 1, below, k + sites - below))
-        slots = table[(weights @ bits).astype(np.intp)].astype(np.intp)
+        slots = table[_recode(bits, masks[lo : lo + step], k)].astype(np.intp)
         m = slots.shape[0]
         flat = np.zeros((m, size))
         for row, slot in zip(flat, slots):
@@ -376,7 +423,7 @@ def _mixedness(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     purity = (w * w).sum(axis=1)
     positive = np.count_nonzero(w > 0.0, axis=1)
     entropy = np.empty(purity.shape)
-    # np.bincount, not np.unique: see _memo_spectra
+    # np.bincount, not np.unique: see _subset_stats
     for count in np.flatnonzero(np.bincount(positive)):
         rows = positive == count
         x = w[rows, :count]
@@ -394,35 +441,42 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return np.fromiter(flat, np.min_scalar_type(n - 1), count=math.comb(n, k) * k).reshape(-1, k)
 
 
-def _subset_stats(state: StateVector, sites: np.ndarray) -> list[tuple[float, float, bool]]:
-    """Purity, entropy and the entangled flag of the subset in each row of ``sites``.
+def _subset_stats(
+    state: StateVector, sites: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Purity, entropy and the entangled flag of the subsets in the rows of ``sites``.
 
-    On the sector route the subsets map to their representatives in one
-    array pass, the missing ones enter the memo in one batch, and each
-    subset reads its representative's entry, so one orbit shares one
-    tuple.  A state with no sector support sends each subset through
+    Three arrays, one entry per row.  On the sector route the subsets map
+    to their representatives in one array pass, the missing ones enter the
+    memo in one batch, and each array is gathered from one value per
+    distinct representative, so no per-subset object is made.  A state
+    with no sector support sends each subset through
     :func:`subset_spectrum` and takes one :func:`_mixedness` call on the
     stacked spectra.
     """
     support = state._support
     if support is None:
-        spectra = np.array([subset_spectrum(state, s) for s in sites])
-        return list(zip(*(column.tolist() for column in _mixedness(spectra))))
-    reps = _map_representatives(support, sites).tolist()
-    memo = _memo_spectra(support, state.n_qubits, reps, sites.shape[1])
-    return [memo[rep][1] for rep in reps]
+        return _mixedness(np.array([subset_spectrum(state, s) for s in sites]))
+    reps = _map_representatives(support, sites)
+    # a sort, not np.unique: NumPy 2's first np.unique call in a process (a
+    # C++ hash table) raised the open 4x4 run's peak memory by about 0.4 MB
+    ordered = np.sort(reps)
+    distinct = ordered[np.diff(ordered, prepend=-1) != 0]
+    keys = distinct.tolist()
+    memo = _memo_spectra(support, state.n_qubits, keys, sites.shape[1])
+    entry = np.searchsorted(distinct, reps)
+    columns = zip(*(memo[rep][1] for rep in keys))
+    return tuple(np.array(column)[entry] for column in columns)
 
 
 def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
-    """Verdicts for every subset of ``sizes``; checks the cap before any spectrum.
+    """Every subset of ``sizes`` and its mixedness; checks the cap before any spectrum.
 
     Every subset reaches :func:`subset_spectrum` exactly once, in order,
     on either route: perfbench counts those calls as
     ``multipartite.subsets``.  On the sector route the call reads the
-    memo that :func:`_subset_stats` filled.  Each size's subsets are
-    listed by :func:`_subsets`, and a verdict's subset tuple is made from
-    its row only once the size's spectra are in, so no tuple is held
-    across the kernel batch.
+    memo that :func:`_subset_stats` filled, one row of the size's site
+    array at a time.
     """
     n = state.n_qubits
     total = sum(math.comb(n, k) for k in sizes)
@@ -431,15 +485,15 @@ def _audit(state: StateVector, sizes: Sequence[int]) -> AuditResult:
             f"subset audit capped at {AUDIT_MAX_SUBSETS} subsets; requested {total}"
         )
     sector = state._support is not None
-    verdicts: list[BipartitionVerdict] = []
-    for k in sizes:
-        subsets = _subsets(n, k)
-        for row, stats in zip(subsets, _subset_stats(state, subsets)):
-            subset = tuple(row.tolist())
-            if sector:
-                subset_spectrum(state, subset)
-            verdicts.append(BipartitionVerdict(subset, *stats))
-    return AuditResult(verdicts=tuple(verdicts))
+    sites = tuple(_subsets(n, k) for k in sizes)
+    stats = []
+    for subsets in sites:
+        stats.append(_subset_stats(state, subsets))
+        if sector:
+            for row in subsets:
+                subset_spectrum(state, tuple(row.tolist()))
+    purity, entropy, entangled = (np.concatenate(column) for column in zip(*stats))
+    return AuditResult(sites, purity, entropy, entangled)
 
 
 def _audit_sizes(state: StateVector, first: int, max_size: int) -> range:
@@ -458,10 +512,10 @@ def _audit_sizes(state: StateVector, first: int, max_size: int) -> range:
 
 
 def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
-    """Verdicts for every odd-size proper subset up to ``max_size``.
+    """Every odd-size proper subset up to ``max_size`` and its mixedness.
 
     Odd subsets of a singlet superposition are always mixed (a dimer
-    must cross the cut), so every verdict should come back entangled.
+    must cross the cut), so every subset should come back entangled.
     Raises :class:`CapExceeded` above ``AUDIT_MAX_SUBSETS`` subsets and
     ValueError when no odd proper size is at most ``max_size``.
     """
@@ -469,7 +523,7 @@ def odd_subset_audit(state: StateVector, max_size: int = 5) -> AuditResult:
 
 
 def even_subset_audit(state: StateVector, max_size: int = 4) -> AuditResult:
-    """Verdicts for every even-size proper subset up to ``max_size``; same cap."""
+    """Every even-size proper subset up to ``max_size`` and its mixedness; same cap."""
     return _audit(state, _audit_sizes(state, 2, max_size))
 
 
@@ -499,21 +553,23 @@ def genuine_multipartite_certificate(state: StateVector) -> CertificateReport:
     if n < 2:
         raise ValueError("certificate needs at least two sites")
     best_entropy = math.inf
-    best_cut = np.empty(0, np.intp)
+    best_cut: tuple[int, ...] = ()
     genuine = True
     n_cuts = 0
     for k in range(1, n):
         # the rows that hold site 0, so each unordered cut appears once
         cuts = _subsets(n, k)[: math.comb(n - 1, k - 1)]
         n_cuts += len(cuts)
-        for cut, (_, entropy, entangled) in zip(cuts, _subset_stats(state, cuts)):
-            genuine = genuine and entangled
-            # strictly less: the first of tied minima stays
-            if entropy < best_entropy:
-                best_entropy, best_cut = entropy, cut
+        _, entropy, entangled = _subset_stats(state, cuts)
+        genuine = genuine and bool(entangled.all())
+        # the first minimum of the size, and strictly less across sizes:
+        # the first of tied minima stays
+        first = int(entropy.argmin())
+        if entropy[first] < best_entropy:
+            best_entropy, best_cut = entropy.item(first), tuple(cuts[first].tolist())
     return CertificateReport(
         genuine=genuine,
         n_cuts=n_cuts,
         min_entropy_bits=best_entropy,
-        min_cut=tuple(best_cut.tolist()),
+        min_cut=best_cut,
     )

@@ -145,10 +145,14 @@ class _SectorSupport:
     """Nonzero entries of a state lying in one S^z sector.
 
     Every nonzero basis index has exactly ``down`` spins down.  ``bits``
-    is float64 of shape (nonzeros, n_qubits); column ``s`` holds bit ``s``
-    of each index, so a product with a weight vector recodes the indices.
-    It is stored column by column (Fortran order), so ``bits.T`` is
-    C-contiguous for products with many weight vectors at once.
+    has shape (nonzeros, n_qubits); column ``s`` holds bit ``s`` of each
+    index, so a product with a vector of powers of two in its dtype
+    recodes the indices.  Every partial sum of that product is an integer
+    below ``2**n_qubits``, and float32 holds every integer below 2**24
+    exactly, so ``bits`` is float32 up to 24 qubits (179 kB on the open
+    4x4, half of float64) and float64 above.  It is stored column by
+    column (Fortran order), so ``bits.T`` is C-contiguous for products
+    with many weight vectors at once.
     ``flip`` is the sign ``f`` when flipping every spin maps the state to
     ``f`` times itself, exactly, and None otherwise.  Every singlet
     superposition has ``flip == (-1)**(n_qubits // 2)``.
@@ -195,7 +199,7 @@ def _sector_support(state: StateVector) -> _SectorSupport | None:
         down += (idx >> s) & 1
     if down.min() != down.max():
         return None
-    bits = np.empty((idx.size, n), order="F")
+    bits = np.empty((idx.size, n), np.float32 if n <= 24 else np.float64, order="F")
     for s in range(n):
         bits[:, s] = (idx >> s) & 1
     psi = state.amplitudes
@@ -204,7 +208,8 @@ def _sector_support(state: StateVector) -> _SectorSupport | None:
     kept = [
         g
         for g in state._site_generators
-        if _symmetry_sign(psi, amps, (bits @ np.exp2(g)).astype(np.int64)) is not None
+        if _symmetry_sign(psi, amps, (bits @ np.exp2(g, dtype=bits.dtype)).astype(np.int64))
+        is not None
     ]
     return _SectorSupport(
         bits=bits,

@@ -14,8 +14,9 @@ group applied to every covering for the covering orbits, the closed-form
 grid and gas geometry for the lattice's bond graph) so that
 agreement is evidence, not tautology.  A few keep the route a fast path
 replaced instead, to pin it bit for bit: the Jacobi rotations above, the
-eigensolver seam and pair measures that checked every input twice, and
-the certificate's walk over one cut at a time.
+eigensolver seam and pair measures that checked every input twice,
+the certificate's walk over one cut at a time, and the audits' walk that
+made one verdict per subset.
 """
 
 import itertools
@@ -586,6 +587,35 @@ def certificate_oracle(state):
     return multipartite.CertificateReport(genuine, n_cuts, float(best_entropy), best_cut)
 
 
+def audit_oracle(state, sizes):
+    """The audit by a walk that makes one verdict per subset, in order.
+
+    The walk the array audit replaced: each size's subsets are listed as
+    tuples, each subset reads its purity, entropy and flag from its orbit
+    representative's memo entry (or, with no sector support, from one
+    ``_mixedness`` call on the stacked dense spectra), and each verdict is
+    made from the subset's tuple.  The audit's arrays and its ``verdicts``
+    must match it bit for bit.
+    """
+    n = state.n_qubits
+    support = state._support
+    verdicts = []
+    for k in sizes:
+        subsets = list(itertools.combinations(range(n), k))
+        if support is None:
+            spectra = np.array([multipartite.subset_spectrum(state, s) for s in subsets])
+            stats = list(zip(*(column.tolist() for column in multipartite._mixedness(spectra))))
+        else:
+            reps = multipartite._map_representatives(support, np.array(subsets)).tolist()
+            memo = multipartite._memo_spectra(support, n, sorted(set(reps)), k)
+            stats = [memo[rep][1] for rep in reps]
+        verdicts.extend(
+            multipartite.BipartitionVerdict(subset, *numbers)
+            for subset, numbers in zip(subsets, stats)
+        )
+    return tuple(verdicts)
+
+
 # ----------------------------------------------------------------------
 # oracle: Hermitian eigensolver
 
@@ -857,8 +887,8 @@ def covering_orbits_oracle(ensemble):
 # allocation peaks
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes traced during the call above those held before it."""
+def traced_memory(fn, *args):
+    """``fn(*args)``, and the peak and the held bytes traced above those held before the call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -866,8 +896,14 @@ def traced_peak(fn, *args):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
+    return out, peak, held
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced during the call above those held before it."""
+    out, peak, _ = traced_memory(fn, *args)
     return out, peak

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from functools import partial
 
@@ -284,6 +285,33 @@ class TestEnsembleValidation:
         pairs = [c.pairs for c in enumerate_liquid(grid22).coverings]
         with pytest.raises(ValueError, match=f"^covering weight {weight!r} is not a number$"):
             custom_ensemble(grid22, pairs, weights=[1.0, weight])
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (float("nan"), "covering weights must be finite"),
+            (np.inf, "covering weights must be finite"),
+            (10**400, "covering weights must be finite"),
+            ("1", "covering weight '1' is not a number"),
+            (True, "covering weight True is not a number"),
+            (np.True_, f"covering weight {np.True_!r} is not a number"),
+            (None, "covering weight None is not a number"),
+        ],
+        ids=["nan", "inf", "int-past-float", "text", "true", "np-true", "none"],
+    )
+    def test_one_weight_check_for_pairs_and_ensembles(self, grid24, weight, message):
+        pairs = ((0, 1), (2, 3), (5, 4), (7, 6))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DimerCovering.from_pairs(grid24, pairs, weight=weight)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            custom_ensemble(grid24, [pairs], weights=[weight])
+
+    @pytest.mark.parametrize("weight", [2, 2.0, np.float32(2.0), np.int64(2), np.float64(2.0)])
+    def test_real_weights_are_floats(self, grid24, weight):
+        pairs = ((0, 1), (2, 3), (5, 4), (7, 6))
+        covering = DimerCovering.from_pairs(grid24, pairs, weight=weight)
+        assert type(covering.weight) is float and covering.weight == 2.0
+        assert custom_ensemble(grid24, [pairs], weights=[weight]).weights.tolist() == [2.0]
 
     def test_empty_ensemble_rejected(self, grid22):
         with pytest.raises(ValueError, match="^ensemble must contain at least one covering$"):

@@ -127,6 +127,31 @@ class TestConcurrenceAndTangle:
             tangle_werner(1.5)
 
 
+WERNER_FUNCTIONS = [werner_state, werner_purity, tangle_werner, is_separable_werner]
+
+
+class TestWernerParameterType:
+    @pytest.mark.parametrize("fn", WERNER_FUNCTIONS)
+    # float(True) is 1.0: a flag would silently give the p = 1 projector
+    @pytest.mark.parametrize("p", [True, False, np.True_, "0.5", None, 0.5j, [0.5]])
+    def test_non_real_is_one_line(self, fn, p):
+        with pytest.raises(ValueError, match=r"^Werner parameter must be a real number, got .+$"):
+            fn(p)
+
+    @pytest.mark.parametrize("fn", WERNER_FUNCTIONS)
+    @pytest.mark.parametrize("p", [np.float64(0.5), np.float32(0.5), np.int64(1), 1])
+    def test_numpy_and_int_reals_are_accepted(self, fn, p):
+        got, want = fn(p), fn(float(p))
+        if fn is werner_state:
+            got, want = got.matrix, want.matrix
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", WERNER_FUNCTIONS)
+    def test_nan_is_out_of_range(self, fn):
+        with pytest.raises(ValueError, match=r"^Werner parameter nan outside "):
+            fn(float("nan"))
+
+
 class TestSeparability:
     @pytest.mark.parametrize("p", P_GRID)
     def test_threshold_matches_ppt(self, p):

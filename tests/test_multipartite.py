@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     PROPERTY_SETTINGS,
+    audit_oracle,
     certificate_oracle,
     entropy_bits_oracle,
     equal_weight_ensembles,
     purity_entropy_oracle,
     sector_spectrum_oracle,
     subset_spectrum_oracle,
-    traced_peak,
+    traced_memory,
 )
 from rvblab import multipartite, states
 from rvblab import (
+    AuditResult,
     CapExceeded,
     DimerCovering,
     LatticeSpec,
@@ -739,7 +741,8 @@ def _assert_certificate_matches_oracle(state):
     cert = genuine_multipartite_certificate(state)
     want = certificate_oracle(state)
     assert cert == want
-    assert repr(cert.min_entropy_bits) == repr(want.min_entropy_bits)
+    # the whole repr: min_entropy_bits to the last digit, min_cut of plain ints
+    assert repr(cert) == repr(want)
     return cert
 
 
@@ -892,14 +895,18 @@ class TestSpectrumMemo:
                 one = tuple(column.item() for column in multipartite._mixedness(spectrum[None]))
                 assert [x.hex() for x in stats[:2]] == [x.hex() for x in one[:2]], rep
                 assert stats[2] is one[2]
-            # every verdict of the memo's size holds its entry's float objects
+            # every verdict of the memo's size has its entry's bits
             by_rep = {}
             for v in audit.verdicts:
                 if len(v.subset) != k:
                     continue
                 rep = _mask(v.subset) if support.reps is None else int(support.reps[_mask(v.subset)])
-                _, (purity, entropy, _) = memo[rep]
-                assert v.purity is purity and v.entropy_bits is entropy
+                _, (purity, entropy, entangled) = memo[rep]
+                assert (v.purity.hex(), v.entropy_bits.hex(), v.entangled) == (
+                    purity.hex(),
+                    entropy.hex(),
+                    entangled,
+                )
                 by_rep.setdefault(rep, []).append(v)
             shared += sum(len(orbit) > 1 for orbit in by_rep.values())
         # the open 4x4 has orbits of several subsets; the gas has no group
@@ -996,6 +1003,41 @@ class TestBatchedKernel:
                 assert [row.tobytes() for row in got] == [ref.tobytes() for ref in expected]
 
 
+class TestFloat32Recode:
+    """The float32 recode of the support, pinned to integer bit moves."""
+
+    def test_equals_the_integer_recode_for_every_subset_mask(self, state44):
+        support = state44._support
+        assert support.bits.dtype == np.float32 and support.bits.shape[1] == 16
+        bits = support.bits.T
+        index = (support.bits.astype(np.int64) << np.arange(16)).sum(axis=1)
+        assert np.array_equal(index, np.flatnonzero(state44.amplitudes))
+        low, high = index & 0xFF, index >> 8
+        byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        checked = 0
+        for k in range(1, 16):
+            sites = multipartite._subsets(16, k).astype(np.int64)
+            masks = np.left_shift(1, sites).sum(axis=1)
+            member = np.zeros((masks.size, 16), dtype=bool)
+            np.put_along_axis(member, sites, True, axis=1)
+            # the rest's sites in ascending order: False sorts first, stably
+            rest = np.argsort(member, axis=1, kind="stable")[:, : 16 - k]
+            # place[r, s]: the bit site s moves to, its rank in the subset
+            # or k plus its rank in the rest
+            place = np.empty((masks.size, 16), dtype=np.int64)
+            np.put_along_axis(place, sites, np.arange(k), axis=1)
+            np.put_along_axis(place, rest, k + np.arange(16 - k), axis=1)
+            for lo in range(0, masks.size, 512):
+                moved = 1 << place[lo : lo + 512]
+                # per subset, one table per byte of the index: where its set bits move
+                expected = np.take(moved[:, :8] @ byte_bits.T, low, axis=1)
+                expected += np.take(moved[:, 8:] @ byte_bits.T, high, axis=1)
+                got = multipartite._recode(bits, masks[lo : lo + 512], k)
+                assert got.dtype == expected.dtype and (got == expected).all(), k
+                checked += got.shape[0]
+        assert checked == 2**16 - 2
+
+
 class TestBipartitionVerdict:
     def test_single_site_maximally_mixed(self, state44):
         v = bipartition_verdict(state44, (7,))
@@ -1011,6 +1053,96 @@ class TestBipartitionVerdict:
     def test_entangled_cut_inside_pair(self, disjoint_singlets):
         v = bipartition_verdict(disjoint_singlets, (0, 2))
         assert v.entangled
+
+
+AUDIT_STATES = ["open24", "open34", "open44", "periodic44", "gas6", "ghz6"]
+
+
+def _audit_state(name, request):
+    if name == "gas6":
+        return assemble(enumerate_gas(LatticeSpec.complete_bipartite(6)))
+    if name == "ghz6":
+        return _ghz(6)
+    fixture = {
+        "open24": "state24",
+        "open34": "state34",
+        "open44": "state44",
+        "periodic44": "state44_periodic",
+    }[name]
+    return _fresh(request.getfixturevalue(fixture))
+
+
+def _oracle_result(oracle, sizes):
+    """The AuditResult that holds ``oracle``'s verdicts."""
+    sites = tuple(np.array([v.subset for v in oracle if len(v.subset) == k]) for k in sizes)
+    purity, entropy, entangled = (
+        np.array([getattr(v, name) for v in oracle])
+        for name in ("purity", "entropy_bits", "entangled")
+    )
+    return AuditResult(sites, purity, entropy, entangled)
+
+
+class TestAuditArrays:
+    """The audits' arrays, pinned bit for bit to the walk that made one verdict per subset."""
+
+    @pytest.mark.parametrize("name", AUDIT_STATES)
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_equal_the_per_subset_walk(self, name, parity, request):
+        state = _audit_state(name, request)
+        n = state.n_qubits
+        assert (state._support is None) == (name == "ghz6")  # the dense route
+        scan, first, max_size = {"odd": (odd_subset_audit, 1, 5), "even": (even_subset_audit, 2, 4)}[
+            parity
+        ]
+        sizes = range(first, min(max_size, n - 1) + 1, 2)
+        audit = scan(state, max_size)
+        oracle = audit_oracle(_audit_state(name, request), sizes)
+        # each size's narrow site array, as the listing gives it
+        assert len(audit.sites) == len(sizes)
+        for sites, k in zip(audit.sites, sizes):
+            assert sites.dtype == np.min_scalar_type(n - 1)
+            assert np.array_equal(sites, multipartite._subsets(n, k))
+        # the three arrays, bit for bit
+        assert (audit.purity.dtype, audit.entropy_bits.dtype, audit.entangled.dtype) == (
+            np.float64,
+            np.float64,
+            np.bool_,
+        )
+        for name_ in ("purity", "entropy_bits", "entangled"):
+            want = np.array([getattr(v, name_) for v in oracle])
+            assert getattr(audit, name_).tobytes() == want.tobytes(), name_
+        for array in (*audit.sites, audit.purity, audit.entropy_bits, audit.entangled):
+            assert not array.flags.writeable
+        # the verdicts view: the walk's tuples, of plain ints, floats and bools
+        verdicts = audit.verdicts
+        assert verdicts == oracle
+        assert [
+            (v.subset, v.purity.hex(), v.entropy_bits.hex(), v.entangled) for v in verdicts
+        ] == [(v.subset, v.purity.hex(), v.entropy_bits.hex(), v.entangled) for v in oracle]
+        assert {type(x) for v in verdicts for x in (*v.subset, v.purity, v.entangled)} == {
+            int,
+            float,
+            bool,
+        }
+        # value equality, the length and the flag
+        assert audit == _oracle_result(oracle, sizes)
+        assert len(audit) == len(oracle) == sum(math.comb(n, k) for k in sizes)
+        assert audit.all_entangled is all(v.entangled for v in oracle)
+
+    def test_equality_is_by_value(self, state23):
+        one, other = odd_subset_audit(_fresh(state23)), odd_subset_audit(_fresh(state23))
+        assert one is not other and one == other
+        entropy = one.entropy_bits.copy()
+        entropy[-1] = np.nextafter(entropy[-1], 0.0)
+        assert AuditResult(one.sites, one.purity, entropy, one.entangled) != one
+        assert one != odd_subset_audit(state23, 3)  # a size fewer
+        assert one != even_subset_audit(state23, 4)
+        assert one != one.verdicts
+
+    def test_product_cut_clears_all_entangled(self, disjoint_singlets):
+        audit = even_subset_audit(disjoint_singlets, 2)
+        assert not audit.all_entangled
+        assert [v.subset for v in audit.verdicts if not v.entangled] == [(0, 1), (2, 3)]
 
 
 class TestAudits:
@@ -1064,14 +1196,16 @@ class TestAudits:
             assert calls == expected == [v.subset for v in result.verdicts]
 
     def test_odd_audit_peak(self, state44):
-        # each size's subsets are one uint8 array, and the verdicts' tuples
-        # are made only after the size's kernel batch: holding the tuples
-        # across it peaked at 1.98 MB, this route at about 1.62 MB
+        # each size's subsets are one uint8 array and its numbers three
+        # arrays, with no tuple or verdict per subset: a tuple and a verdict
+        # per subset peaked at 1.61 MB and held 1.50 MB, this route at about
+        # 1.48 and 0.85 MB (both hold the memo's size-5 entries and the table)
         state = _fresh(state44)
         assert state._support is not None  # built before the trace
-        result, peak = traced_peak(odd_subset_audit, state)
-        assert len(result.verdicts) == 4944
-        assert peak <= 1.70e6, peak
+        result, peak, held = traced_memory(odd_subset_audit, state)
+        assert len(result) == 4944
+        assert peak <= 1.55e6, peak
+        assert held <= 0.95e6, held
 
     def test_subsets_are_valid(self, state23):
         result = odd_subset_audit(state23, max_size=3)
